@@ -15,17 +15,18 @@ import argparse
 import logging
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from . import curve, ingest, reports, synth
-from .cohort import DR, IR, select_cohorts
+from .cohort import DR, IR, CohortResult, select_cohorts
 from .errors import ConfigError, DataError, SlumberError
 from .interact import field_distribution, interaction_matrix
 from .model import CurveProfile, Dataset
-from .parallel import parallel_map
 from .patent import (
     LAG_FROM_PUBLICATION,
     LAG_FROM_TURNING,
+    PatentIndicators,
     compute_indicators,
     lag_trend_points,
 )
@@ -147,168 +148,143 @@ def _load_checked(args, config: RunConfig) -> Dataset:
     return dataset
 
 
-def _out_dir(args) -> Path:
-    out = Path(_require(args.out, "--out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class Run:
+    """One analysis command: its config and validated dataset, loaded once.
 
+    The derived values (profiles, then the cohort result, then the cohort
+    indicators) are computed on first use and kept, so a command that needs
+    one of them twice, directly or through another, computes it once.
+    """
 
-def _profiles(dataset: Dataset) -> dict[str, CurveProfile]:
-    """Profiles for every paper with a computable curve; the rest are logged."""
-    usable = []
-    for pid in sorted(dataset.series):
-        series = dataset.series[pid]
-        if series.total == 0:
-            log.warning("%s: no citations in window; skipped", pid)
-        elif series.t_m < 1:
-            log.warning("%s: single-year window; skipped", pid)
-        else:
-            usable.append(series)
-    return {p.paper_id: p for p in parallel_map(curve.profile, usable)}
+    def __init__(self, args) -> None:
+        self.config = load_run_config(args.config)
+        self.dataset = _load_checked(args, self.config)
+        self.out = Path(_require(args.out, "--out"))
+        self.out.mkdir(parents=True, exist_ok=True)
 
+    @cached_property
+    def profiles(self) -> dict[str, CurveProfile]:
+        """Profiles for every paper with a computable curve; the rest are logged."""
+        usable = []
+        for pid in sorted(self.dataset.series):
+            series = self.dataset.series[pid]
+            if series.total == 0:
+                log.warning("%s: no citations in window; skipped", pid)
+            elif series.t_m < 1:
+                log.warning("%s: single-year window; skipped", pid)
+            else:
+                usable.append(series)
+        return {series.paper_id: curve.profile(series) for series in usable}
 
-def _cohort_indicators(dataset: Dataset, config: RunConfig):
-    result = select_cohorts(
-        dataset,
-        pub_from=config.pub_from,
-        pub_to=config.pub_to,
-        min_total_citations=config.min_total_citations,
-        fraction=config.fraction,
-    )
-    profiles = _profiles(dataset)
-    turning = {pid: profiles[pid].turning_year for pid in profiles}
-    dr_ids, ir_ids = result.members(DR), result.members(IR)
-    by_id = compute_indicators(dataset, [*dr_ids, *ir_ids], turning)
-    return result, [by_id[p] for p in dr_ids], [by_id[p] for p in ir_ids]
+    @cached_property
+    def cohorts(self) -> CohortResult:
+        config = self.config
+        return select_cohorts(
+            self.dataset,
+            pub_from=config.pub_from,
+            pub_to=config.pub_to,
+            min_total_citations=config.min_total_citations,
+            fraction=config.fraction,
+            profiles=self.profiles,
+        )
+
+    @cached_property
+    def cohort_indicators(self) -> tuple[list[PatentIndicators], list[PatentIndicators]]:
+        """Patent indicators of the DR and the IR cohort, in rank order."""
+        dr_ids, ir_ids = self.cohorts.members(DR), self.cohorts.members(IR)
+        by_id = compute_indicators(self.dataset, [*dr_ids, *ir_ids], self.turning_years())
+        return [by_id[p] for p in dr_ids], [by_id[p] for p in ir_ids]
+
+    def turning_years(self) -> dict[str, int]:
+        return {pid: prof.turning_year for pid, prof in self.profiles.items()}
+
+    def write(self, name: str, writer, *payload) -> None:
+        path = self.out / name
+        writer(*payload, path)
+        print(f"wrote {path}")
 
 
 def cmd_profile(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    path = out / "profiles.csv"
-    reports.write_profiles(dataset, _profiles(dataset).values(), path)
-    print(f"wrote {path}")
+    run = Run(args)
+    run.write("profiles.csv", reports.write_profiles, run.dataset, run.profiles.values())
     return 0
 
 
 def cmd_cohort(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    result = select_cohorts(
-        dataset,
-        pub_from=config.pub_from,
-        pub_to=config.pub_to,
-        min_total_citations=config.min_total_citations,
-        fraction=config.fraction,
-    )
-    path = out / "cohort.csv"
-    reports.write_cohorts(result, path)
-    print(f"wrote {path}")
+    run = Run(args)
+    run.write("cohort.csv", reports.write_cohorts, run.cohorts)
     return 0
 
 
 def cmd_patents(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    profiles = _profiles(dataset)
-    turning = {pid: prof.turning_year for pid, prof in profiles.items()}
-    indicators = compute_indicators(dataset, sorted(profiles), turning)
-    path = out / "patent_indicators.csv"
-    reports.write_indicators(indicators.values(), path)
-    print(f"wrote {path}")
+    run = Run(args)
+    indicators = compute_indicators(run.dataset, sorted(run.profiles), run.turning_years())
+    run.write("patent_indicators.csv", reports.write_indicators, indicators.values())
     return 0
 
 
 def cmd_table1(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    _, dr_inds, ir_inds = _cohort_indicators(dataset, config)
-    path = out / "comparison.csv"
-    reports.write_comparison(dr_inds, ir_inds, path)
-    print(f"wrote {path}")
+    run = Run(args)
+    run.write("comparison.csv", reports.write_comparison, *run.cohort_indicators)
     return 0
 
 
 def cmd_lag_trend(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    _, dr_inds, ir_inds = _cohort_indicators(dataset, config)
+    run = Run(args)
+    dr_inds, ir_inds = run.cohort_indicators
     trends = {}
     summaries = {}
     for cohort, inds, mode in ((DR, dr_inds, LAG_FROM_PUBLICATION), (IR, ir_inds, LAG_FROM_TURNING)):
-        points = lag_trend_points(inds, dataset, mode)
+        points = lag_trend_points(inds, run.dataset, mode)
         if not points:
             continue
-        trends[(cohort, mode)] = moving_window_mean(points, width=config.window_width)
+        trends[(cohort, mode)] = moving_window_mean(points, width=run.config.window_width)
         values = [v for _, v in points]
         summaries[(cohort, mode)] = (len(values), summary_stats(values))
-    trend_path, summary_path = out / "lag_trend.csv", out / "lag_summary.csv"
-    reports.write_lag_trend(trends, trend_path)
-    reports.write_lag_summary(summaries, summary_path)
-    print(f"wrote {trend_path}")
-    print(f"wrote {summary_path}")
+    run.write("lag_trend.csv", reports.write_lag_trend, trends)
+    run.write("lag_summary.csv", reports.write_lag_summary, summaries)
     return 0
 
 
 def cmd_interactions(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    result, _, _ = _cohort_indicators(dataset, config)
+    run = Run(args)
     for tag, cohort in (("dr", DR), ("ir", IR)):
-        ids = result.members(cohort)
-        matrix = interaction_matrix(dataset, ids)
-        dist = field_distribution(dataset, ids)
-        for name, writer, payload in (
-            (f"interactions_{tag}.csv", reports.write_interactions, matrix),
-            (f"interaction_marginals_{tag}.csv", reports.write_interaction_marginals, matrix),
-            (f"field_distribution_{tag}.csv", reports.write_field_distribution, dist),
-        ):
-            path = out / name
-            writer(payload, path)
-            print(f"wrote {path}")
+        ids = run.cohorts.members(cohort)
+        matrix = interaction_matrix(run.dataset, ids)
+        dist = field_distribution(run.dataset, ids)
+        run.write(f"interactions_{tag}.csv", reports.write_interactions, matrix)
+        run.write(f"interaction_marginals_{tag}.csv", reports.write_interaction_marginals, matrix)
+        run.write(f"field_distribution_{tag}.csv", reports.write_field_distribution, dist)
     return 0
 
 
 def cmd_aagr(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
+    run = Run(args)
+    dataset, method = run.dataset, run.config.aagr_method
     rows = []
-    for pid, prof in sorted(_profiles(dataset).items()):
+    for pid, prof in sorted(run.profiles.items()):
         series = dataset.series[pid]
         if prof.turning_year >= dataset.window_end:
             log.warning("%s: turning year is the window end; growth undefined; skipped", pid)
             continue
         try:
             rows.append(
-                (pid, aagr(series.year_counts(), prof.turning_year, dataset.window_end, config.aagr_method))
+                (pid, aagr(series.year_counts(), prof.turning_year, dataset.window_end, method))
             )
         except DataError as exc:
             log.warning("%s: %s; skipped", pid, exc)
-    path = out / "aagr.csv"
-    reports.write_growth(rows, path)
-    print(f"wrote {path}")
+    run.write("aagr.csv", reports.write_growth, rows)
     return 0
 
 
 def cmd_flag_contexts(args) -> int:
-    config = load_run_config(args.config)
-    dataset = _load_checked(args, config)
-    out = _out_dir(args)
-    contexts = dataset.contexts
+    run = Run(args)
+    contexts = run.dataset.contexts
     if contexts is None:
         log.warning("dataset has no contexts file; writing an empty report")
         contexts = ()
-    flagged = ingest.flag_contexts(contexts, config.terms)
-    path = out / "flagged_contexts.jsonl"
-    reports.write_flagged_contexts(flagged, path)
-    print(f"wrote {path}")
+    flagged = ingest.flag_contexts(contexts, run.config.terms)
+    run.write("flagged_contexts.jsonl", reports.write_flagged_contexts, flagged)
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import curve
@@ -35,6 +35,10 @@ class CohortAssignment:
 class CohortResult:
     assignments: tuple[CohortAssignment, ...]  # rank order
     fraction: float
+    _cohort_by_id: dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_cohort_by_id", {a.paper_id: a.cohort for a in self.assignments})
 
     @property
     def eligible_count(self) -> int:
@@ -44,10 +48,7 @@ class CohortResult:
         return tuple(a.paper_id for a in self.assignments if a.cohort == cohort)
 
     def cohort_of(self, paper_id: str) -> str:
-        for a in self.assignments:
-            if a.paper_id == paper_id:
-                return a.cohort
-        raise KeyError(paper_id)
+        return self._cohort_by_id[paper_id]
 
 
 def eligible_ids(
@@ -74,11 +75,11 @@ def eligible_ids(
     return out
 
 
-def rank_profiles(dataset: Dataset, paper_ids: Sequence[str]) -> list[CurveProfile]:
-    """Curve profiles for the given papers, sorted by descending index."""
-    profiles = [curve.profile(dataset.series[pid]) for pid in paper_ids]
-    profiles.sort(key=lambda p: (-p.bcp, p.paper_id))
-    return profiles
+def rank_profiles(profiles: Mapping[str, CurveProfile], paper_ids: Sequence[str]) -> list[CurveProfile]:
+    """The given papers' profiles, sorted by descending index."""
+    ranked = [profiles[pid] for pid in paper_ids]
+    ranked.sort(key=lambda p: (-p.bcp, p.paper_id))
+    return ranked
 
 
 def select_cohorts(
@@ -87,19 +88,26 @@ def select_cohorts(
     pub_to: int,
     min_total_citations: int,
     fraction: float,
+    profiles: Mapping[str, CurveProfile] | None = None,
 ) -> CohortResult:
     """Assign every eligible paper to DR, IR, or NONE.
 
     Each cohort holds ceil(fraction * N) papers. With tiny pools the ceiling
     can make the cuts meet; DR wins the contested middle and IR comes up
     short rather than letting a paper carry two labels.
+
+    `profiles` must hold every eligible paper's profile, so a caller that has
+    already profiled the papers does not profile them again; when omitted,
+    the eligible papers are profiled here.
     """
     if not 0.0 < fraction <= 0.5:
         raise InvalidCountsError(f"cohort fraction {fraction} outside (0, 0.5]")
     ids = eligible_ids(dataset, pub_from, pub_to, min_total_citations)
     if not ids:
         raise EmptyEligibleSetError()
-    ranked = rank_profiles(dataset, ids)
+    if profiles is None:
+        profiles = {pid: curve.profile(dataset.series[pid]) for pid in ids}
+    ranked = rank_profiles(profiles, ids)
     n = len(ranked)
     size = math.ceil(fraction * n)
     dr_cut = size

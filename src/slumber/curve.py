@@ -124,28 +124,50 @@ def turning_point(curve: CumulativeCurve) -> tuple[int, str]:
         if d > best:
             best = d
             best_t = t
-    num = sum(_deviation_numerators(curve))
-    if num > 0:
-        kind = AWAKENING
-    elif num < 0:
-        kind = FALLING
-    else:
-        kind = FLAT
-    return best_t, kind
+    return best_t, _curve_type(sum(_deviation_numerators(curve)))
+
+
+def _curve_type(index_numerator: int) -> str:
+    if index_numerator > 0:
+        return AWAKENING
+    if index_numerator < 0:
+        return FALLING
+    return FLAT
 
 
 def profile(series: CitationSeries) -> CurveProfile:
-    """Full curve profile for one paper: index, turning year, deviations."""
-    curve = cumulative_fraction(series)
-    _require_window(curve)
-    nums = _deviation_numerators(curve)
-    den = curve.total * curve.t_m
-    turning_t, kind = turning_point(curve)
+    """Full curve profile for one paper: index, turning year, deviations.
+
+    One pass over the counts, equal to composing cumulative_fraction with
+    bcp and turning_point. It uses that the deviation numerator (see
+    _deviation_numerators) is 0 at t = 0 and changes by
+    (total - c0) - t_m * counts[t] from year t - 1 to year t, and that its
+    magnitude is the unnormalized turning distance.
+    """
+    counts = series.counts
+    total = sum(counts)
+    if total == 0:
+        raise ZeroCitationsError(series.paper_id)
+    t_m = len(counts) - 1
+    if t_m < 1:
+        raise ValueError("curve spans a single year; reference line undefined")
+    rise = total - counts[0]
+    num = num_sum = best = best_t = 0
+    nums = [0]
+    for t in range(1, t_m + 1):
+        num += rise - t_m * counts[t]
+        nums.append(num)
+        num_sum += num
+        dist = num if num >= 0 else -num
+        if dist > best:
+            best = dist
+            best_t = t
+    den = total * t_m
     return CurveProfile(
         paper_id=series.paper_id,
-        bcp=sum(nums) / den,
-        turning_t=turning_t,
-        turning_year=series.base_year + turning_t,
-        turning_type=kind,
-        deviations=tuple(n / den for n in nums),
+        bcp=num_sum / den,
+        turning_t=best_t,
+        turning_year=series.base_year + best_t,
+        turning_type=_curve_type(num_sum),
+        deviations=tuple([n / den for n in nums]),
     )

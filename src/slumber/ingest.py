@@ -60,17 +60,25 @@ DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "incon
 
 
 def _rows(path: Path, required: Sequence[str], delimiter: str = ","):
-    """Yield (line_no, row_dict) from a delimited file, checking the header."""
+    """Yield (line_no, row_dict) from a delimited file, checking the header.
+
+    Every non-blank row must have exactly as many cells as the header; an
+    unquoted delimiter inside a cell would otherwise shift or drop values.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        names = reader.fieldnames or []
+        reader = csv.reader(fh, delimiter=delimiter)
+        names = next(reader, [])
         for col in required:
             if col not in names:
                 raise MissingColumnError(col)
+        width = len(names)
         for row in reader:
-            if any(row.get(col) is None for col in required):
-                raise MalformedRowError(reader.line_num, "row has fewer cells than the header")
-            yield reader.line_num, row
+            if len(row) != width:
+                if not row:
+                    continue
+                side = "fewer" if len(row) < width else "more"
+                raise MalformedRowError(reader.line_num, f"row has {side} cells than the header")
+            yield reader.line_num, dict(zip(names, row))
 
 
 def _int_cell(value: str, name: str, line_no: int) -> int:
@@ -429,7 +437,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
 
     unmapped = set()
     for fid in sorted(dataset.patents):
-        for code in dataset.patents[fid].ipc_codes:
+        family = dataset.patents[fid]
+        if family.earliest_priority_year > max(family.filing_years):
+            err(fid, f"earliest priority year {family.earliest_priority_year} is after every filing year")
+        for code in family.ipc_codes:
             if code not in unmapped and wipo_field_for(code, dataset.concordance) is None:
                 unmapped.add(code)
                 warn(fid, f"IPC code {code!r} matches no concordance prefix")

@@ -7,12 +7,6 @@ Dataset is treated as immutable and is safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date
-
-
-def max_plausible_year() -> int:
-    """Upper bound for publication years (the current calendar year)."""
-    return date.today().year
 
 
 @dataclass(frozen=True)
@@ -39,8 +33,10 @@ class PaperRecord:
     def __post_init__(self) -> None:
         if not self.paper_id:
             raise ValueError("paper_id must be non-empty")
-        if not 1800 <= self.pub_year <= max_plausible_year():
-            raise ValueError(f"pub_year {self.pub_year} outside 1800..{max_plausible_year()}")
+        # No upper bound: a paper after the dataset's window end is a
+        # validation warning, not an unreadable record.
+        if self.pub_year < 1800:
+            raise ValueError(f"pub_year {self.pub_year} is before 1800")
 
     def top_level_fields(self) -> tuple[str, ...]:
         """Distinct level-0 field names, sorted for deterministic iteration."""

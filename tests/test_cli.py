@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,28 @@ def test_table1_command_frozen_counts(tmp_path, table1_dir, half_config, capsys)
     # stats ride on the DR row only
     assert key[("linked", "IR")]["p"] == ""
     assert key[("linked", "IR")]["rate"] == "0.350000"
+
+
+@pytest.mark.parametrize("command", ["table1", "lag-trend", "interactions"])
+def test_cohort_commands_profile_each_usable_paper_once(
+    command, tmp_path, table1_dir, half_config, capsys, monkeypatch
+):
+    calls = Counter()
+    reference = curve.profile
+
+    def counting(series):
+        calls[series.paper_id] += 1
+        return reference(series)
+
+    monkeypatch.setattr(curve, "profile", counting)
+    code, _, _ = run(
+        capsys, command, "--dataset", str(table1_dir), "--out", str(tmp_path), "--config", str(half_config)
+    )
+    assert code == 0
+    ds = ingest.load_dataset(table1_dir, 2015)
+    usable = [pid for pid, s in ds.series.items() if s.total > 0 and s.t_m >= 1]
+    assert len(usable) == 400
+    assert calls == Counter(usable)
 
 
 def test_lag_trend_command(tmp_path, table1_dir, half_config, capsys):

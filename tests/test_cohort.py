@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from slumber import cohort
+from slumber import cohort, curve
 from slumber.errors import EmptyEligibleSetError, InvalidCountsError
 from slumber.model import CitationSeries, Dataset, PaperRecord
 
@@ -43,6 +43,9 @@ def test_fixture_cohorts_are_pure_blocks(table1):
     assert all(pid.startswith("d") for pid in dr)
     assert all(pid.startswith("i") for pid in ir)
     assert result.members(cohort.NONE) == ()
+    assert all(result.cohort_of(a.paper_id) == a.cohort for a in result.assignments)
+    profiles = {pid: curve.profile(s) for pid, s in table1.series.items()}
+    assert cohort.select_cohorts(table1, 1970, 2005, 200, fraction=0.5, profiles=profiles) == result
 
 
 def test_ceiling_keeps_one_per_side_in_tiny_pools():

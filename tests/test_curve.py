@@ -65,6 +65,8 @@ def test_cumulative_fraction_examples():
 def test_all_zero_counts_rejected():
     with pytest.raises(ZeroCitationsError):
         curve.cumulative_fraction(series([0, 0, 0]))
+    with pytest.raises(ZeroCitationsError):
+        curve.profile(series([0, 0, 0]))
 
 
 def test_reference_line_examples():
@@ -82,6 +84,8 @@ def test_single_year_window_rejected():
         curve.bcp(c)
     with pytest.raises(ValueError):
         curve.turning_point(c)
+    with pytest.raises(ValueError):
+        curve.profile(series([4]))
 
 
 def test_extreme_identities():
@@ -237,3 +241,32 @@ def test_profile_internal_consistency():
             assert prof.turning_type == curve.FALLING
         else:
             assert prof.turning_type == curve.FLAT
+
+
+@st.composite
+def single_nonzero_counts(draw) -> list[int]:
+    counts = [0] * draw(st.integers(min_value=2, max_value=90))
+    counts[draw(st.integers(min_value=0, max_value=len(counts) - 1))] = draw(st.integers(1, 10**6))
+    return counts
+
+
+profile_counts = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=90),
+    # Few distinct values: long zero runs and tied turning distances.
+    st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=2, max_size=90),
+    single_nonzero_counts(),
+).filter(lambda c: sum(c) > 0)
+
+
+@given(profile_counts, st.integers(min_value=1800, max_value=2015))
+def test_profile_matches_reference_composition(counts, base_year):
+    s = series(counts, base_year=base_year)
+    c = curve.cumulative_fraction(s)
+    turning_t, kind = curve.turning_point(c)
+    prof = curve.profile(s)
+    assert prof.bcp == curve.bcp(c)
+    assert (prof.turning_t, prof.turning_year, prof.turning_type) == (turning_t, base_year + turning_t, kind)
+    t_m, total, c0 = c.t_m, c.total, c.cumulative[0]
+    exact = [Fraction(c0 * t_m + (total - c0) * t, total * t_m) - Fraction(cum, total)
+             for t, cum in enumerate(c.cumulative)]
+    assert prof.deviations == tuple(float(d) for d in exact)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import date
+
 import pytest
 
 from slumber import ingest
@@ -92,6 +94,17 @@ def test_short_row(tmp_path):
     path.write_text("paper_id,year,count\np1,1999\n")
     with pytest.raises(MalformedRowError):
         ingest.parse_citations(path)
+
+
+def test_long_row_from_unquoted_comma_in_title(tmp_path):
+    path = tmp_path / "papers.csv"
+    path.write_text(
+        "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
+        "p1,2000,Plain title,,,\n"
+        "p2,2001,Sleeping beauties, revisited,,,\n"
+    )
+    with pytest.raises(MalformedRowError, match="line 3: row has more cells than the header"):
+        ingest.parse_papers(path)
 
 
 def test_non_integer_cell(tmp_path):
@@ -290,6 +303,29 @@ def test_validator_series_warnings():
     messages = {w.entity_id: w.message for w in ingest.validate_dataset(ds).warnings()}
     assert "no citations" in messages["p1"]
     assert "after the window end" in messages["p2"]
+
+
+def test_paper_years_have_no_wall_clock_bound(tmp_path):
+    with pytest.raises(ValueError):
+        PaperRecord(paper_id="old", pub_year=1799)
+    future = date.today().year + 1
+    ds = tiny_dataset(papers={"p1": tiny_dataset().papers["p1"], "p2": PaperRecord("p2", future)})
+    ingest.write_dataset(ds, tmp_path)
+    loaded = ingest.load_dataset(tmp_path, window_end=2002)
+    assert loaded.papers["p2"].pub_year == future
+    assert "p2" not in loaded.series
+    messages = {w.entity_id: w.message for w in ingest.validate_dataset(loaded).warnings()}
+    assert messages["p2"] == f"published {future}, after the window end 2002"
+
+
+def test_validator_priority_after_every_filing():
+    late = PatentFamilyRecord("f1", 2010, (2000, 2004), 3, ("A61B5/00",))
+    errors = ingest.validate_dataset(tiny_dataset(patents={"f1": late})).errors()
+    assert [(e.entity_id, e.message) for e in errors] == [
+        ("f1", "earliest priority year 2010 is after every filing year")
+    ]
+    on_time = PatentFamilyRecord("f1", 2004, (2000, 2004), 3, ("A61B5/00",))
+    assert not ingest.validate_dataset(tiny_dataset(patents={"f1": on_time})).has_errors()
 
 
 def test_validator_unmapped_ipc_warns_once_per_code():
