@@ -22,12 +22,13 @@ from . import curve, ingest, reports, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
 from .errors import ConfigError, DataError, SlumberError
 from .interact import field_distribution, interaction_matrix
-from .model import CurveProfile, Dataset
+from .model import CurveProfile, Dataset, PatentFamilyRecord
 from .patent import (
     LAG_FROM_PUBLICATION,
     LAG_FROM_TURNING,
     PatentIndicators,
     compute_indicators,
+    families_by_paper,
     lag_trend_points,
 )
 from .stats import aagr, moving_window_mean, summary_stats
@@ -152,8 +153,9 @@ class Run:
     """One analysis command: its config and validated dataset, loaded once.
 
     The derived values (profiles, then the cohort result, then the cohort
-    indicators) are computed on first use and kept, so a command that needs
-    one of them twice, directly or through another, computes it once.
+    indicators, and the citing families of each paper) are computed on first
+    use and kept, so a command that needs one of them twice, directly or
+    through another, computes it once.
     """
 
     def __init__(self, args) -> None:
@@ -189,10 +191,16 @@ class Run:
         )
 
     @cached_property
+    def families(self) -> dict[str, tuple[PatentFamilyRecord, ...]]:
+        return families_by_paper(self.dataset)
+
+    @cached_property
     def cohort_indicators(self) -> tuple[list[PatentIndicators], list[PatentIndicators]]:
         """Patent indicators of the DR and the IR cohort, in rank order."""
         dr_ids, ir_ids = self.cohorts.members(DR), self.cohorts.members(IR)
-        by_id = compute_indicators(self.dataset, [*dr_ids, *ir_ids], self.turning_years())
+        by_id = compute_indicators(
+            self.dataset, [*dr_ids, *ir_ids], self.turning_years(), self.families
+        )
         return [by_id[p] for p in dr_ids], [by_id[p] for p in ir_ids]
 
     def turning_years(self) -> dict[str, int]:
@@ -218,7 +226,9 @@ def cmd_cohort(args) -> int:
 
 def cmd_patents(args) -> int:
     run = Run(args)
-    indicators = compute_indicators(run.dataset, sorted(run.profiles), run.turning_years())
+    indicators = compute_indicators(
+        run.dataset, sorted(run.profiles), run.turning_years(), run.families
+    )
     run.write("patent_indicators.csv", reports.write_indicators, indicators.values())
     return 0
 
@@ -250,7 +260,7 @@ def cmd_interactions(args) -> int:
     run = Run(args)
     for tag, cohort in (("dr", DR), ("ir", IR)):
         ids = run.cohorts.members(cohort)
-        matrix = interaction_matrix(run.dataset, ids)
+        matrix = interaction_matrix(run.dataset, ids, run.families)
         dist = field_distribution(run.dataset, ids)
         run.write(f"interactions_{tag}.csv", reports.write_interactions, matrix)
         run.write(f"interaction_marginals_{tag}.csv", reports.write_interaction_marginals, matrix)

@@ -136,7 +136,7 @@ def _curve_type(index_numerator: int) -> str:
 
 
 def profile(series: CitationSeries) -> CurveProfile:
-    """Full curve profile for one paper: index, turning year, deviations.
+    """Full curve profile for one paper: index, turning year and curve class.
 
     One pass over the counts, equal to composing cumulative_fraction with
     bcp and turning_point. It uses that the deviation numerator (see
@@ -145,7 +145,7 @@ def profile(series: CitationSeries) -> CurveProfile:
     magnitude is the unnormalized turning distance.
     """
     counts = series.counts
-    total = sum(counts)
+    total = series.total
     if total == 0:
         raise ZeroCitationsError(series.paper_id)
     t_m = len(counts) - 1
@@ -153,21 +153,17 @@ def profile(series: CitationSeries) -> CurveProfile:
         raise ValueError("curve spans a single year; reference line undefined")
     rise = total - counts[0]
     num = num_sum = best = best_t = 0
-    nums = [0]
     for t in range(1, t_m + 1):
         num += rise - t_m * counts[t]
-        nums.append(num)
         num_sum += num
         dist = num if num >= 0 else -num
         if dist > best:
             best = dist
             best_t = t
-    den = total * t_m
     return CurveProfile(
         paper_id=series.paper_id,
-        bcp=num_sum / den,
+        bcp=num_sum / (total * t_m),
         turning_t=best_t,
         turning_year=series.base_year + best_t,
         turning_type=_curve_type(num_sum),
-        deviations=tuple([n / den for n in nums]),
     )

@@ -37,7 +37,6 @@ from .errors import (
 )
 from .model import (
     CitationContextRecord,
-    CitationCountRow,
     CitationSeries,
     ConcordanceEntry,
     Dataset,
@@ -59,6 +58,20 @@ CONTEXTS_FILE = "contexts.jsonl"
 DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
 
 
+def _header(reader, required: Sequence[str]) -> list[str]:
+    """The header row's cell names, once every required column is among them."""
+    names = next(reader, [])
+    for col in required:
+        if col not in names:
+            raise MissingColumnError(col)
+    return names
+
+
+def _width_error(line_no: int, row: list[str], width: int) -> MalformedRowError:
+    side = "fewer" if len(row) < width else "more"
+    return MalformedRowError(line_no, f"row has {side} cells than the header")
+
+
 def _rows(path: Path, required: Sequence[str], delimiter: str = ","):
     """Yield (line_no, row_dict) from a delimited file, checking the header.
 
@@ -67,17 +80,13 @@ def _rows(path: Path, required: Sequence[str], delimiter: str = ","):
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        names = next(reader, [])
-        for col in required:
-            if col not in names:
-                raise MissingColumnError(col)
+        names = _header(reader, required)
         width = len(names)
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue
-                side = "fewer" if len(row) < width else "more"
-                raise MalformedRowError(reader.line_num, f"row has {side} cells than the header")
+                raise _width_error(reader.line_num, row, width)
             yield reader.line_num, dict(zip(names, row))
 
 
@@ -126,20 +135,56 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
     return papers
 
 
-def parse_citations(path: Path) -> list[CitationCountRow]:
-    rows = []
-    for line_no, row in _rows(path, ("paper_id", "year", "count")):
-        try:
-            rows.append(
-                CitationCountRow(
-                    paper_id=row["paper_id"],
-                    year=_int_cell(row["year"], "year", line_no),
-                    count=_int_cell(row["count"], "count", line_no),
-                )
-            )
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
-    return rows
+def read_citations(
+    path: Path, papers: dict[str, PaperRecord], window_end: int
+) -> dict[str, CitationSeries]:
+    """Dense per-paper series over [pub_year, window_end]; missing years are 0.
+
+    One pass over the sparse rows, each count written straight into its
+    paper's preallocated list. Papers published after window_end have no
+    observation window and get no series (the validator flags them). A row
+    for an unknown paper, outside its paper's window, or repeating a
+    (paper, year) pair, even with count 0, is an error.
+    """
+    # Per paper: base year, counts, and which offsets a row has set.
+    slots: dict[str, tuple[int, list[int], bytearray]] = {}
+    for pid, paper in papers.items():
+        n = window_end - paper.pub_year + 1
+        if n > 0:
+            slots[pid] = (paper.pub_year, [0] * n, bytearray(n))
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        names = _header(reader, ("paper_id", "year", "count"))
+        width = len(names)
+        i_pid, i_year, i_count = names.index("paper_id"), names.index("year"), names.index("count")
+        for row in reader:
+            # The same row checks as _rows, without a dict per row.
+            if len(row) != width:
+                if not row:
+                    continue
+                raise _width_error(reader.line_num, row, width)
+            pid = row[i_pid]
+            year = _int_cell(row[i_year], "year", reader.line_num)
+            count = _int_cell(row[i_count], "count", reader.line_num)
+            if count < 0:
+                raise MalformedRowError(reader.line_num, f"citation count {count} must be non-negative")
+            slot = slots.get(pid)
+            if slot is None:
+                if pid not in papers:
+                    raise DataError(f"citation row references unknown paper {pid!r}")
+                raise RowOutOfWindowError(year, pid)
+            base, counts, seen = slot
+            t = year - base
+            if t < 0 or year > window_end:
+                raise RowOutOfWindowError(year, pid)
+            if seen[t]:
+                raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
+            seen[t] = 1
+            counts[t] = count
+    return {
+        pid: CitationSeries(paper_id=pid, base_year=base, counts=tuple(counts))
+        for pid, (base, counts, _) in slots.items()
+    }
 
 
 def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
@@ -236,44 +281,11 @@ def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     return tuple(records)
 
 
-def build_series(
-    papers: dict[str, PaperRecord],
-    rows: Iterable[CitationCountRow],
-    window_end: int,
-) -> dict[str, CitationSeries]:
-    """Dense per-paper series over [pub_year, window_end]; missing years are 0.
-
-    Papers published after window_end have no observation window and get no
-    series (the validator flags them). A row outside a paper's window or a
-    second row for the same (paper, year) is an error.
-    """
-    counts: dict[str, list[int]] = {
-        pid: [0] * (window_end - p.pub_year + 1)
-        for pid, p in papers.items()
-        if p.pub_year <= window_end
-    }
-    seen: set[tuple[str, int]] = set()
-    for row in rows:
-        paper = papers.get(row.paper_id)
-        if paper is None:
-            raise DataError(f"citation row references unknown paper {row.paper_id!r}")
-        if row.year < paper.pub_year or row.year > window_end:
-            raise RowOutOfWindowError(row.year, row.paper_id)
-        if (row.paper_id, row.year) in seen:
-            raise DataError(f"duplicate citation row for paper {row.paper_id!r}, year {row.year}")
-        seen.add((row.paper_id, row.year))
-        counts[row.paper_id][row.year - paper.pub_year] = row.count
-    return {
-        pid: CitationSeries(paper_id=pid, base_year=papers[pid].pub_year, counts=tuple(c))
-        for pid, c in counts.items()
-    }
-
-
 def load_dataset(directory: str | Path, window_end: int) -> Dataset:
     """Read one dataset directory into memory (contexts.jsonl is optional)."""
     root = Path(directory)
     papers = parse_papers(root / PAPERS_FILE)
-    rows = parse_citations(root / CITATIONS_FILE)
+    series = read_citations(root / CITATIONS_FILE, papers, window_end)
     patents = parse_patents(root / PATENTS_FILE)
     links = parse_links(root / LINKS_FILE)
     concordance = parse_concordance(root / CONCORDANCE_FILE)
@@ -281,7 +293,7 @@ def load_dataset(directory: str | Path, window_end: int) -> Dataset:
     contexts = parse_contexts(contexts_path) if contexts_path.exists() else None
     return Dataset(
         papers=papers,
-        series=build_series(papers, rows, window_end),
+        series=series,
         patents=patents,
         links=links,
         concordance=concordance,
@@ -394,8 +406,6 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:
     """Cross-file consistency report; errors block analysis, warnings don't."""
-    from .interact import wipo_field_for
-
     issues: list[ValidationIssue] = []
 
     def err(entity: str, message: str) -> None:
@@ -435,13 +445,14 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         else:
             warn(entry.ipc_prefix, f"prefix {entry.ipc_prefix!r} listed twice")
 
+    index = dataset.ipc_index
     unmapped = set()
     for fid in sorted(dataset.patents):
         family = dataset.patents[fid]
         if family.earliest_priority_year > max(family.filing_years):
             err(fid, f"earliest priority year {family.earliest_priority_year} is after every filing year")
         for code in family.ipc_codes:
-            if code not in unmapped and wipo_field_for(code, dataset.concordance) is None:
+            if code not in unmapped and index.lookup(code) is None:
                 unmapped.add(code)
                 warn(fid, f"IPC code {code!r} matches no concordance prefix")
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UnmappedIpcError
-from .model import ConcordanceEntry, Dataset
+from .model import ConcordanceEntry, Dataset, PatentFamilyRecord
 from .patent import earliest_family, families_by_paper
 
 log = logging.getLogger(__name__)
@@ -34,8 +34,10 @@ def wipo_field_for(
 ) -> ConcordanceEntry | None:
     """Concordance entry with the longest prefix matching the code, if any.
 
-    Equal-length candidates tie-break by prefix then field id, so the result
-    never depends on concordance file order.
+    Equal-length candidates tie-break by prefix then field id, and entries
+    equal in both by concordance order. This scans every entry; IpcIndex
+    gives the same answer per lookup without the scan, and this stays as its
+    reference.
     """
     norm = normalize_ipc(code)
     best: ConcordanceEntry | None = None
@@ -48,6 +50,38 @@ def wipo_field_for(
         if best_key is None or key < best_key:
             best, best_key = entry, key
     return best
+
+
+class IpcIndex:
+    """Longest-prefix lookup over a concordance, giving wipo_field_for's answer.
+
+    Entries are keyed by normalized prefix. Of entries whose prefixes
+    normalize alike, the lowest field id is kept, and of those the first in
+    concordance order. A lookup probes the code's own prefix at each distinct
+    prefix length, longest first, so it costs O(number of lengths) rather
+    than O(number of entries).
+    """
+
+    __slots__ = ("_by_prefix", "_lengths")
+
+    def __init__(self, concordance: Iterable[ConcordanceEntry]):
+        by_prefix: dict[str, ConcordanceEntry] = {}
+        for entry in concordance:
+            prefix = normalize_ipc(entry.ipc_prefix)
+            kept = by_prefix.get(prefix)
+            if kept is None or entry.wipo_field_id < kept.wipo_field_id:
+                by_prefix[prefix] = entry
+        self._by_prefix = by_prefix
+        self._lengths = sorted({len(p) for p in by_prefix}, reverse=True)
+
+    def lookup(self, code: str) -> ConcordanceEntry | None:
+        norm = normalize_ipc(code)
+        by_prefix = self._by_prefix
+        for n in self._lengths:
+            entry = by_prefix.get(norm[:n])
+            if entry is not None:
+                return entry
+        return None
 
 
 def map_ipc_to_wipo(code: str, concordance: Sequence[ConcordanceEntry]) -> ConcordanceEntry:
@@ -88,18 +122,24 @@ class InteractionMatrix:
         return dict(sorted(sums.items()))
 
 
-def interaction_matrix(dataset: Dataset, paper_ids: Iterable[str]) -> InteractionMatrix:
+def interaction_matrix(
+    dataset: Dataset,
+    paper_ids: Iterable[str],
+    families: Mapping[str, Sequence[PatentFamilyRecord]] | None = None,
+) -> InteractionMatrix:
     """Field-of-study by technology-field weights over the given papers.
 
     A paper contributes only if it has top-level fields, a citing family, and
     at least one mappable IPC code on its earliest citing family. Unmapped
-    codes are collected (and logged) but never counted.
+    codes are collected (and logged) but never counted. `families` is
+    families_by_paper(dataset), for a caller that already has it; when
+    omitted, the links are grouped here.
     """
-    grouped = families_by_paper(dataset)
+    grouped = families_by_paper(dataset) if families is None else families
+    index = dataset.ipc_index
     weights: Counter[tuple[str, int]] = Counter()
     names: dict[int, str] = {}
     unmapped: set[str] = set()
-    mapped_cache: dict[str, ConcordanceEntry | None] = {}
     contributing = 0
     for pid in sorted(set(paper_ids)):
         fields = dataset.papers[pid].top_level_fields()
@@ -109,9 +149,7 @@ def interaction_matrix(dataset: Dataset, paper_ids: Iterable[str]) -> Interactio
         first = earliest_family(families)
         tech_ids = set()
         for code in first.ipc_codes:
-            if code not in mapped_cache:
-                mapped_cache[code] = wipo_field_for(code, dataset.concordance)
-            entry = mapped_cache[code]
+            entry = index.lookup(code)
             if entry is None:
                 unmapped.add(code)
                 continue

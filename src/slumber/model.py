@@ -6,7 +6,12 @@ Dataset is treated as immutable and is safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .interact import IpcIndex
 
 
 @dataclass(frozen=True)
@@ -41,17 +46,6 @@ class PaperRecord:
     def top_level_fields(self) -> tuple[str, ...]:
         """Distinct level-0 field names, sorted for deterministic iteration."""
         return tuple(sorted({f.name for f in self.fields_of_study if f.level == 0}))
-
-
-@dataclass(frozen=True)
-class CitationCountRow:
-    paper_id: str
-    year: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"citation count {self.count} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -119,14 +113,14 @@ class CitationSeries:
     def __post_init__(self) -> None:
         if not self.counts:
             raise ValueError("counts must be non-empty")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("counts must be non-negative")
 
     @property
     def t_m(self) -> int:
         return len(self.counts) - 1
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(self.counts)
 
@@ -144,6 +138,13 @@ class Dataset:
     concordance: tuple[ConcordanceEntry, ...]
     window_end: int
     contexts: tuple[CitationContextRecord, ...] | None = None
+
+    @cached_property
+    def ipc_index(self) -> IpcIndex:
+        """The concordance's longest-prefix lookup, built once per dataset."""
+        from .interact import IpcIndex
+
+        return IpcIndex(self.concordance)
 
 
 @dataclass(frozen=True)
@@ -186,4 +187,3 @@ class CurveProfile:
     turning_t: int
     turning_year: int
     turning_type: str  # "awakening" | "falling" | "flat"
-    deviations: tuple[float, ...] = field(repr=False)

@@ -103,9 +103,14 @@ def compute_indicators(
     dataset: Dataset,
     paper_ids: Sequence[str],
     turning_years: Mapping[str, int],
+    families: Mapping[str, Sequence[PatentFamilyRecord]] | None = None,
 ) -> dict[str, PatentIndicators]:
-    """Indicators for each requested paper, keyed by paper id."""
-    grouped = families_by_paper(dataset)
+    """Indicators for each requested paper, keyed by paper id.
+
+    `families` is families_by_paper(dataset), for a caller that already has
+    it; when omitted, the links are grouped here.
+    """
+    grouped = families_by_paper(dataset) if families is None else families
     out = {}
     for pid in paper_ids:
         paper = dataset.papers[pid]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from slumber import cli, curve, ingest
+from slumber import cli, curve, ingest, interact, patent
 from slumber.errors import ConfigError
 
 
@@ -124,6 +124,24 @@ def test_cohort_commands_profile_each_usable_paper_once(
     usable = [pid for pid, s in ds.series.items() if s.total > 0 and s.t_m >= 1]
     assert len(usable) == 400
     assert calls == Counter(usable)
+
+
+@pytest.mark.parametrize("command", ["table1", "interactions"])
+def test_cohort_commands_group_links_once(command, tmp_path, table1_dir, half_config, capsys, monkeypatch):
+    calls = []
+    reference = patent.families_by_paper
+
+    def counting(dataset):
+        calls.append(dataset)
+        return reference(dataset)
+
+    for module in (cli, patent, interact):
+        monkeypatch.setattr(module, "families_by_paper", counting)
+    code, _, _ = run(
+        capsys, command, "--dataset", str(table1_dir), "--out", str(tmp_path), "--config", str(half_config)
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_lag_trend_command(tmp_path, table1_dir, half_config, capsys):

@@ -232,9 +232,13 @@ def test_profile_internal_consistency():
     rng = random.Random(606)
     for _ in range(100):
         counts = random_counts(rng)
-        prof = curve.profile(series(counts))
-        assert len(prof.deviations) == len(counts)
-        assert math.isclose(prof.bcp, sum(prof.deviations), abs_tol=1e-9)
+        s = series(counts)
+        prof = curve.profile(s)
+        c = curve.cumulative_fraction(s)
+        gaps = [line - frac for line, frac in zip(curve.reference_line(c), c.fractions)]
+        assert math.isclose(prof.bcp, sum(gaps), abs_tol=1e-9)
+        turning_t, kind = curve.turning_point(c)
+        assert (prof.turning_t, prof.turning_year, prof.turning_type) == (turning_t, 1970 + turning_t, kind)
         if prof.bcp > 0:
             assert prof.turning_type == curve.AWAKENING
         elif prof.bcp < 0:
@@ -266,7 +270,3 @@ def test_profile_matches_reference_composition(counts, base_year):
     prof = curve.profile(s)
     assert prof.bcp == curve.bcp(c)
     assert (prof.turning_t, prof.turning_year, prof.turning_type) == (turning_t, base_year + turning_t, kind)
-    t_m, total, c0 = c.t_m, c.total, c.cumulative[0]
-    exact = [Fraction(c0 * t_m + (total - c0) * t, total * t_m) - Fraction(cum, total)
-             for t, cum in enumerate(c.cumulative)]
-    assert prof.deviations == tuple(float(d) for d in exact)

@@ -1,10 +1,11 @@
-"""Parsers, writers, series assembly, validation, and context flagging."""
+"""Parsers, writers, the citation reader, validation, and context flagging."""
 
 from __future__ import annotations
 
 from datetime import date
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slumber import ingest
 from slumber.errors import (
@@ -17,7 +18,6 @@ from slumber.errors import (
 )
 from slumber.model import (
     CitationContextRecord,
-    CitationCountRow,
     CitationSeries,
     ConcordanceEntry,
     Dataset,
@@ -90,10 +90,9 @@ def test_missing_column(tmp_path):
 
 
 def test_short_row(tmp_path):
-    path = tmp_path / "citations.csv"
-    path.write_text("paper_id,year,count\np1,1999\n")
-    with pytest.raises(MalformedRowError):
-        ingest.parse_citations(path)
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999\n")
+    with pytest.raises(MalformedRowError, match="line 2: row has fewer cells than the header"):
+        ingest.read_citations(path, PAPERS_1990, 2015)
 
 
 def test_long_row_from_unquoted_comma_in_title(tmp_path):
@@ -108,10 +107,10 @@ def test_long_row_from_unquoted_comma_in_title(tmp_path):
 
 
 def test_non_integer_cell(tmp_path):
-    path = tmp_path / "citations.csv"
-    path.write_text("paper_id,year,count\np1,1999,many\n")
-    with pytest.raises(MalformedRowError):
-        ingest.parse_citations(path)
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999,2\np1,2000,many\n")
+    with pytest.raises(MalformedRowError, match="count 'many' is not an integer") as exc:
+        ingest.read_citations(path, PAPERS_1990, 2015)
+    assert exc.value.line_no == 3
 
 
 def test_duplicate_paper_id(tmp_path):
@@ -130,40 +129,132 @@ def test_citations_written_sparse(tmp_path):
     lines = path.read_text().splitlines()
     assert lines == ["paper_id,year,count", "p1,2001,3", "p1,2003,2"]
     papers = {"p1": PaperRecord(paper_id="p1", pub_year=2000)}
-    rebuilt = ingest.build_series(papers, ingest.parse_citations(path), 2003)
+    rebuilt = ingest.read_citations(path, papers, 2003)
     assert rebuilt["p1"] == series[0]
 
 
-def test_build_series_zero_fills_to_window_end():
+PAPERS_1990 = {"p1": PaperRecord(paper_id="p1", pub_year=1990)}
+
+
+def write_citation_text(tmp_path, text: str):
+    path = tmp_path / "citations.csv"
+    path.write_text(text)
+    return path
+
+
+@st.composite
+def citation_files(draw):
+    """Random series, plus the text of a citations.csv that holds them.
+
+    The file's rows come in random order, under a random column order, with
+    some zero-count years written out explicitly.
+    """
+    window_end = draw(st.integers(min_value=1990, max_value=2015))
+    pub_years = draw(st.lists(st.integers(min_value=1980, max_value=window_end + 3), max_size=6))
+    papers, series = {}, {}
+    for i, pub_year in enumerate(pub_years):
+        pid = f"p{i}"
+        papers[pid] = PaperRecord(paper_id=pid, pub_year=pub_year)
+        if pub_year <= window_end:
+            n = window_end - pub_year + 1
+            counts = draw(st.lists(st.sampled_from((0, 0, 1, 7, 250)), min_size=n, max_size=n))
+            series[pid] = CitationSeries(pid, pub_year, tuple(counts))
+    rows = [
+        (s.paper_id, year, count)
+        for s in series.values()
+        for year, count in s.year_counts()
+        if count or draw(st.booleans())
+    ]
+    rows = draw(st.permutations(rows))
+    columns = draw(st.permutations(("paper_id", "year", "count")))
+    order = [("paper_id", "year", "count").index(c) for c in columns]
+    lines = [",".join(columns)] + [",".join(str(row[i]) for i in order) for row in rows]
+    return papers, series, window_end, "\n".join(lines) + "\n"
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(citation_files())
+def test_read_citations_round_trip(tmp_path, case):
+    papers, series, window_end, text = case
+    written = tmp_path / "written.csv"
+    ingest.write_citations(series.values(), written)
+    assert ingest.read_citations(written, papers, window_end) == series
+    assert ingest.read_citations(write_citation_text(tmp_path, text), papers, window_end) == series
+
+
+def test_read_citations_zero_fills_to_window_end(tmp_path):
     papers = {"p1": PaperRecord(paper_id="p1", pub_year=1970)}
-    rows = [CitationCountRow("p1", 1971, 3)]
-    series = ingest.build_series(papers, rows, 2015)
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1971,3\n")
+    series = ingest.read_citations(path, papers, 2015)
     assert series["p1"].t_m == 45
     assert len(series["p1"].counts) == 46
     assert series["p1"].counts[:3] == (0, 3, 0)
     assert sum(series["p1"].counts) == 3
 
 
-def test_build_series_rejects_out_of_window_rows():
+def test_read_citations_rejects_out_of_window_rows(tmp_path):
     papers = {"p1": PaperRecord(paper_id="p1", pub_year=1970)}
-    with pytest.raises(RowOutOfWindowError):
-        ingest.build_series(papers, [CitationCountRow("p1", 1969, 1)], 2015)
-    with pytest.raises(RowOutOfWindowError):
-        ingest.build_series(papers, [CitationCountRow("p1", 2016, 1)], 2015)
-    with pytest.raises(DataError):
-        ingest.build_series(papers, [CitationCountRow("p2", 1980, 1)], 2015)
-    dup = [CitationCountRow("p1", 1980, 1), CitationCountRow("p1", 1980, 2)]
-    with pytest.raises(DataError):
-        ingest.build_series(papers, dup, 2015)
+    for year in (1969, 2016):
+        path = write_citation_text(tmp_path, f"paper_id,year,count\np1,1980,1\np1,{year},1\n")
+        with pytest.raises(RowOutOfWindowError, match=f"citation year {year} for paper 'p1'"):
+            ingest.read_citations(path, papers, 2015)
 
 
-def test_build_series_skips_papers_past_window_end():
+def test_read_citations_skips_papers_past_window_end(tmp_path):
     papers = {
         "old": PaperRecord(paper_id="old", pub_year=1990),
         "new": PaperRecord(paper_id="new", pub_year=2020),
     }
-    series = ingest.build_series(papers, [], 2015)
+    path = write_citation_text(tmp_path, "paper_id,year,count\n")
+    series = ingest.read_citations(path, papers, 2015)
     assert "old" in series and "new" not in series
+    # A row for the paper with no window lies outside it.
+    path = write_citation_text(tmp_path, "paper_id,year,count\nnew,2020,4\n")
+    with pytest.raises(RowOutOfWindowError, match="citation year 2020 for paper 'new'"):
+        ingest.read_citations(path, papers, 2015)
+
+
+def test_read_citations_missing_column(tmp_path):
+    path = write_citation_text(tmp_path, "paper_id,year,cites\np1,1999,2\n")
+    with pytest.raises(MissingColumnError, match="'count'"):
+        ingest.read_citations(path, PAPERS_1990, 2015)
+
+
+def test_read_citations_long_row_and_blank_lines(tmp_path):
+    path = write_citation_text(tmp_path, "paper_id,year,count\n\np1,1999,2\n\np1,2000,1\n")
+    assert ingest.read_citations(path, PAPERS_1990, 2000)["p1"].counts[-3:] == (0, 2, 1)
+    path = write_citation_text(tmp_path, "paper_id,year,count\n\np1,1999,2,5\n")
+    with pytest.raises(MalformedRowError, match="line 3: row has more cells than the header"):
+        ingest.read_citations(path, PAPERS_1990, 2015)
+
+
+def test_read_citations_non_integer_year(tmp_path):
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999,2\n\np1,2k,x\n")
+    with pytest.raises(MalformedRowError, match="year '2k' is not an integer") as exc:
+        ingest.read_citations(path, PAPERS_1990, 2015)
+    assert exc.value.line_no == 4
+
+
+def test_read_citations_negative_count(tmp_path):
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999,2\np1,2000,-1\n")
+    with pytest.raises(MalformedRowError, match="citation count -1 must be non-negative") as exc:
+        ingest.read_citations(path, PAPERS_1990, 2015)
+    assert exc.value.line_no == 3
+
+
+def test_read_citations_unknown_paper(tmp_path):
+    path = write_citation_text(tmp_path, "paper_id,year,count\np2,1999,2\n")
+    with pytest.raises(DataError, match="citation row references unknown paper 'p2'") as exc:
+        ingest.read_citations(path, PAPERS_1990, 2015)
+    assert type(exc.value) is DataError
+
+
+@pytest.mark.parametrize("second", [2, 0])
+def test_read_citations_duplicate_row(tmp_path, second):
+    path = write_citation_text(tmp_path, f"paper_id,year,count\np1,1999,0\np1,1999,{second}\n")
+    with pytest.raises(DataError, match="duplicate citation row for paper 'p1', year 1999") as exc:
+        ingest.read_citations(path, PAPERS_1990, 2015)
+    assert type(exc.value) is DataError
 
 
 def test_patents_round_trip(tmp_path):

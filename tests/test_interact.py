@@ -6,6 +6,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fixture_builders import DR_BIOLOGY, IR_BIOLOGY
 from slumber import interact
@@ -83,6 +84,43 @@ def test_unmapped_code():
     assert interact.wipo_field_for("Z99Z9/99", SAMPLE_CONCORDANCE) is None
     with pytest.raises(UnmappedIpcError):
         interact.map_ipc_to_wipo("Z99Z9/99", SAMPLE_CONCORDANCE)
+
+
+PREFIX_POOL = ("A", "A6", "A61", "A61B", "A61B5", "A61B5/0", "G01N", "G01N33", "C12N", "")
+CODE_POOL = ("A61B5/00", "A61B6/00", "A62C3/00", "G01N33/48", "G01N27/00", "C12N15/09", "Z99Z9/99", "B01D1/00")
+
+
+@st.composite
+def spelling(draw, text: str) -> str:
+    """The text in random case, with spaces or a tab put in at random places."""
+    chars = [c.lower() if draw(st.booleans()) else c for c in text]
+    for _ in range(draw(st.integers(0, 2))):
+        chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from((" ", "\t"))))
+    return "".join(chars)
+
+
+@st.composite
+def concordances(draw) -> tuple[ConcordanceEntry, ...]:
+    """Nested and repeated prefixes, spelled variously, with few distinct field ids.
+
+    A blank prefix normalizes to "" and so matches every code.
+    """
+    entries = []
+    for i in range(draw(st.integers(0, 12))):
+        prefix = draw(spelling(draw(st.sampled_from(PREFIX_POOL))))
+        if not prefix:
+            prefix = draw(st.sampled_from((" ", "\t", "A")))
+        field_id = draw(st.integers(min_value=1, max_value=4))
+        entries.append(ConcordanceEntry(prefix, field_id, f"field {field_id} entry {i}", "sector"))
+    return tuple(entries)
+
+
+@given(concordances(), st.lists(st.sampled_from(CODE_POOL).flatmap(spelling), min_size=1, max_size=8))
+def test_prefix_index_matches_linear_scan(concordance, codes):
+    for entries in (concordance, tuple(reversed(concordance))):
+        index = interact.IpcIndex(entries)
+        for code in codes:
+            assert index.lookup(code) is interact.wipo_field_for(code, entries)
 
 
 def test_singleton_matrix():
