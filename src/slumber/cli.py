@@ -35,27 +35,6 @@ from .stats import aagr, moving_window_mean, summary_stats
 
 log = logging.getLogger("slumber")
 
-_INT_KEYS = {
-    "pub_from",
-    "pub_to",
-    "window_end",
-    "min_total_citations",
-    "window_width",
-    "n_papers",
-    "seed",
-}
-_FLOAT_KEYS = {
-    "fraction",
-    "share_delayed",
-    "share_instant",
-    "share_linear",
-    "share_noise",
-    "link_density",
-    "timing_earlier",
-    "timing_same",
-    "timing_later",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -79,6 +58,10 @@ class RunConfig:
             raise ConfigError("terms must name at least one word")
 
 
+# Each config key's type, from the defaults of the dataclasses it fills.
+_KEY_TYPES = {f.name: type(f.default) for cls in (RunConfig, synth.SynthSpec) for f in fields(cls)}
+
+
 def parse_config_file(path: Path) -> dict[str, str]:
     """key=value lines; blank lines and # comments are ignored."""
     pairs: dict[str, str] = {}
@@ -94,22 +77,18 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _coerce(key: str, raw: str):
+    kind = _KEY_TYPES[key]
+    if kind is tuple:
+        return tuple(t.strip() for t in raw.split(",") if t.strip())
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r} has non-numeric value {raw!r}") from None
-    if key == "terms":
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
-    return raw
 
 
 def _typed_pairs(pairs: dict[str, str]) -> dict[str, object]:
-    known = {f.name for f in fields(RunConfig)} | {f.name for f in fields(synth.SynthSpec)}
     for key in pairs:
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
     return {k: _coerce(k, v) for k, v in pairs.items()}
 
@@ -166,17 +145,17 @@ class Run:
 
     @cached_property
     def profiles(self) -> dict[str, CurveProfile]:
-        """Profiles for every paper with a computable curve; the rest are logged."""
-        usable = []
-        for pid in sorted(self.dataset.series):
-            series = self.dataset.series[pid]
-            if series.total == 0:
-                log.warning("%s: no citations in window; skipped", pid)
-            elif series.t_m < 1:
-                log.warning("%s: single-year window; skipped", pid)
-            else:
-                usable.append(series)
-        return {series.paper_id: curve.profile(series) for series in usable}
+        """Profiles for every paper with a computable curve.
+
+        The papers left out, with no citations or a single-year window, are
+        the ones validation has already warned about.
+        """
+        series = self.dataset.series
+        return {
+            pid: curve.profile(series[pid])
+            for pid in sorted(series)
+            if series[pid].total and series[pid].t_m
+        }
 
     @cached_property
     def cohorts(self) -> CohortResult:

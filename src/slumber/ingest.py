@@ -1,19 +1,14 @@
 """Readers, writers, and validation for the on-disk dataset layout.
 
-A dataset directory holds:
-
-    papers.csv       paper_id,pub_year,title,doi,pmid,fields_of_study
-    citations.csv    paper_id,year,count          (sparse; missing years = 0)
-    patents.csv      family_id,earliest_priority_year,filing_years,
-                     forward_citation_count,ipc_codes
-    links.csv        paper_id,family_id
-    concordance.tsv  ipc_prefix  wipo_field_id  wipo_field_name  sector
-    contexts.jsonl   optional; one object per line with keys citing_id,
-                     cited_paper_id, year, sentence
+A dataset directory holds papers.csv, citations.csv (sparse; missing years
+are 0), patents.csv, links.csv, concordance.tsv (tab-separated) and,
+optionally, contexts.jsonl (one object per line with the fields of
+CitationContextRecord). The *_COLUMNS constants below name each table's
+columns; the file format itself belongs to the tables module.
 
 Multi-valued cells (fields_of_study as name@level pairs, filing_years,
-ipc_codes) pack with ';'. Writers emit sorted rows and '\n' line endings so
-rewriting an unchanged dataset is byte-identical.
+ipc_codes) pack with ';'. Writers emit sorted rows, so rewriting an
+unchanged dataset is byte-identical.
 
 Malformed content raises DataError subclasses (exit code 1 territory);
 missing or unreadable files surface as OSError (exit code 2).
@@ -21,9 +16,8 @@ missing or unreadable files surface as OSError (exit code 2).
 
 from __future__ import annotations
 
-import csv
-import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,9 +26,9 @@ from .errors import (
     DuplicateIdError,
     FieldIdOutOfRangeError,
     MalformedRowError,
-    MissingColumnError,
     RowOutOfWindowError,
 )
+from .interact import normalize_ipc
 from .model import (
     CitationContextRecord,
     CitationSeries,
@@ -47,6 +41,7 @@ from .model import (
     ValidationIssue,
     ValidationReport,
 )
+from .tables import read_json_lines, read_rows, write_json_lines, write_rows
 
 PAPERS_FILE = "papers.csv"
 CITATIONS_FILE = "citations.csv"
@@ -55,39 +50,21 @@ LINKS_FILE = "links.csv"
 CONCORDANCE_FILE = "concordance.tsv"
 CONTEXTS_FILE = "contexts.jsonl"
 
+# Each file's columns, in the order the writers emit them.
+PAPER_COLUMNS = ("paper_id", "pub_year", "title", "doi", "pmid", "fields_of_study")
+CITATION_COLUMNS = ("paper_id", "year", "count")
+PATENT_COLUMNS = (
+    "family_id",
+    "earliest_priority_year",
+    "filing_years",
+    "forward_citation_count",
+    "ipc_codes",
+)
+LINK_COLUMNS = ("paper_id", "family_id")
+CONCORDANCE_COLUMNS = ("ipc_prefix", "wipo_field_id", "wipo_field_name", "sector")
+CONCORDANCE_DELIMITER = "\t"
+
 DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
-
-
-def _header(reader, required: Sequence[str]) -> list[str]:
-    """The header row's cell names, once every required column is among them."""
-    names = next(reader, [])
-    for col in required:
-        if col not in names:
-            raise MissingColumnError(col)
-    return names
-
-
-def _width_error(line_no: int, row: list[str], width: int) -> MalformedRowError:
-    side = "fewer" if len(row) < width else "more"
-    return MalformedRowError(line_no, f"row has {side} cells than the header")
-
-
-def _rows(path: Path, required: Sequence[str], delimiter: str = ","):
-    """Yield (line_no, row_dict) from a delimited file, checking the header.
-
-    Every non-blank row must have exactly as many cells as the header; an
-    unquoted delimiter inside a cell would otherwise shift or drop values.
-    """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        names = _header(reader, required)
-        width = len(names)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise _width_error(reader.line_num, row, width)
-            yield reader.line_num, dict(zip(names, row))
 
 
 def _int_cell(value: str, name: str, line_no: int) -> int:
@@ -116,19 +93,17 @@ def format_fields_of_study(fields: Iterable[FieldOfStudy]) -> str:
 
 def parse_papers(path: Path) -> dict[str, PaperRecord]:
     papers: dict[str, PaperRecord] = {}
-    cols = ("paper_id", "pub_year", "title", "doi", "pmid", "fields_of_study")
-    for line_no, row in _rows(path, cols):
-        pid = row["paper_id"]
+    for line_no, (pid, pub_year, title, doi, pmid, fields) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
             raise DuplicateIdError(pid)
         try:
             papers[pid] = PaperRecord(
                 paper_id=pid,
-                pub_year=_int_cell(row["pub_year"], "pub_year", line_no),
-                title=row["title"] or None,
-                doi=row["doi"] or None,
-                pmid=row["pmid"] or None,
-                fields_of_study=parse_fields_of_study(row["fields_of_study"]),
+                pub_year=_int_cell(pub_year, "pub_year", line_no),
+                title=title or None,
+                doi=doi or None,
+                pmid=pmid or None,
+                fields_of_study=parse_fields_of_study(fields),
             )
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from None
@@ -152,35 +127,24 @@ def read_citations(
         n = window_end - paper.pub_year + 1
         if n > 0:
             slots[pid] = (paper.pub_year, [0] * n, bytearray(n))
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        names = _header(reader, ("paper_id", "year", "count"))
-        width = len(names)
-        i_pid, i_year, i_count = names.index("paper_id"), names.index("year"), names.index("count")
-        for row in reader:
-            # The same row checks as _rows, without a dict per row.
-            if len(row) != width:
-                if not row:
-                    continue
-                raise _width_error(reader.line_num, row, width)
-            pid = row[i_pid]
-            year = _int_cell(row[i_year], "year", reader.line_num)
-            count = _int_cell(row[i_count], "count", reader.line_num)
-            if count < 0:
-                raise MalformedRowError(reader.line_num, f"citation count {count} must be non-negative")
-            slot = slots.get(pid)
-            if slot is None:
-                if pid not in papers:
-                    raise DataError(f"citation row references unknown paper {pid!r}")
-                raise RowOutOfWindowError(year, pid)
-            base, counts, seen = slot
-            t = year - base
-            if t < 0 or year > window_end:
-                raise RowOutOfWindowError(year, pid)
-            if seen[t]:
-                raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
-            seen[t] = 1
-            counts[t] = count
+    for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
+        year = _int_cell(year, "year", line_no)
+        count = _int_cell(count, "count", line_no)
+        if count < 0:
+            raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
+        slot = slots.get(pid)
+        if slot is None:
+            if pid not in papers:
+                raise DataError(f"citation row references unknown paper {pid!r}")
+            raise RowOutOfWindowError(year, pid)
+        base, counts, seen = slot
+        t = year - base
+        if t < 0 or year > window_end:
+            raise RowOutOfWindowError(year, pid)
+        if seen[t]:
+            raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
+        seen[t] = 1
+        counts[t] = count
     return {
         pid: CitationSeries(paper_id=pid, base_year=base, counts=tuple(counts))
         for pid, (base, counts, _) in slots.items()
@@ -189,31 +153,17 @@ def read_citations(
 
 def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
-    cols = (
-        "family_id",
-        "earliest_priority_year",
-        "filing_years",
-        "forward_citation_count",
-        "ipc_codes",
-    )
-    for line_no, row in _rows(path, cols):
-        fid = row["family_id"]
+    for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
         if fid in patents:
             raise DuplicateIdError(fid)
-        years = tuple(
-            _int_cell(y, "filing_years", line_no) for y in row["filing_years"].split(";") if y
-        )
-        codes = tuple(c for c in row["ipc_codes"].split(";") if c)
+        years = tuple(_int_cell(y, "filing_years", line_no) for y in filing.split(";") if y)
+        codes = tuple(c for c in ipc.split(";") if c)
         try:
             patents[fid] = PatentFamilyRecord(
                 family_id=fid,
-                earliest_priority_year=_int_cell(
-                    row["earliest_priority_year"], "earliest_priority_year", line_no
-                ),
+                earliest_priority_year=_int_cell(priority, "earliest_priority_year", line_no),
                 filing_years=years,
-                forward_citation_count=_int_cell(
-                    row["forward_citation_count"], "forward_citation_count", line_no
-                ),
+                forward_citation_count=_int_cell(forward, "forward_citation_count", line_no),
                 ipc_codes=codes,
             )
         except ValueError as exc:
@@ -223,27 +173,27 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
 
 def parse_links(path: Path) -> tuple[PatentCitationLink, ...]:
     links = []
-    for line_no, row in _rows(path, ("paper_id", "family_id")):
-        if not row["paper_id"] or not row["family_id"]:
+    for line_no, (pid, fid) in read_rows(path, LINK_COLUMNS):
+        if not pid or not fid:
             raise MalformedRowError(line_no, "link row has an empty id")
-        links.append(PatentCitationLink(paper_id=row["paper_id"], family_id=row["family_id"]))
+        links.append(PatentCitationLink(paper_id=pid, family_id=fid))
     return tuple(links)
 
 
 def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
     entries = []
-    cols = ("ipc_prefix", "wipo_field_id", "wipo_field_name", "sector")
-    for line_no, row in _rows(path, cols, delimiter="\t"):
-        field_id = _int_cell(row["wipo_field_id"], "wipo_field_id", line_no)
+    rows = read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER)
+    for line_no, (prefix, field_id, field_name, sector) in rows:
+        field_id = _int_cell(field_id, "wipo_field_id", line_no)
         if not 1 <= field_id <= 35:
             raise FieldIdOutOfRangeError(field_id)
         try:
             entries.append(
                 ConcordanceEntry(
-                    ipc_prefix=row["ipc_prefix"],
+                    ipc_prefix=prefix,
                     wipo_field_id=field_id,
-                    wipo_field_name=row["wipo_field_name"],
-                    sector=row["sector"],
+                    wipo_field_name=field_name,
+                    sector=sector,
                 )
             )
         except ValueError as exc:
@@ -254,30 +204,21 @@ def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
 def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     records = []
     keys = ("citing_id", "cited_paper_id", "year", "sentence")
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRowError(line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise MalformedRowError(line_no, "line is not a JSON object")
-            for key in keys:
-                if key not in obj:
-                    raise MalformedRowError(line_no, f"missing key {key!r}")
-            try:
-                records.append(
-                    CitationContextRecord(
-                        citing_id=str(obj["citing_id"]),
-                        cited_paper_id=str(obj["cited_paper_id"]),
-                        year=int(obj["year"]),
-                        sentence=str(obj["sentence"]),
-                    )
+    for line_no, obj in read_json_lines(path):
+        for key in keys:
+            if key not in obj:
+                raise MalformedRowError(line_no, f"missing key {key!r}")
+        try:
+            records.append(
+                CitationContextRecord(
+                    citing_id=str(obj["citing_id"]),
+                    cited_paper_id=str(obj["cited_paper_id"]),
+                    year=int(obj["year"]),
+                    sentence=str(obj["sentence"]),
                 )
-            except (TypeError, ValueError) as exc:
-                raise MalformedRowError(line_no, str(exc)) from None
+            )
+        except (TypeError, ValueError) as exc:
+            raise MalformedRowError(line_no, str(exc)) from None
     return tuple(records)
 
 
@@ -302,94 +243,61 @@ def load_dataset(directory: str | Path, window_end: int) -> Dataset:
     )
 
 
-def _writer(fh, delimiter: str = ","):
-    return csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-
-
 def write_papers(papers: Iterable[PaperRecord], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(["paper_id", "pub_year", "title", "doi", "pmid", "fields_of_study"])
-        for p in sorted(papers, key=lambda p: p.paper_id):
-            out.writerow(
-                [
-                    p.paper_id,
-                    p.pub_year,
-                    p.title or "",
-                    p.doi or "",
-                    p.pmid or "",
-                    format_fields_of_study(p.fields_of_study),
-                ]
-            )
+    rows = (
+        (
+            p.paper_id,
+            p.pub_year,
+            p.title or "",
+            p.doi or "",
+            p.pmid or "",
+            format_fields_of_study(p.fields_of_study),
+        )
+        for p in sorted(papers, key=lambda p: p.paper_id)
+    )
+    write_rows(path, PAPER_COLUMNS, rows)
 
 
 def write_citations(series: Iterable[CitationSeries], path: Path) -> None:
     """Write sparse rows: zero-count years are omitted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(["paper_id", "year", "count"])
-        for s in sorted(series, key=lambda s: s.paper_id):
-            for year, count in s.year_counts():
-                if count:
-                    out.writerow([s.paper_id, year, count])
+    rows = (
+        (s.paper_id, year, count)
+        for s in sorted(series, key=lambda s: s.paper_id)
+        for year, count in s.year_counts()
+        if count
+    )
+    write_rows(path, CITATION_COLUMNS, rows)
 
 
 def write_patents(patents: Iterable[PatentFamilyRecord], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(
-            [
-                "family_id",
-                "earliest_priority_year",
-                "filing_years",
-                "forward_citation_count",
-                "ipc_codes",
-            ]
+    rows = (
+        (
+            rec.family_id,
+            rec.earliest_priority_year,
+            ";".join(str(y) for y in rec.filing_years),
+            rec.forward_citation_count,
+            ";".join(rec.ipc_codes),
         )
-        for rec in sorted(patents, key=lambda r: r.family_id):
-            out.writerow(
-                [
-                    rec.family_id,
-                    rec.earliest_priority_year,
-                    ";".join(str(y) for y in rec.filing_years),
-                    rec.forward_citation_count,
-                    ";".join(rec.ipc_codes),
-                ]
-            )
+        for rec in sorted(patents, key=lambda r: r.family_id)
+    )
+    write_rows(path, PATENT_COLUMNS, rows)
 
 
 def write_links(links: Iterable[PatentCitationLink], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh)
-        out.writerow(["paper_id", "family_id"])
-        for link in sorted(links, key=lambda l: (l.paper_id, l.family_id)):
-            out.writerow([link.paper_id, link.family_id])
+    rows = sorted((link.paper_id, link.family_id) for link in links)
+    write_rows(path, LINK_COLUMNS, rows)
 
 
 def write_concordance(entries: Iterable[ConcordanceEntry], path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = _writer(fh, delimiter="\t")
-        out.writerow(["ipc_prefix", "wipo_field_id", "wipo_field_name", "sector"])
-        for e in sorted(entries, key=lambda e: (e.ipc_prefix, e.wipo_field_id)):
-            out.writerow([e.ipc_prefix, e.wipo_field_id, e.wipo_field_name, e.sector])
+    rows = (
+        (e.ipc_prefix, e.wipo_field_id, e.wipo_field_name, e.sector)
+        for e in sorted(entries, key=lambda e: (e.ipc_prefix, e.wipo_field_id))
+    )
+    write_rows(path, CONCORDANCE_COLUMNS, rows, CONCORDANCE_DELIMITER)
 
 
 def write_contexts(contexts: Iterable[CitationContextRecord], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in contexts:
-            fh.write(
-                json.dumps(
-                    {
-                        "citing_id": rec.citing_id,
-                        "cited_paper_id": rec.cited_paper_id,
-                        "year": rec.year,
-                        "sentence": rec.sentence,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_json_lines(path, map(asdict, contexts))
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -435,11 +343,14 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
             warn(link.paper_id, f"duplicate link to family {link.family_id!r}")
         seen_pairs.add(pair)
 
+    # Keyed like IpcIndex, so prefixes that differ only in case or
+    # whitespace count as the same prefix.
     by_prefix: dict[str, int] = {}
     for entry in dataset.concordance:
-        prior = by_prefix.get(entry.ipc_prefix)
+        key = normalize_ipc(entry.ipc_prefix)
+        prior = by_prefix.get(key)
         if prior is None:
-            by_prefix[entry.ipc_prefix] = entry.wipo_field_id
+            by_prefix[key] = entry.wipo_field_id
         elif prior != entry.wipo_field_id:
             err(entry.ipc_prefix, f"prefix {entry.ipc_prefix!r} maps to fields {prior} and {entry.wipo_field_id}")
         else:

@@ -1,7 +1,7 @@
 """Canonical data model shared by every analysis stage.
 
 All records are frozen dataclasses validated on construction; a loaded
-Dataset is treated as immutable and is safe to share across workers.
+Dataset is treated as immutable.
 """
 
 from __future__ import annotations

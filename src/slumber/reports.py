@@ -7,8 +7,8 @@ are byte-identical regardless of platform.
 
 from __future__ import annotations
 
-import csv
-import json
+from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -18,6 +18,7 @@ from .interact import FieldDistribution, InteractionMatrix
 from .model import CitationContextRecord, CurveProfile, Dataset
 from .patent import BINARY_INDICATORS, PatentIndicators
 from .stats import AagrResult, SummaryStats, WindowedTrend, proportion_ci, two_proportion_test
+from .tables import write_json_lines, write_rows
 
 DEGENERATE_LABEL = "DegeneratePool"
 
@@ -30,71 +31,65 @@ def _opt(value) -> str:
     return "" if value is None else str(value)
 
 
-def _open_csv(path: Path):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    return fh, csv.writer(fh, lineterminator="\n")
-
-
 def write_profiles(dataset: Dataset, profiles: Iterable[CurveProfile], path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(
-            ["paper_id", "pub_year", "t_m", "total_citations", "bcp", "turning_t", "turning_year", "turning_type"]
+    columns = (
+        "paper_id",
+        "pub_year",
+        "t_m",
+        "total_citations",
+        "bcp",
+        "turning_t",
+        "turning_year",
+        "turning_type",
+    )
+    rows = (
+        (
+            prof.paper_id,
+            dataset.papers[prof.paper_id].pub_year,
+            dataset.series[prof.paper_id].t_m,
+            dataset.series[prof.paper_id].total,
+            fmt(prof.bcp),
+            prof.turning_t,
+            prof.turning_year,
+            prof.turning_type,
         )
-        for prof in sorted(profiles, key=lambda p: p.paper_id):
-            series = dataset.series[prof.paper_id]
-            out.writerow(
-                [
-                    prof.paper_id,
-                    dataset.papers[prof.paper_id].pub_year,
-                    series.t_m,
-                    series.total,
-                    fmt(prof.bcp),
-                    prof.turning_t,
-                    prof.turning_year,
-                    prof.turning_type,
-                ]
-            )
+        for prof in sorted(profiles, key=lambda p: p.paper_id)
+    )
+    write_rows(path, columns, rows)
 
 
 def write_cohorts(result: CohortResult, path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["paper_id", "rank", "bcp", "cohort"])
-        for a in result.assignments:
-            out.writerow([a.paper_id, a.rank, fmt(a.bcp), a.cohort])
+    rows = ((a.paper_id, a.rank, fmt(a.bcp), a.cohort) for a in result.assignments)
+    write_rows(path, ("paper_id", "rank", "bcp", "cohort"), rows)
 
 
 def write_indicators(indicators: Iterable[PatentIndicators], path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(
-            [
-                "paper_id",
-                "n_families",
-                "earliest_filing_year",
-                "latest_filing_year",
-                "durability_years",
-                "forward_cites_of_earliest",
-                "first_citation_lag",
-                "relative_timing",
-                "timing_class",
-            ]
+    columns = (
+        "paper_id",
+        "n_families",
+        "earliest_filing_year",
+        "latest_filing_year",
+        "durability_years",
+        "forward_cites_of_earliest",
+        "first_citation_lag",
+        "relative_timing",
+        "timing_class",
+    )
+    rows = (
+        (
+            ind.paper_id,
+            ind.n_families,
+            _opt(ind.earliest_filing_year),
+            _opt(ind.latest_filing_year),
+            _opt(ind.durability_years),
+            _opt(ind.forward_cites_of_earliest),
+            _opt(ind.first_citation_lag),
+            _opt(ind.relative_timing),
+            _opt(ind.timing_class),
         )
-        for ind in sorted(indicators, key=lambda i: i.paper_id):
-            out.writerow(
-                [
-                    ind.paper_id,
-                    ind.n_families,
-                    _opt(ind.earliest_filing_year),
-                    _opt(ind.latest_filing_year),
-                    _opt(ind.durability_years),
-                    _opt(ind.forward_cites_of_earliest),
-                    _opt(ind.first_citation_lag),
-                    _opt(ind.relative_timing),
-                    _opt(ind.timing_class),
-                ]
-            )
+        for ind in sorted(indicators, key=lambda i: i.paper_id)
+    )
+    write_rows(path, columns, rows)
 
 
 def comparison_rows(
@@ -129,86 +124,61 @@ def comparison_rows(
 
 
 def write_comparison(dr: Sequence[PatentIndicators], ir: Sequence[PatentIndicators], path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["indicator", "group", "yes", "no", "rate", "ci_low", "ci_high", "rate_ratio", "z", "p"])
-        out.writerows(comparison_rows(dr, ir))
+    columns = ("indicator", "group", "yes", "no", "rate", "ci_low", "ci_high", "rate_ratio", "z", "p")
+    write_rows(path, columns, comparison_rows(dr, ir))
 
 
 def write_lag_trend(trends: Mapping[tuple[str, str], WindowedTrend], path: Path) -> None:
     """One row per (cohort, lag mode, window); keys iterate in sorted order."""
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["cohort", "mode", "window_start", "window_end", "mean_lag", "n_obs"])
-        for cohort, mode in sorted(trends):
-            for w in trends[(cohort, mode)].windows:
-                out.writerow([cohort, mode, w.start_year, w.end_year, fmt(w.mean), w.n_obs])
+    rows = (
+        (cohort, mode, w.start_year, w.end_year, fmt(w.mean), w.n_obs)
+        for cohort, mode in sorted(trends)
+        for w in trends[(cohort, mode)].windows
+    )
+    write_rows(path, ("cohort", "mode", "window_start", "window_end", "mean_lag", "n_obs"), rows)
 
 
 def write_lag_summary(summaries: Mapping[tuple[str, str], tuple[int, SummaryStats]], path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["cohort", "mode", "n", "min", "max", "median", "sd"])
-        for cohort, mode in sorted(summaries):
-            n, s = summaries[(cohort, mode)]
-            sd = "" if s.sd is None else fmt(s.sd)
-            out.writerow([cohort, mode, n, fmt(s.min), fmt(s.max), fmt(s.median), sd])
+    rows = (
+        (cohort, mode, n, fmt(s.min), fmt(s.max), fmt(s.median), "" if s.sd is None else fmt(s.sd))
+        for (cohort, mode), (n, s) in sorted(summaries.items())
+    )
+    write_rows(path, ("cohort", "mode", "n", "min", "max", "median", "sd"), rows)
 
 
 def write_interactions(matrix: InteractionMatrix, path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["field_of_study", "wipo_field_id", "wipo_field_name", "weight"])
-        for cell in matrix.cells:
-            out.writerow([cell.field_of_study, cell.wipo_field_id, cell.wipo_field_name, cell.weight])
+    rows = ((c.field_of_study, c.wipo_field_id, c.wipo_field_name, c.weight) for c in matrix.cells)
+    write_rows(path, ("field_of_study", "wipo_field_id", "wipo_field_name", "weight"), rows)
 
 
 def write_interaction_marginals(matrix: InteractionMatrix, path: Path) -> None:
     """Row and column sums in one long-form file, axis column telling which."""
     names = {c.wipo_field_id: c.wipo_field_name for c in matrix.cells}
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["axis", "key", "label", "weight"])
-        for field, weight in matrix.field_marginals().items():
-            out.writerow(["field_of_study", field, "", weight])
-        for tid, weight in matrix.wipo_marginals().items():
-            out.writerow(["wipo_field", tid, names[tid], weight])
+    rows = chain(
+        (("field_of_study", field, "", weight) for field, weight in matrix.field_marginals().items()),
+        (("wipo_field", tid, names[tid], weight) for tid, weight in matrix.wipo_marginals().items()),
+    )
+    write_rows(path, ("axis", "key", "label", "weight"), rows)
 
 
 def write_field_distribution(dist: FieldDistribution, path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["field_of_study", "papers", "share"])
-        for field, count in dist.counts:
-            out.writerow([field, count, fmt(count / dist.total_papers if dist.total_papers else 0.0)])
+    rows = (
+        (field, count, fmt(count / dist.total_papers if dist.total_papers else 0.0))
+        for field, count in dist.counts
+    )
+    write_rows(path, ("field_of_study", "papers", "share"), rows)
 
 
 def write_growth(rows: Iterable[tuple[str, AagrResult]], path: Path) -> None:
-    fh, out = _open_csv(path)
-    with fh:
-        out.writerow(["paper_id", "base_year", "end_year", "method", "aagr_percent", "skipped_years"])
-        for pid, res in sorted(rows, key=lambda r: r[0]):
-            out.writerow(
-                [pid, res.base_year, res.end_year, res.method, fmt(res.value_percent), res.skipped_years]
-            )
+    cells = (
+        (pid, res.base_year, res.end_year, res.method, fmt(res.value_percent), res.skipped_years)
+        for pid, res in sorted(rows, key=lambda r: r[0])
+    )
+    columns = ("paper_id", "base_year", "end_year", "method", "aagr_percent", "skipped_years")
+    write_rows(path, columns, cells)
 
 
 def write_flagged_contexts(
     flagged: Iterable[tuple[CitationContextRecord, tuple[str, ...]]], path: Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec, terms in flagged:
-            fh.write(
-                json.dumps(
-                    {
-                        "citing_id": rec.citing_id,
-                        "cited_paper_id": rec.cited_paper_id,
-                        "year": rec.year,
-                        "sentence": rec.sentence,
-                        "matched_terms": list(terms),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_json_lines(path, ({**asdict(rec), "matched_terms": list(terms)} for rec, terms in flagged))

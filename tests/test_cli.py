@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,6 +246,26 @@ def test_synth_then_validate(tmp_path, capsys):
     assert "0 errors, 0 warnings" in stdout
 
 
+def test_skipped_paper_is_named_once_on_stderr(tmp_path, demo_dir):
+    dataset = ingest.load_dataset(demo_dir, 2015)
+    silent = dataset.series["p00001"]
+    dataset.series["p00001"] = replace(silent, counts=(0,) * len(silent.counts))
+    ds_dir = tmp_path / "ds"
+    ingest.write_dataset(dataset, ds_dir)
+    out = tmp_path / "out"
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "slumber.cli", "profile", "--dataset", str(ds_dir), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("p00001") == 1
+    assert "p00001: no citations inside the observation window" in proc.stderr
+    assert "p00001" not in {r["paper_id"] for r in read_rows(out / "profiles.csv")}
+
+
 def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
@@ -299,6 +323,18 @@ def test_config_parsing_units():
         cli.RunConfig(aagr_method="sideways")
     with pytest.raises(ConfigError):
         cli.RunConfig(terms=())
+
+
+def test_load_synth_spec_coerces_keys(tmp_path):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_papers = 75\nlink_density = 0.3\n")
+    spec = cli.load_synth_spec(cfg, seed=None)
+    assert (spec.n_papers, spec.link_density, spec.seed) == (75, 0.3, 0)
+    assert type(spec.n_papers) is int and type(spec.link_density) is float
+    assert cli.load_synth_spec(cfg, seed=7).seed == 7
+    cfg.write_text("n_papers = 7.5\n")
+    with pytest.raises(ConfigError, match="config key 'n_papers' has non-numeric value '7.5'"):
+        cli.load_synth_spec(cfg, seed=None)
 
 
 def test_config_file_round_trip(tmp_path):

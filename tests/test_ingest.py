@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import shutil
 from datetime import date
 
 import pytest
@@ -87,6 +89,13 @@ def test_missing_column(tmp_path):
     path.write_text("paper_id,pub_year\np1,2000\n")
     with pytest.raises(MissingColumnError):
         ingest.parse_papers(path)
+
+
+def test_repeated_header_column(tmp_path):
+    path = tmp_path / "links.csv"
+    path.write_text("paper_id,family_id,paper_id\np1,f1,p2\n")
+    with pytest.raises(MalformedRowError, match="line 1: header names column 'paper_id' twice"):
+        ingest.parse_links(path)
 
 
 def test_short_row(tmp_path):
@@ -255,6 +264,32 @@ def test_read_citations_duplicate_row(tmp_path, second):
     with pytest.raises(DataError, match="duplicate citation row for paper 'p1', year 1999") as exc:
         ingest.read_citations(path, PAPERS_1990, 2015)
     assert type(exc.value) is DataError
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        ingest.PAPERS_FILE,
+        ingest.CITATIONS_FILE,
+        ingest.PATENTS_FILE,
+        ingest.LINKS_FILE,
+        ingest.CONCORDANCE_FILE,
+    ],
+)
+def test_tables_read_by_header_name(tmp_path, demo_dir, name):
+    """Columns in reverse order, with an extra column among them, load the same."""
+    delimiter = ingest.CONCORDANCE_DELIMITER if name == ingest.CONCORDANCE_FILE else ","
+    with open(demo_dir / name, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))
+    shuffled = tmp_path / "ds"
+    shutil.copytree(demo_dir, shuffled)
+    with open(shuffled / name, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        for i, row in enumerate(rows):
+            row = row[::-1]
+            out.writerow([*row[:1], "note" if i == 0 else f"extra {i}", *row[1:]])
+    assert (shuffled / name).read_bytes() != (demo_dir / name).read_bytes()
+    assert ingest.load_dataset(shuffled, 2015) == ingest.load_dataset(demo_dir, 2015)
 
 
 def test_patents_round_trip(tmp_path):
@@ -441,6 +476,20 @@ def test_validator_conflicting_concordance():
     report = ingest.validate_dataset(tiny_dataset(concordance=twice))
     assert not report.has_errors()
     assert any("listed twice" in w.message for w in report.warnings())
+    # Prefixes compare as IpcIndex compares them: case and whitespace aside.
+    case_variant = (
+        ConcordanceEntry("A61B", 13, "Medical technology", "Instruments"),
+        ConcordanceEntry("a61b", 14, "Organic fine chemistry", "Chemistry"),
+    )
+    report = ingest.validate_dataset(tiny_dataset(concordance=case_variant))
+    assert [e.message for e in report.errors()] == ["prefix 'a61b' maps to fields 13 and 14"]
+    spaced_twice = (
+        ConcordanceEntry("A61B", 13, "Medical technology", "Instruments"),
+        ConcordanceEntry("A61 B", 13, "Medical technology", "Instruments"),
+    )
+    report = ingest.validate_dataset(tiny_dataset(concordance=spaced_twice))
+    assert not report.has_errors()
+    assert [w.message for w in report.warnings()] == ["prefix 'A61 B' listed twice"]
 
 
 def test_validator_context_citing_unknown_paper():
