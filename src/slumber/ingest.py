@@ -16,8 +16,8 @@ missing or unreadable files surface as OSError (exit code 2).
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -203,7 +203,7 @@ def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
 
 def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     records = []
-    keys = ("citing_id", "cited_paper_id", "year", "sentence")
+    keys = [f.name for f in dataclasses.fields(CitationContextRecord)]
     for line_no, obj in read_json_lines(path):
         for key in keys:
             if key not in obj:
@@ -297,7 +297,7 @@ def write_concordance(entries: Iterable[ConcordanceEntry], path: Path) -> None:
 
 
 def write_contexts(contexts: Iterable[CitationContextRecord], path: Path) -> None:
-    write_json_lines(path, map(asdict, contexts))
+    write_json_lines(path, map(dataclasses.asdict, contexts))
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:

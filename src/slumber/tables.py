@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -24,7 +25,7 @@ from .errors import MalformedRowError, MissingColumnError
 def read_rows(
     path: Path, columns: Sequence[str], delimiter: str = ","
 ) -> Iterator[tuple[int, Sequence[str]]]:
-    """Yield (line_no, cells) per row, cells holding `columns` in that order."""
+    """Yield (line_no, cells) per row, cells holding `columns` (two or more) in that order."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         names = next(reader, [])
@@ -34,17 +35,14 @@ def read_rows(
             if names.count(col) > 1:
                 raise MalformedRowError(reader.line_num, f"header names column {col!r} twice")
         width = len(names)
-        idx = [names.index(col) for col in columns]
-        # A header that is exactly `columns` (what the writers emit) passes
-        # rows through unchanged.
-        reorder = idx != list(range(width))
+        pick = operator.itemgetter(*(names.index(col) for col in columns))
         for row in reader:
             if len(row) != width:
                 if not row:
                     continue
                 side = "fewer" if len(row) < width else "more"
                 raise MalformedRowError(reader.line_num, f"row has {side} cells than the header")
-            yield reader.line_num, [row[i] for i in idx] if reorder else row
+            yield reader.line_num, pick(row)
 
 
 def write_rows(

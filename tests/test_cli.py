@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import shutil
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -246,23 +243,18 @@ def test_synth_then_validate(tmp_path, capsys):
     assert "0 errors, 0 warnings" in stdout
 
 
-def test_skipped_paper_is_named_once_on_stderr(tmp_path, demo_dir):
+def test_skipped_paper_is_logged_once(tmp_path, demo_dir, caplog):
     dataset = ingest.load_dataset(demo_dir, 2015)
     silent = dataset.series["p00001"]
     dataset.series["p00001"] = replace(silent, counts=(0,) * len(silent.counts))
     ds_dir = tmp_path / "ds"
     ingest.write_dataset(dataset, ds_dir)
     out = tmp_path / "out"
-    src = Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "slumber.cli", "profile", "--dataset", str(ds_dir), "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-    assert proc.returncode == 0
-    assert proc.stderr.count("p00001") == 1
-    assert "p00001: no citations inside the observation window" in proc.stderr
+    with caplog.at_level("WARNING", logger="slumber"):
+        code = cli.main(["profile", "--dataset", str(ds_dir), "--out", str(out)])
+    assert code == 0
+    named = [r.getMessage() for r in caplog.records if "p00001" in r.getMessage()]
+    assert named == ["p00001: no citations inside the observation window"]
     assert "p00001" not in {r["paper_id"] for r in read_rows(out / "profiles.csv")}
 
 
