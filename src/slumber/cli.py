@@ -83,6 +83,8 @@ def _coerce(key: str, raw: str):
     try:
         return kind(raw)
     except ValueError:
+        if kind is int:
+            raise ConfigError(f"config key {key!r} takes an integer, not {raw!r}") from None
         raise ConfigError(f"config key {key!r} has non-numeric value {raw!r}") from None
 
 

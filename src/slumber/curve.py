@@ -12,12 +12,21 @@ Everything is computed in exact integer arithmetic over the raw counts, so
 results carry no float drift: multiplying every count by a constant leaves
 the index and the turning year bit-for-bit unchanged.
 
+Two paths compute the same values. profile, the one every command uses,
+walks only the years with citations of a sparse CitationSeries and sums
+each run of zero years between them in closed form (an arithmetic series),
+comparing distances only where the farthest year of a run can lie, at its
+end. cumulative_fraction, bcp and turning_point are the slow year-by-year
+reference over the dense counts; the tests pin profile to them.
+
 Caveat for consumers: the index grows with the observation window, so values
 for papers of different ages are not directly comparable. No age
 normalization is applied here; compare within a fixed publication window.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import ZeroCitationsError
 from .model import CitationSeries, CurveProfile
@@ -138,28 +147,55 @@ def _curve_type(index_numerator: int) -> str:
 def profile(series: CitationSeries) -> CurveProfile:
     """Full curve profile for one paper: index, turning year and curve class.
 
-    One pass over the counts, equal to composing cumulative_fraction with
-    bcp and turning_point. It uses that the deviation numerator (see
-    _deviation_numerators) is 0 at t = 0 and changes by
-    (total - c0) - t_m * counts[t] from year t - 1 to year t, and that its
-    magnitude is the unnormalized turning distance.
+    Equal to composing cumulative_fraction with bcp and turning_point, but
+    it visits only the years with citations, in one pass. The deviation
+    numerator (see _deviation_numerators) is 0 at t = 0 and changes by
+    rise - t_m * counts[t] from year t - 1 to year t, where
+    rise = total - c0 >= 0; its magnitude is the unnormalized turning
+    distance.
+
+    Across a run of zero years the numerator so grows by rise per year: the
+    run adds an arithmetic series to the index sum, and its largest distance
+    lies at one end of the run. Ties go to the earlier year, as everywhere,
+    yet the run's first year never becomes the turning year, so each run
+    needs one comparison, at its last year. If the first year's numerator is
+    at most 0, the year before the run is at least as far (its numerator is
+    lower by rise). If it is positive, rise is too, so the numerator grows to
+    the run's last year, which is farther or the same year.
     """
-    counts = series.counts
     total = series.total
     if total == 0:
         raise ZeroCitationsError(series.paper_id)
-    t_m = len(counts) - 1
+    t_m = series.t_m
     if t_m < 1:
         raise ValueError("curve spans a single year; reference line undefined")
-    rise = total - counts[0]
-    num = num_sum = best = best_t = 0
-    for t in range(1, t_m + 1):
-        num += rise - t_m * counts[t]
+    offsets, values = series.offsets, series.values
+    c0 = values[0] if offsets[0] == 0 else 0
+    rise = total - c0
+    steps = zip(offsets, values)
+    if c0:
+        next(steps)
+    if offsets[-1] < t_m:
+        # The window ends in zero years; the last of them closes the trailing run.
+        steps = chain(steps, ((t_m, 0),))
+    num = num_sum = best = best_t = prev = 0
+    for t, c in steps:
+        run = t - prev - 1
+        if run:
+            # Zero years prev + 1 .. t - 1.
+            num_sum += run * num + rise * (run * (run + 1) // 2)
+            num += run * rise
+            dist = num if num >= 0 else -num
+            if dist > best:
+                best = dist
+                best_t = t - 1
+        num += rise - t_m * c
         num_sum += num
         dist = num if num >= 0 else -num
         if dist > best:
             best = dist
             best_t = t
+        prev = t
     return CurveProfile(
         paper_id=series.paper_id,
         bcp=num_sum / (total * t_m),

@@ -1,10 +1,12 @@
 """Readers, writers, and validation for the on-disk dataset layout.
 
-A dataset directory holds papers.csv, citations.csv (sparse; missing years
-are 0), patents.csv, links.csv, concordance.tsv (tab-separated) and,
-optionally, contexts.jsonl (one object per line with the fields of
-CitationContextRecord). The *_COLUMNS constants below name each table's
-columns; the file format itself belongs to the tables module.
+A dataset directory holds papers.csv, citations.csv (sparse: a row per
+paper and cited year; missing years are 0), patents.csv, links.csv,
+concordance.tsv (tab-separated) and, optionally, contexts.jsonl (one object
+per line with the fields of CitationContextRecord). The *_COLUMNS constants
+below name each table's columns; the file format itself belongs to the
+tables module. A CitationSeries stays sparse in memory too: read_citations
+keeps only the cited years, and write_citations writes just those.
 
 Multi-valued cells (fields_of_study as name@level pairs, filing_years,
 ipc_codes) pack with ';'. Writers emit sorted rows, so rewriting an
@@ -93,17 +95,24 @@ def format_fields_of_study(fields: Iterable[FieldOfStudy]) -> str:
 
 def parse_papers(path: Path) -> dict[str, PaperRecord]:
     papers: dict[str, PaperRecord] = {}
-    for line_no, (pid, pub_year, title, doi, pmid, fields) in read_rows(path, PAPER_COLUMNS):
+    # Each distinct fields_of_study cell is parsed once; equal cells share
+    # one tuple.
+    fields_by_cell: dict[str, tuple[FieldOfStudy, ...]] = {}
+    for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
             raise DuplicateIdError(pid)
+        year = _int_cell(pub_year, "pub_year", line_no)
         try:
+            fields = fields_by_cell.get(cell)
+            if fields is None:
+                fields = fields_by_cell[cell] = parse_fields_of_study(cell)
             papers[pid] = PaperRecord(
                 paper_id=pid,
-                pub_year=_int_cell(pub_year, "pub_year", line_no),
+                pub_year=year,
                 title=title or None,
                 doi=doi or None,
                 pmid=pmid or None,
-                fields_of_study=parse_fields_of_study(fields),
+                fields_of_study=fields,
             )
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from None
@@ -113,13 +122,15 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
 def read_citations(
     path: Path, papers: dict[str, PaperRecord], window_end: int
 ) -> dict[str, CitationSeries]:
-    """Dense per-paper series over [pub_year, window_end]; missing years are 0.
+    """Per-paper series over [pub_year, window_end]; missing years are 0.
 
     One pass over the sparse rows, each count written straight into its
-    paper's preallocated list. Papers published after window_end have no
-    observation window and get no series (the validator flags them). A row
-    for an unknown paper, outside its paper's window, or repeating a
-    (paper, year) pair, even with count 0, is an error.
+    paper's preallocated dense working list; each list is then cut down
+    once to its non-zero years, which is all a CitationSeries keeps. Papers
+    published after window_end have no observation window and get no series
+    (the validator flags them). A row for an unknown paper, outside its
+    paper's window, or repeating a (paper, year) pair, even with count 0, is
+    an error.
     """
     # Per paper: base year, counts, and which offsets a row has set.
     slots: dict[str, tuple[int, list[int], bytearray]] = {}
@@ -146,7 +157,7 @@ def read_citations(
         seen[t] = 1
         counts[t] = count
     return {
-        pid: CitationSeries(paper_id=pid, base_year=base, counts=tuple(counts))
+        pid: CitationSeries.from_counts(pid, base, counts)
         for pid, (base, counts, _) in slots.items()
     }
 
@@ -264,7 +275,6 @@ def write_citations(series: Iterable[CitationSeries], path: Path) -> None:
         (s.paper_id, year, count)
         for s in sorted(series, key=lambda s: s.paper_id)
         for year, count in s.year_counts()
-        if count
     )
     write_rows(path, CITATION_COLUMNS, rows)
 

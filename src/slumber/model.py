@@ -8,7 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from itertools import compress
+from operator import lt
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from .interact import IpcIndex
@@ -99,34 +101,70 @@ class CitationContextRecord:
 
 @dataclass(frozen=True)
 class CitationSeries:
-    """Dense yearly citation counts for one paper.
+    """Yearly citation counts for one paper, kept sparse.
 
-    counts[t] is the number of citations received t years after publication;
-    index 0 is the publication year itself, the last index is the end of the
-    observation window.
+    The observation window runs from offset 0, the publication year
+    base_year, to offset t_m, its end. Only the years with citations are
+    stored: offsets[i] is such a year's offset, ascending, and values[i] its
+    count (at least 1). Every other year of the window counts 0, so a paper
+    with no citations has two empty tuples.
     """
 
     paper_id: str
     base_year: int
-    counts: tuple[int, ...]
+    t_m: int
+    offsets: tuple[int, ...] = ()
+    values: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.counts:
-            raise ValueError("counts must be non-empty")
-        if min(self.counts) < 0:
-            raise ValueError("counts must be non-negative")
+        if self.t_m < 0:
+            raise ValueError(f"window length t_m {self.t_m} is negative")
+        offsets, values = self.offsets, self.values
+        if len(offsets) != len(values):
+            raise ValueError("offsets and values must have the same length")
+        if not offsets:
+            return
+        if offsets[0] < 0 or offsets[-1] > self.t_m:
+            raise ValueError(f"year offsets must lie in [0, {self.t_m}]")
+        if not all(map(lt, offsets, offsets[1:])):
+            raise ValueError("year offsets must be strictly ascending")
+        if min(values) < 1:
+            raise ValueError("stored counts must be positive; zero years are left out")
+
+    @classmethod
+    def from_counts(cls, paper_id: str, base_year: int, counts: Sequence[int]) -> CitationSeries:
+        """The series whose count t years after publication is counts[t].
+
+        A negative count is kept among the stored values, so construction
+        rejects it.
+        """
+        return cls(
+            paper_id=paper_id,
+            base_year=base_year,
+            t_m=len(counts) - 1,
+            offsets=tuple(compress(range(len(counts)), counts)),
+            values=tuple(filter(None, counts)),
+        )
 
     @property
-    def t_m(self) -> int:
-        return len(self.counts) - 1
+    def counts(self) -> tuple[int, ...]:
+        """Dense counts over the whole window, built on each access.
 
-    @cached_property
+        The input of the slow reference in curve; no command reads it.
+        """
+        dense = [0] * (self.t_m + 1)
+        for t, c in zip(self.offsets, self.values):
+            dense[t] = c
+        return tuple(dense)
+
+    @property
     def total(self) -> int:
-        return sum(self.counts)
+        return sum(self.values)
 
     def year_counts(self) -> list[tuple[int, int]]:
-        """(calendar year, count) pairs across the whole window."""
-        return [(self.base_year + t, c) for t, c in enumerate(self.counts)]
+        """(calendar year, count) pairs of the years with citations, ascending."""
+        base = self.base_year
+        return [(base + t, c) for t, c in zip(self.offsets, self.values)]
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,10 @@ TOP_LEVEL_FIELDS = (
 
 _SUBFIELDS = ("molecular biology", "immunology", "organic chemistry", "machine learning", "optics")
 
+# One record per field, shared by every paper in it.
+_TOP_LEVEL_RECORDS = tuple(FieldOfStudy(name, 0) for name in TOP_LEVEL_FIELDS)
+_SUBFIELD_RECORDS = tuple(FieldOfStudy(name, 1) for name in _SUBFIELDS)
+
 # Small concordance sample bundled with generated datasets; real analyses
 # should supply the full published table.
 SAMPLE_CONCORDANCE = (
@@ -222,9 +226,9 @@ def generate(spec: SynthSpec) -> SynthResult:
             pub_year = rng.randint(spec.pub_from, spec.pub_to)
             t_m = spec.window_end - pub_year
             counts = _scale_to_floor(_SHAPE_BUILDERS[shape](rng, t_m), spec.min_total_citations)
-            fields = [FieldOfStudy(name, 0) for name in rng.sample(TOP_LEVEL_FIELDS, rng.randint(1, 2))]
+            fields = rng.sample(_TOP_LEVEL_RECORDS, rng.randint(1, 2))
             if rng.random() < 0.3:
-                fields.append(FieldOfStudy(rng.choice(_SUBFIELDS), 1))
+                fields.append(rng.choice(_SUBFIELD_RECORDS))
             papers[pid] = PaperRecord(
                 paper_id=pid,
                 pub_year=pub_year,
@@ -233,7 +237,7 @@ def generate(spec: SynthSpec) -> SynthResult:
                 pmid=None,
                 fields_of_study=tuple(fields),
             )
-            series[pid] = CitationSeries(paper_id=pid, base_year=pub_year, counts=tuple(counts))
+            series[pid] = CitationSeries.from_counts(pid, pub_year, counts)
             shapes[pid] = shape
             order.append(pid)
             i += 1

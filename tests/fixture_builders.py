@@ -58,7 +58,7 @@ def delayed_series(pid: str, i: int) -> CitationSeries:
     t_m = WINDOW_END - pub_year
     start = t_m - 6 - (i % 15)
     counts = [0] * start + list(range(1, t_m - start + 2))
-    return CitationSeries(pid, pub_year, _scale(counts, 200))
+    return CitationSeries.from_counts(pid, pub_year, _scale(counts, 200))
 
 
 def instant_series(pid: str, i: int) -> CitationSeries:
@@ -67,7 +67,7 @@ def instant_series(pid: str, i: int) -> CitationSeries:
     t_m = WINDOW_END - pub_year
     peak = 2 + (i % 8)
     counts = [max(peak - t, 0) for t in range(t_m + 1)]
-    return CitationSeries(pid, pub_year, _scale(counts, 200))
+    return CitationSeries.from_counts(pid, pub_year, _scale(counts, 200))
 
 
 def _fields(i: int, biology_cut: int) -> tuple[FieldOfStudy, ...]:

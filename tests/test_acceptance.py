@@ -43,7 +43,7 @@ def report(num: int, label: str, ok: bool, extra: str = "") -> None:
 
 
 def make_series(counts, pid="p", base_year=1970) -> CitationSeries:
-    return CitationSeries(paper_id=pid, base_year=base_year, counts=tuple(counts))
+    return CitationSeries.from_counts(pid, base_year, counts)
 
 
 def seeded_series(seed: int, n: int) -> list[list[int]]:
@@ -217,7 +217,7 @@ def test_c07_cohort_sizing():
         for i in range(5)
     }
     series = {
-        pid: CitationSeries(pid, 2000, (0, i, 5 - i, 0, 10)) for i, pid in enumerate(papers)
+        pid: CitationSeries.from_counts(pid, 2000, (0, i, 5 - i, 0, 10)) for i, pid in enumerate(papers)
     }
     tiny = Dataset(
         papers=papers, series=series, patents={}, links=(), concordance=(),
@@ -342,7 +342,7 @@ def test_c10_interaction_weight_conservation():
                 FieldOfStudy(n, 0) for n in rng.sample(field_pool, rng.randint(0, 3))
             )
             papers[pid] = PaperRecord(paper_id=pid, pub_year=1980, fields_of_study=fields)
-            series[pid] = CitationSeries(pid, 1980, (1, 1, 1))
+            series[pid] = CitationSeries.from_counts(pid, 1980, (1, 1, 1))
             for j in range(rng.randint(0, 2)):
                 fid = f"f{i}_{j}"
                 families[fid] = PatentFamilyRecord(

@@ -13,6 +13,7 @@ import pytest
 
 from slumber import cli, curve, ingest, interact, patent
 from slumber.errors import ConfigError
+from slumber.model import CitationSeries
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -246,7 +247,7 @@ def test_synth_then_validate(tmp_path, capsys):
 def test_skipped_paper_is_logged_once(tmp_path, demo_dir, caplog):
     dataset = ingest.load_dataset(demo_dir, 2015)
     silent = dataset.series["p00001"]
-    dataset.series["p00001"] = replace(silent, counts=(0,) * len(silent.counts))
+    dataset.series["p00001"] = replace(silent, offsets=(), values=())
     ds_dir = tmp_path / "ds"
     ingest.write_dataset(dataset, ds_dir)
     out = tmp_path / "out"
@@ -325,7 +326,10 @@ def test_load_synth_spec_coerces_keys(tmp_path):
     assert type(spec.n_papers) is int and type(spec.link_density) is float
     assert cli.load_synth_spec(cfg, seed=7).seed == 7
     cfg.write_text("n_papers = 7.5\n")
-    with pytest.raises(ConfigError, match="config key 'n_papers' has non-numeric value '7.5'"):
+    with pytest.raises(ConfigError, match="config key 'n_papers' takes an integer, not '7.5'"):
+        cli.load_synth_spec(cfg, seed=None)
+    cfg.write_text("link_density = dense\n")
+    with pytest.raises(ConfigError, match="config key 'link_density' has non-numeric value 'dense'"):
         cli.load_synth_spec(cfg, seed=None)
 
 
@@ -361,6 +365,35 @@ def test_reports_are_byte_identical_across_runs(tmp_path, table1_dir, half_confi
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+ANALYSIS_COMMANDS = (
+    "validate",
+    "profile",
+    "cohort",
+    "patents",
+    "table1",
+    "lag-trend",
+    "interactions",
+    "aagr",
+    "flag-contexts",
+)
+
+
+def test_commands_do_not_read_dense_counts(tmp_path, demo_dir, capsys, monkeypatch):
+    """The dense view of a series is the slow reference's input only."""
+
+    def dense_counts(series):
+        raise AssertionError(f"dense counts of {series.paper_id} read")
+
+    monkeypatch.setattr(CitationSeries, "counts", property(dense_counts))
+    for command in ANALYSIS_COMMANDS:
+        code, _, err = run(
+            capsys, command, "--dataset", str(demo_dir), "--out", str(tmp_path / command)
+        )
+        assert code == 0, (command, err)
+    code, _, err = run(capsys, "synth", "--seed", "3", "--out", str(tmp_path / "synth"))
+    assert code == 0, err
 
 
 def test_commands_do_not_mutate_dataset(tmp_path, table1_dir, half_config, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from slumber.model import CitationSeries
 
 
 def series(counts, pid="p", base_year=1970) -> CitationSeries:
-    return CitationSeries(paper_id=pid, base_year=base_year, counts=tuple(counts))
+    return CitationSeries.from_counts(pid, base_year, counts)
 
 
 def oracle_bcp(counts) -> Fraction:
@@ -249,24 +250,96 @@ def test_profile_internal_consistency():
 
 @st.composite
 def single_nonzero_counts(draw) -> list[int]:
-    counts = [0] * draw(st.integers(min_value=2, max_value=90))
+    counts = [0] * draw(st.integers(min_value=2, max_value=130))
     counts[draw(st.integers(min_value=0, max_value=len(counts) - 1))] = draw(st.integers(1, 10**6))
     return counts
 
 
+@st.composite
+def sparse_window_counts(draw) -> list[int]:
+    """A window of up to 130 years with a few cited years among zero runs.
+
+    Leading and trailing zero runs are common, and so are runs across which
+    the deviation numerator changes sign.
+    """
+    counts = [0] * draw(st.integers(min_value=2, max_value=130))
+    for t in draw(st.lists(st.integers(0, len(counts) - 1), min_size=1, max_size=8)):
+        counts[t] = draw(st.sampled_from((1, 2, 3, 50, 10**6)))
+    return counts
+
+
+@st.composite
+def mirrored_counts(draw) -> list[int]:
+    """Equal counts at offsets t and t_m - t, with 1 <= t and a zero run of at
+    least two years between them, whose two ends are equally far from the
+    reference line (see test_mirrored_counts_tie_at_both_run_ends)."""
+    t_m = draw(st.integers(min_value=5, max_value=129))
+    t = draw(st.integers(min_value=1, max_value=(t_m - 3) // 2))
+    counts = [0] * (t_m + 1)
+    counts[t] = counts[t_m - t] = draw(st.integers(1, 50))
+    return counts
+
+
 profile_counts = st.one_of(
-    st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=90),
+    st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=130),
     # Few distinct values: long zero runs and tied turning distances.
-    st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=2, max_size=90),
+    st.lists(st.sampled_from((0, 0, 0, 1, 2)), min_size=2, max_size=130),
     single_nonzero_counts(),
+    sparse_window_counts(),
+    mirrored_counts(),
 ).filter(lambda c: sum(c) > 0)
 
 
-@given(profile_counts, st.integers(min_value=1800, max_value=2015))
-def test_profile_matches_reference_composition(counts, base_year):
+def assert_profile_matches_reference(counts, base_year=1970):
     s = series(counts, base_year=base_year)
     c = curve.cumulative_fraction(s)
     turning_t, kind = curve.turning_point(c)
     prof = curve.profile(s)
     assert prof.bcp == curve.bcp(c)
     assert (prof.turning_t, prof.turning_year, prof.turning_type) == (turning_t, base_year + turning_t, kind)
+
+
+@given(profile_counts, st.integers(min_value=1800, max_value=2015))
+def test_profile_matches_reference_composition(counts, base_year):
+    assert_profile_matches_reference(counts, base_year)
+
+
+@given(mirrored_counts())
+def test_mirrored_counts_tie_at_both_run_ends(counts):
+    t_m = len(counts) - 1
+    t = counts.index(max(counts))
+    nums = curve._deviation_numerators(curve.cumulative_fraction(series(counts)))
+    first, last = nums[t + 1], nums[t_m - t - 1]
+    assert first == -last != 0
+    assert_profile_matches_reference(counts)
+
+
+def zero_run_ends(counts) -> list[tuple[int, int]]:
+    """Deviation numerators at the first and last year of each run of two or
+    more zero years after year 0."""
+    nums = curve._deviation_numerators(curve.cumulative_fraction(series(counts)))
+    ends, start = [], None
+    for t in range(1, len(counts) + 1):
+        if t < len(counts) and counts[t] == 0:
+            start = t if start is None else start
+        else:
+            if start is not None and t - 1 > start:
+                ends.append((nums[start], nums[t - 1]))
+            start = None
+    return ends
+
+
+def test_profile_matches_reference_on_every_small_series():
+    # Every series of 2 to 8 years over the counts 0, 1 and 2.
+    seen = {"leading run": 0, "trailing run": 0, "sign change": 0, "tied ends": 0}
+    for n in range(2, 9):
+        for counts in itertools.product((0, 1, 2), repeat=n):
+            if not any(counts):
+                continue
+            assert_profile_matches_reference(counts)
+            seen["leading run"] += counts[:3] == (0, 0, 0)
+            seen["trailing run"] += counts[-2:] == (0, 0)
+            for first, last in zero_run_ends(counts):
+                seen["sign change"] += first * last < 0
+                seen["tied ends"] += first == -last != 0
+    assert min(seen.values()) > 0, seen

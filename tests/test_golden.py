@@ -3,8 +3,13 @@
 Each command runs on both bundled datasets, with the default config and with
 `fraction=0.5`, and every file it writes is compared against a recorded
 digest, together with its exit code (and, for `validate`, which writes no
-file, its stdout). After an intended change of output, print the new table
-with `PYTHONPATH=src python tests/test_golden.py` and review the diff.
+file, its stdout). The bundled windows are short, so each command also runs
+on a long, sparse dataset that `synth` writes from a fixed seed: the mix of
+the benchmark's sparse-52k workload at 400 papers, published 1900-1960 and
+observed to 2015, whose yearly citations are mostly zero. That case pins the
+files `synth` writes as well. After an intended change of output, print the
+new tables with `PYTHONPATH=src python tests/test_golden.py` and review the
+diff.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -32,18 +38,32 @@ COMMANDS = (
 )
 CONFIGS = {"default": "", "half": "fraction=0.5\n"}
 
+# One file for both synth and the analysis commands: each reads the keys it knows.
+SPARSE_CONFIG = """\
+n_papers=400
+share_delayed=0.1
+share_instant=0.9
+share_linear=0.0
+share_noise=0.0
+pub_from=1900
+pub_to=1960
+link_density=0.2
+fraction=0.05
+"""
+SPARSE_SEED = 11
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def outputs(dataset: str, config: str, command: str, work: Path) -> tuple[int, dict[str, str]]:
+def run_command(command: str, args: list[str], config: str, work: Path) -> tuple[int, dict[str, str]]:
     """Exit code and {file name: sha256} of one command run in a fresh directory."""
     work.mkdir(parents=True)
     cfg = work / "run.cfg"
-    cfg.write_text(CONFIGS[config])
+    cfg.write_text(config)
     out = work / "out"
-    argv = [command, "--dataset", str(DATA / dataset), "--out", str(out), "--config", str(cfg)]
+    argv = [command, *args, "--out", str(out), "--config", str(cfg)]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
@@ -51,6 +71,19 @@ def outputs(dataset: str, config: str, command: str, work: Path) -> tuple[int, d
     if command == "validate":
         digests["<stdout>"] = _sha(stdout.getvalue().encode())
     return code, digests
+
+
+def outputs(dataset: str, config: str, command: str, work: Path) -> tuple[int, dict[str, str]]:
+    return run_command(command, ["--dataset", str(DATA / dataset)], CONFIGS[config], work)
+
+
+def write_sparse_dataset(work: Path) -> tuple[int, dict[str, str]]:
+    """Run synth for the sparse case; the dataset is left in work / "out"."""
+    return run_command("synth", ["--seed", str(SPARSE_SEED)], SPARSE_CONFIG, work)
+
+
+def sparse_outputs(dataset_dir: Path, command: str, work: Path) -> tuple[int, dict[str, str]]:
+    return run_command(command, ["--dataset", str(dataset_dir)], SPARSE_CONFIG, work)
 
 
 CASES = [(d, c, cmd) for d in ("demo", "table1_fixture") for c in CONFIGS for cmd in COMMANDS]
@@ -300,24 +333,126 @@ GOLDEN: dict[tuple[str, str, str], tuple[int, dict[str, str]]] = {
 }
 
 
+# Recorded before citation series were stored sparse.
+SPARSE_GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
+    "synth": (
+        0,
+        {
+            "citations.csv": "7f315aac97b96f6eac68cfcf79d7fc5c58efe96742bbed26c7c20ae5d15ae918",
+            "concordance.tsv": "b2ac4a866b9e8a2e10a7cf902359a480d03436246e38aa3483dde234250fe984",
+            "contexts.jsonl": "b77384a0fcaad6ddfc7e6fe7b95a6de7ac8512502ec7247406bdf72103c67cfa",
+            "links.csv": "4607cc7e0b44b8342d0758a97afa31189e653728eb6696b98592c960b7ff5e5c",
+            "papers.csv": "dd0d42cded05936a5ab85f57765dcd8fd4550e0c89981ba455f706732d1ba3c2",
+            "patents.csv": "45fcee9fd5c8446d26727366c34804a1514c339f0a5de5db3f858da607baece0",
+        },
+    ),
+    "profile": (
+        0,
+        {
+            "profiles.csv": "8618213e68fa06db7d26f183f5197c4466502ca7d5c0f836ccf4d70b2aa56e47",
+        },
+    ),
+    "cohort": (
+        0,
+        {
+            "cohort.csv": "5c4f8fac81c5efb2f7ec32ae4caa9e15a337a6bfc473b8a7d1fda15356e71f81",
+        },
+    ),
+    "patents": (
+        0,
+        {
+            "patent_indicators.csv": "1bcd11a0609260dbf1a97d469830728e2cdbb57ab28e823b6bc92754291f7738",
+        },
+    ),
+    "table1": (
+        0,
+        {
+            "comparison.csv": "31b11c26627546efc68300029588048d2530332cc07a274cc3ddd747c99d8917",
+        },
+    ),
+    "lag-trend": (
+        0,
+        {
+            "lag_summary.csv": "c9c80b0df75330076b4da7632059e4276f83b8672fc9b2862ed8613bc7759e6f",
+            "lag_trend.csv": "15f8e1fa7becde0d2758ddf63612e4bc09b72c4e4bcc3add68bbb81b50040fbe",
+        },
+    ),
+    "interactions": (
+        0,
+        {
+            "field_distribution_dr.csv": "36f2e1bca8c7fe2dd101c4ec4ae46cdb4f44b81134abe03ae51fbad0d847183a",
+            "field_distribution_ir.csv": "f271fdf097a005410794898efbdd8bd06858215ce1f8047dfe6e35446d0b92fd",
+            "interaction_marginals_dr.csv": "91bfe674fe5e23ba8dfd6d2813586addb21b65d0302eb16b4c22aef04f62b82d",
+            "interaction_marginals_ir.csv": "b4b4de66b7b0319b29c73672d7b301539c7370172f2f0069d90bc58db9a647a4",
+            "interactions_dr.csv": "34a99cdcd5a6ed400c93a0aee09d8825645829e09104044bad6611cef9b1d1af",
+            "interactions_ir.csv": "32e43c954b85f3fa01d4ccbb0139c29ab11fb9f897097d39a4e3a3b1a1e8e2b9",
+        },
+    ),
+    "aagr": (
+        0,
+        {
+            "aagr.csv": "df8e8ad6f8e3bc1fdae6122adb47270c1cec633e70fe9513264f0b606a9079b4",
+        },
+    ),
+    "flag-contexts": (
+        0,
+        {
+            "flagged_contexts.jsonl": "938959118dad4dcc9df868a562ad33123b939232bee98e4dfa9e4e4f9ad02ae0",
+        },
+    ),
+    "validate": (
+        0,
+        {
+            "<stdout>": "14010cd5eacf87dd3f8533757328cbe369f0d803991ab127a7fe95dd400ce94b",
+        },
+    ),
+}
+
 @pytest.mark.parametrize("dataset,config,command", CASES)
 def test_command_outputs_match_recorded_digests(dataset, config, command, tmp_path):
     assert outputs(dataset, config, command, tmp_path / "run") == GOLDEN[(dataset, config, command)]
 
 
+@pytest.fixture(scope="module")
+def sparse_dataset(tmp_path_factory) -> Path:
+    work = tmp_path_factory.mktemp("sparse") / "synth"
+    write_sparse_dataset(work)
+    return work / "out"
+
+
+def test_sparse_synth_matches_recorded_digests(tmp_path):
+    assert write_sparse_dataset(tmp_path / "run") == SPARSE_GOLDEN["synth"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_sparse_command_outputs_match_recorded_digests(command, sparse_dataset, tmp_path):
+    assert sparse_outputs(sparse_dataset, command, tmp_path / "run") == SPARSE_GOLDEN[command]
+
+
+def _print_entry(key: str, code: int, digests: dict[str, str]) -> None:
+    print(f"    {key}: (")
+    print(f"        {code},")
+    print("        {")
+    for name, digest in digests.items():
+        print(f"            {json.dumps(name)}: {json.dumps(digest)},")
+    print("        },")
+    print("    ),")
+
+
 if __name__ == "__main__":
-    import json
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         print("GOLDEN: dict[tuple[str, str, str], tuple[int, dict[str, str]]] = {")
         for i, case in enumerate(CASES):
             code, digests = outputs(*case, Path(tmp) / str(i))
-            print(f"    ({', '.join(map(json.dumps, case))}): (")
-            print(f"        {code},")
-            print("        {")
-            for name, digest in digests.items():
-                print(f"            {json.dumps(name)}: {json.dumps(digest)},")
-            print("        },")
-            print("    ),")
+            _print_entry(f"({', '.join(map(json.dumps, case))})", code, digests)
+        print("}")
+        print()
+        print("SPARSE_GOLDEN: dict[str, tuple[int, dict[str, str]]] = {")
+        sparse = Path(tmp) / "sparse"
+        _print_entry('"synth"', *write_sparse_dataset(sparse))
+        for command in COMMANDS:
+            code, digests = sparse_outputs(sparse / "out", command, Path(tmp) / f"sparse-{command}")
+            _print_entry(json.dumps(command), code, digests)
         print("}")

@@ -38,7 +38,7 @@ def tiny_dataset(**over) -> Dataset:
     )
     base = dict(
         papers={"p1": paper},
-        series={"p1": CitationSeries("p1", 2000, (1, 2, 3))},
+        series={"p1": CitationSeries.from_counts("p1", 2000, (1, 2, 3))},
         patents={"f1": PatentFamilyRecord("f1", 2005, (2005,), 3, ("A61B5/00",))},
         links=(PatentCitationLink("p1", "f1"),),
         concordance=(ConcordanceEntry("A61B", 13, "Medical technology", "Instruments"),),
@@ -82,6 +82,33 @@ def test_field_level_out_of_range(tmp_path):
     )
     with pytest.raises(MalformedRowError):
         ingest.parse_papers(path)
+
+
+def test_papers_share_equal_fields_of_study_cells(tmp_path):
+    path = tmp_path / "papers.csv"
+    path.write_text(
+        "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
+        "p1,2000,,,,biology@0;genomics@2\n"
+        "p2,2001,,,,physics@0\n"
+        "p3,2002,,,,biology@0;genomics@2\n"
+    )
+    papers = ingest.parse_papers(path)
+    assert papers["p1"].fields_of_study == (FieldOfStudy("biology", 0), FieldOfStudy("genomics", 2))
+    assert papers["p3"].fields_of_study is papers["p1"].fields_of_study
+    assert papers["p2"].fields_of_study == (FieldOfStudy("physics", 0),)
+
+
+def test_bad_fields_of_study_cell_names_its_line(tmp_path):
+    path = tmp_path / "papers.csv"
+    path.write_text(
+        "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
+        "p1,2000,,,,biology@0\n"
+        "p2,2001,,,,biology@0\n"
+        "p3,2002,,,,biology@9\n"
+    )
+    with pytest.raises(MalformedRowError, match="line 4: field of study level 9") as exc:
+        ingest.parse_papers(path)
+    assert exc.value.line_no == 4
 
 
 def test_missing_column(tmp_path):
@@ -132,7 +159,7 @@ def test_duplicate_paper_id(tmp_path):
 
 
 def test_citations_written_sparse(tmp_path):
-    series = [CitationSeries("p1", 2000, (0, 3, 0, 2))]
+    series = [CitationSeries.from_counts("p1", 2000, (0, 3, 0, 2))]
     path = tmp_path / "citations.csv"
     ingest.write_citations(series, path)
     lines = path.read_text().splitlines()
@@ -160,20 +187,19 @@ def citation_files(draw):
     """
     window_end = draw(st.integers(min_value=1990, max_value=2015))
     pub_years = draw(st.lists(st.integers(min_value=1980, max_value=window_end + 3), max_size=6))
-    papers, series = {}, {}
+    papers, series, rows = {}, {}, []
     for i, pub_year in enumerate(pub_years):
         pid = f"p{i}"
         papers[pid] = PaperRecord(paper_id=pid, pub_year=pub_year)
         if pub_year <= window_end:
             n = window_end - pub_year + 1
             counts = draw(st.lists(st.sampled_from((0, 0, 1, 7, 250)), min_size=n, max_size=n))
-            series[pid] = CitationSeries(pid, pub_year, tuple(counts))
-    rows = [
-        (s.paper_id, year, count)
-        for s in series.values()
-        for year, count in s.year_counts()
-        if count or draw(st.booleans())
-    ]
+            series[pid] = CitationSeries.from_counts(pid, pub_year, counts)
+            rows += [
+                (pid, pub_year + t, count)
+                for t, count in enumerate(counts)
+                if count or draw(st.booleans())
+            ]
     rows = draw(st.permutations(rows))
     columns = draw(st.permutations(("paper_id", "year", "count")))
     order = [("paper_id", "year", "count").index(c) for c in columns]
@@ -199,6 +225,14 @@ def test_read_citations_zero_fills_to_window_end(tmp_path):
     assert len(series["p1"].counts) == 46
     assert series["p1"].counts[:3] == (0, 3, 0)
     assert sum(series["p1"].counts) == 3
+
+
+def test_read_citations_keeps_only_cited_years(tmp_path):
+    # A 200-year window with two cited years keeps two entries.
+    papers = {"p1": PaperRecord(paper_id="p1", pub_year=1815)}
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,2010,5\np1,1820,2\n")
+    s = ingest.read_citations(path, papers, 2014)["p1"]
+    assert (s.t_m, s.offsets, s.values) == (199, (5, 195), (2, 5))
 
 
 def test_read_citations_rejects_out_of_window_rows(tmp_path):
@@ -423,7 +457,7 @@ def test_validator_series_warnings():
     late = PaperRecord(paper_id="p2", pub_year=2010)
     ds = tiny_dataset(
         papers={"p1": quiet, "p2": late},
-        series={"p1": CitationSeries("p1", 2000, (0, 0, 0))},
+        series={"p1": CitationSeries.from_counts("p1", 2000, (0, 0, 0))},
         links=(),
     )
     messages = {w.entity_id: w.message for w in ingest.validate_dataset(ds).warnings()}

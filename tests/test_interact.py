@@ -45,7 +45,7 @@ def build_ds(paper_fields, families, links) -> Dataset:
     }
     return Dataset(
         papers=papers,
-        series={pid: CitationSeries(pid, 1980, (1, 1, 1)) for pid in papers},
+        series={pid: CitationSeries.from_counts(pid, 1980, (1, 1, 1)) for pid in papers},
         patents={f.family_id: f for f in families},
         links=tuple(links),
         concordance=SAMPLE_CONCORDANCE,

@@ -20,7 +20,7 @@ def link_ds(papers, patents, links) -> Dataset:
     return Dataset(
         papers={p.paper_id: p for p in papers},
         series={
-            p.paper_id: CitationSeries(p.paper_id, p.pub_year, (1, 1, 1)) for p in papers
+            p.paper_id: CitationSeries.from_counts(p.paper_id, p.pub_year, (1, 1, 1)) for p in papers
         },
         patents={f.family_id: f for f in patents},
         links=tuple(links),
