@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import curve
@@ -33,19 +35,48 @@ class CohortAssignment:
 
 @dataclass(frozen=True)
 class CohortResult:
-    assignments: tuple[CohortAssignment, ...]  # rank order
-    fraction: float
-    _cohort_by_id: dict[str, str] = field(init=False, repr=False, compare=False)
+    """The eligible papers' profiles in rank order, cut into the cohorts.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_cohort_by_id", {a.paper_id: a.cohort for a in self.assignments})
+    ranked[:dr_cut] is DR, ranked[ir_cut:] is IR and the papers between
+    them are NONE. Only the commands that report every eligible paper read
+    a record per paper, so `assignments` is built on first access.
+    """
+
+    ranked: tuple[CurveProfile, ...]
+    dr_cut: int
+    ir_cut: int
+    fraction: float
 
     @property
     def eligible_count(self) -> int:
-        return len(self.assignments)
+        return len(self.ranked)
 
     def members(self, cohort: str) -> tuple[str, ...]:
-        return tuple(a.paper_id for a in self.assignments if a.cohort == cohort)
+        """The cohort's paper ids, in rank order."""
+        start, stop = {
+            DR: (0, self.dr_cut),
+            NONE: (self.dr_cut, self.ir_cut),
+            IR: (self.ir_cut, len(self.ranked)),
+        }.get(cohort, (0, 0))
+        return tuple(p.paper_id for p in self.ranked[start:stop])
+
+    @cached_property
+    def assignments(self) -> tuple[CohortAssignment, ...]:
+        """One record per eligible paper, in rank order."""
+        dr_cut, ir_cut = self.dr_cut, self.ir_cut
+        return tuple(
+            CohortAssignment(
+                paper_id=p.paper_id,
+                rank=i + 1,
+                bcp=p.bcp,
+                cohort=DR if i < dr_cut else IR if i >= ir_cut else NONE,
+            )
+            for i, p in enumerate(self.ranked)
+        )
+
+    @cached_property
+    def _cohort_by_id(self) -> dict[str, str]:
+        return {a.paper_id: a.cohort for a in self.assignments}
 
     def cohort_of(self, paper_id: str) -> str:
         return self._cohort_by_id[paper_id]
@@ -76,9 +107,14 @@ def eligible_ids(
 
 
 def rank_profiles(profiles: Mapping[str, CurveProfile], paper_ids: Sequence[str]) -> list[CurveProfile]:
-    """The given papers' profiles, sorted by descending index."""
+    """The given papers' profiles, sorted by descending index.
+
+    `paper_ids` must be ascending. The sort is stable under `reverse`, so
+    papers tied on the index keep that order: the ranking is by
+    (-bcp, paper_id) without building a key tuple per paper.
+    """
     ranked = [profiles[pid] for pid in paper_ids]
-    ranked.sort(key=lambda p: (-p.bcp, p.paper_id))
+    ranked.sort(key=attrgetter("bcp"), reverse=True)
     return ranked
 
 
@@ -110,20 +146,9 @@ def select_cohorts(
     ranked = rank_profiles(profiles, ids)
     n = len(ranked)
     size = math.ceil(fraction * n)
-    dr_cut = size
-    ir_cut = max(n - size, dr_cut)
-    assignments = []
-    for i, prof in enumerate(ranked):
-        if i < dr_cut:
-            cohort = DR
-        elif i >= ir_cut:
-            cohort = IR
-        else:
-            cohort = NONE
-        assignments.append(
-            CohortAssignment(paper_id=prof.paper_id, rank=i + 1, bcp=prof.bcp, cohort=cohort)
-        )
-    return CohortResult(assignments=tuple(assignments), fraction=fraction)
+    return CohortResult(
+        ranked=tuple(ranked), dr_cut=size, ir_cut=max(n - size, size), fraction=fraction
+    )
 
 
 def citation_percentiles(totals: Mapping[str, int]) -> dict[str, float]:

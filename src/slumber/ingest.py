@@ -6,7 +6,8 @@ concordance.tsv (tab-separated) and, optionally, contexts.jsonl (one object
 per line with the fields of CitationContextRecord). The *_COLUMNS constants
 below name each table's columns; the file format itself belongs to the
 tables module. A CitationSeries stays sparse in memory too: read_citations
-keeps only the cited years, and write_citations writes just those.
+builds each one straight from its paper's rows, with no list over the
+window's years, and write_citations writes just the cited years.
 
 Multi-valued cells (fields_of_study as name@level pairs, filing_years,
 ipc_codes) pack with ';'. Writers emit sorted rows, so rewriting an
@@ -124,20 +125,29 @@ def read_citations(
 ) -> dict[str, CitationSeries]:
     """Per-paper series over [pub_year, window_end]; missing years are 0.
 
-    One pass over the sparse rows, each count written straight into its
-    paper's preallocated dense working list; each list is then cut down
-    once to its non-zero years, which is all a CitationSeries keeps. Papers
-    published after window_end have no observation window and get no series
-    (the validator flags them). A row for an unknown paper, outside its
-    paper's window, or repeating a (paper, year) pair, even with count 0, is
-    an error.
+    One pass over the sparse rows appends each row's year offset and count
+    to its paper's two lists, so memory follows the rows, not the window
+    years. A paper whose rows arrive out of year order or include a count
+    of 0 is marked irregular; files written by write_citations are sorted
+    and hold no zero rows, so none of their papers is. After the pass only
+    the irregular papers are sorted and cleared of their zero rows. Each
+    series is then built once, trusting the checks made here.
+
+    Papers published after window_end have no observation window and get
+    no series (the validator flags them); a paper with no rows gets the
+    empty series. A row for an unknown paper, outside its paper's window,
+    or repeating a (paper, year) pair, even with count 0, is an error. A
+    row that repeats its paper's previous year is reported at once; any
+    other repeat is found as two equal neighbours after the sort, so it is
+    reported after the pass.
     """
-    # Per paper: base year, counts, and which offsets a row has set.
-    slots: dict[str, tuple[int, list[int], bytearray]] = {}
-    for pid, paper in papers.items():
-        n = window_end - paper.pub_year + 1
-        if n > 0:
-            slots[pid] = (paper.pub_year, [0] * n, bytearray(n))
+    # Per paper: base year, then each row's year offset and count, in file order.
+    slots: dict[str, tuple[int, list[int], list[int]]] = {
+        pid: (paper.pub_year, [], [])
+        for pid, paper in papers.items()
+        if paper.pub_year <= window_end
+    }
+    irregular: set[str] = set()
     for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
         year = _int_cell(year, "year", line_no)
         count = _int_cell(count, "count", line_no)
@@ -148,17 +158,30 @@ def read_citations(
             if pid not in papers:
                 raise DataError(f"citation row references unknown paper {pid!r}")
             raise RowOutOfWindowError(year, pid)
-        base, counts, seen = slot
+        base, offsets, values = slot
         t = year - base
         if t < 0 or year > window_end:
             raise RowOutOfWindowError(year, pid)
-        if seen[t]:
-            raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
-        seen[t] = 1
-        counts[t] = count
+        if offsets and t <= offsets[-1]:
+            if t == offsets[-1]:
+                raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
+            irregular.add(pid)
+        elif not count:
+            irregular.add(pid)
+        offsets.append(t)
+        values.append(count)
+    for pid in sorted(irregular):
+        base, offsets, values = slots[pid]
+        rows = sorted(zip(offsets, values))
+        for (t, _), (next_t, _) in zip(rows, rows[1:]):
+            if t == next_t:
+                raise DataError(f"duplicate citation row for paper {pid!r}, year {base + t}")
+        offsets[:] = [t for t, count in rows if count]
+        values[:] = [count for _, count in rows if count]
+    trusted = CitationSeries._trusted
     return {
-        pid: CitationSeries.from_counts(pid, base, counts)
-        for pid, (base, counts, _) in slots.items()
+        pid: trusted(pid, base, window_end - base, tuple(offsets), tuple(values))
+        for pid, (base, offsets, values) in slots.items()
     }
 
 
@@ -219,12 +242,16 @@ def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
         for key in keys:
             if key not in obj:
                 raise MalformedRowError(line_no, f"missing key {key!r}")
+        year = obj["year"]
+        # A JSON integer only: int() would take 1.7 and true as 1, and fail on 1e400.
+        if type(year) is not int:
+            raise MalformedRowError(line_no, f"year {year!r} is not a JSON integer")
         try:
             records.append(
                 CitationContextRecord(
                     citing_id=str(obj["citing_id"]),
                     cited_paper_id=str(obj["cited_paper_id"]),
-                    year=int(obj["year"]),
+                    year=year,
                     sentence=str(obj["sentence"]),
                 )
             )

@@ -275,6 +275,25 @@ def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "name, corrupt, where",
+    [
+        ("papers.csv", lambda b: b.replace(b"Synthetic", b"Synth\xfftic", 1), "line 2: not valid UTF-8"),
+        ("citations.csv", lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n", "unreadable row"),
+        ("contexts.jsonl", lambda b: b.replace(b"measurements", b"m\xe9asurements", 1), "line 1: not valid UTF-8"),
+        ("contexts.jsonl", lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1), "line 1: year inf"),
+    ],
+)
+def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name, corrupt, where):
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    path = ds_copy / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    code, _, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert code == 1
+    assert err.startswith("error: ") and where in err
+
+
 def test_missing_dataset_dir_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     code, _, err = run(

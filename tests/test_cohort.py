@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+import reference
 from slumber import cohort, curve
 from slumber.errors import EmptyEligibleSetError, InvalidCountsError
-from slumber.model import CitationSeries, Dataset, PaperRecord
+from slumber.model import CitationSeries, CurveProfile, Dataset, PaperRecord
 
 
 def make_ds(entries: dict[str, tuple[int, tuple[int, ...]]], window_end: int = 2004) -> Dataset:
@@ -86,6 +87,30 @@ def test_ranks_are_descending_and_ties_break_by_id():
     # identical curves: scale invariance makes "a" and "z" tie exactly
     assert result.assignments[0].paper_id == "a"
     assert result.assignments[1].paper_id == "z"
+
+
+def test_ranking_matches_the_id_tiebreak_key():
+    """Many ties, 0.0 and -0.0 among them, ids in shuffled order, pools from 1 paper up."""
+    rng = random.Random(7)
+    for n in range(1, 41):
+        ids = [f"p{i}" for i in range(n)]
+        rng.shuffle(ids)
+        ds = make_ds({pid: (2000, late_counts(5)) for pid in ids})
+        bcps = [rng.choice((0.25, 0.0, -0.0, -0.5)) for _ in ids]
+        profiles = {
+            pid: CurveProfile(paper_id=pid, bcp=b, turning_t=4, turning_year=2004, turning_type="flat")
+            for pid, b in zip(ids, bcps)
+        }
+        for fraction in (0.05, 1 / 3, 0.5):
+            result = cohort.select_cohorts(ds, 1990, 2004, 1, fraction=fraction, profiles=profiles)
+            expected = reference.cohort_assignments(profiles, ids, fraction)
+            assert list(result.assignments) == expected
+            for label in (cohort.DR, cohort.IR, cohort.NONE):
+                assert result.members(label) == tuple(a.paper_id for a in expected if a.cohort == label)
+            assert all(result.cohort_of(a.paper_id) == a.cohort for a in expected)
+        if n == 1:
+            # The cuts meet: the one paper is DR and IR is empty.
+            assert result.members(cohort.IR) == ()
 
 
 def test_fraction_bounds():

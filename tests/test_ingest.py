@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import shutil
 from datetime import date
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import reference
 from slumber import ingest
 from slumber.errors import (
     DataError,
@@ -28,6 +30,7 @@ from slumber.model import (
     PatentCitationLink,
     PatentFamilyRecord,
 )
+from slumber.tables import read_rows
 
 
 def tiny_dataset(**over) -> Dataset:
@@ -179,11 +182,14 @@ def write_citation_text(tmp_path, text: str):
 
 
 @st.composite
-def citation_files(draw):
+def citation_files(draw, duplicate: bool = False):
     """Random series, plus the text of a citations.csv that holds them.
 
-    The file's rows come in random order, under a random column order, with
-    some zero-count years written out explicitly.
+    The file's rows come in random order or sorted, under a random column
+    order, with some zero-count years written out explicitly. With
+    `duplicate`, one row's (paper, year) is written again, with count 0 or
+    its own count; the file is then malformed and `series` does not describe
+    it. A sorted file holds the repeat out of order, at its end.
     """
     window_end = draw(st.integers(min_value=1990, max_value=2015))
     pub_years = draw(st.lists(st.integers(min_value=1980, max_value=window_end + 3), max_size=6))
@@ -200,7 +206,11 @@ def citation_files(draw):
                 for t, count in enumerate(counts)
                 if count or draw(st.booleans())
             ]
-    rows = draw(st.permutations(rows))
+    if duplicate and rows:
+        pid, year, count = draw(st.sampled_from(rows))
+        rows.append((pid, year, draw(st.sampled_from((0, count)))))
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
     columns = draw(st.permutations(("paper_id", "year", "count")))
     order = [("paper_id", "year", "count").index(c) for c in columns]
     lines = [",".join(columns)] + [",".join(str(row[i]) for i in order) for row in rows]
@@ -215,6 +225,35 @@ def test_read_citations_round_trip(tmp_path, case):
     ingest.write_citations(series.values(), written)
     assert ingest.read_citations(written, papers, window_end) == series
     assert ingest.read_citations(write_citation_text(tmp_path, text), papers, window_end) == series
+
+
+def read_or_error(read, path, papers, window_end):
+    try:
+        return read(path, papers, window_end)
+    except DataError:
+        return DataError
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(citation_files(), citation_files(duplicate=True)))
+@example(
+    (
+        {"p0": PaperRecord(paper_id="p0", pub_year=2000)},
+        {},
+        2005,
+        "paper_id,year,count\np0,2001,0\np0,2003,4\np0,2002,1\np0,2001,0\n",
+    )
+)
+def test_read_citations_matches_dense_reference(tmp_path, case):
+    """The sparse reader gives the dense reference's series, or fails with it."""
+    papers, _, window_end, text = case
+    path = write_citation_text(tmp_path, text)
+    got = read_or_error(ingest.read_citations, path, papers, window_end)
+    assert got == read_or_error(reference.read_citations_dense, path, papers, window_end)
+    if got is not DataError:
+        # The reader skips __post_init__; what it builds must still pass it.
+        for s in got.values():
+            assert CitationSeries(**dataclasses.asdict(s)) == s
 
 
 def test_read_citations_zero_fills_to_window_end(tmp_path):
@@ -401,6 +440,34 @@ def test_contexts_malformed_lines(tmp_path):
     path.write_text('["a", "list"]\n')
     with pytest.raises(MalformedRowError):
         ingest.parse_contexts(path)
+
+
+@pytest.mark.parametrize("year", ["1.7", "true", '"2003"', "1e400", "null"])
+def test_contexts_year_must_be_a_json_integer(tmp_path, year):
+    path = tmp_path / "contexts.jsonl"
+    good = '{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003, "sentence": "s"}\n'
+    path.write_text(good + good.replace("2003", year))
+    with pytest.raises(MalformedRowError, match="line 2: year .* is not a JSON integer"):
+        ingest.parse_contexts(path)
+
+
+def test_undecodable_bytes_name_their_line(tmp_path):
+    # The bad byte sits far past the first block the text layer decodes.
+    rows = "".join(f"p1,{1990 + i % 26},1\n" for i in range(3000))
+    path = tmp_path / "citations.csv"
+    path.write_bytes(b"paper_id,year,count\n" + rows.encode() + b"p1,1999,\xff\n")
+    with pytest.raises(MalformedRowError, match="line 3002: not valid UTF-8"):
+        list(read_rows(path, ingest.CITATION_COLUMNS))
+    path = tmp_path / "contexts.jsonl"
+    path.write_bytes(b'{"year": 1}\n{"sentence": "caf\xe9"}\n')
+    with pytest.raises(MalformedRowError, match="line 2: not valid UTF-8"):
+        ingest.parse_contexts(path)
+
+
+def test_oversized_cell_names_its_line(tmp_path):
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999,2\np1,2000," + "1" * 200_000 + "\n")
+    with pytest.raises(MalformedRowError, match="line 3: unreadable row: field larger than field limit"):
+        ingest.read_citations(path, PAPERS_1990, 2015)
 
 
 def test_dataset_write_load_round_trip(tmp_path, table1):
