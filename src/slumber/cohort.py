@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import curve
 from .errors import EmptyEligibleSetError, InvalidCountsError
@@ -106,18 +106,6 @@ def eligible_ids(
     return out
 
 
-def rank_profiles(profiles: Mapping[str, CurveProfile], paper_ids: Sequence[str]) -> list[CurveProfile]:
-    """The given papers' profiles, sorted by descending index.
-
-    `paper_ids` must be ascending. The sort is stable under `reverse`, so
-    papers tied on the index keep that order: the ranking is by
-    (-bcp, paper_id) without building a key tuple per paper.
-    """
-    ranked = [profiles[pid] for pid in paper_ids]
-    ranked.sort(key=attrgetter("bcp"), reverse=True)
-    return ranked
-
-
 def select_cohorts(
     dataset: Dataset,
     pub_from: int,
@@ -143,7 +131,10 @@ def select_cohorts(
         raise EmptyEligibleSetError()
     if profiles is None:
         profiles = {pid: curve.profile(dataset.series[pid]) for pid in ids}
-    ranked = rank_profiles(profiles, ids)
+    # ids ascend and the sort is stable under reverse, so papers tied on bcp
+    # keep id order: the ranking is by (-bcp, paper_id) with no key tuples.
+    ranked = [profiles[pid] for pid in ids]
+    ranked.sort(key=attrgetter("bcp"), reverse=True)
     n = len(ranked)
     size = math.ceil(fraction * n)
     return CohortResult(

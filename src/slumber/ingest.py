@@ -131,7 +131,7 @@ def read_citations(
     of 0 is marked irregular; files written by write_citations are sorted
     and hold no zero rows, so none of their papers is. After the pass only
     the irregular papers are sorted and cleared of their zero rows. Each
-    series is then built once, trusting the checks made here.
+    series is then built once from its two lists.
 
     Papers published after window_end have no observation window and get
     no series (the validator flags them); a paper with no rows gets the
@@ -178,9 +178,8 @@ def read_citations(
                 raise DataError(f"duplicate citation row for paper {pid!r}, year {base + t}")
         offsets[:] = [t for t, count in rows if count]
         values[:] = [count for _, count in rows if count]
-    trusted = CitationSeries._trusted
     return {
-        pid: trusted(pid, base, window_end - base, tuple(offsets), tuple(values))
+        pid: CitationSeries(pid, base, window_end - base, tuple(offsets), tuple(values))
         for pid, (base, offsets, values) in slots.items()
     }
 
@@ -255,7 +254,7 @@ def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
                     sentence=str(obj["sentence"]),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from None
     return tuple(records)
 

