@@ -6,11 +6,11 @@ cohorts from a pool, and links the dynamics to patent citations: lag and
 timing indicators, two-group comparisons, and field interaction matrices.
 """
 
-from .cohort import CohortAssignment, CohortResult, citation_percentiles, select_cohorts
-from .curve import bcp, cumulative_fraction, profile, reference_line, turning_point
+from .cohort import CohortAssignment, CohortResult, select_cohorts
+from .curve import profile
 from .errors import DataError, SlumberError
 from .ingest import flag_contexts, load_dataset, validate_dataset, write_dataset
-from .interact import field_distribution, interaction_matrix, map_ipc_to_wipo
+from .interact import field_distribution, interaction_matrix
 from .model import (
     CitationSeries,
     CurveProfile,
@@ -44,25 +44,19 @@ __all__ = [
     "SlumberError",
     "SynthSpec",
     "aagr",
-    "bcp",
-    "citation_percentiles",
     "compute_indicators",
-    "cumulative_fraction",
     "field_distribution",
     "flag_contexts",
     "generate",
     "interaction_matrix",
     "lag_trend_points",
     "load_dataset",
-    "map_ipc_to_wipo",
     "moving_window_mean",
     "profile",
     "proportion_ci",
     "rate_ratio",
-    "reference_line",
     "select_cohorts",
     "summary_stats",
-    "turning_point",
     "two_proportion_test",
     "validate_dataset",
     "write_dataset",

@@ -10,7 +10,6 @@ bottom ceil(fraction * N) the instant-recognition cohort (IR).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -45,7 +44,6 @@ class CohortResult:
     ranked: tuple[CurveProfile, ...]
     dr_cut: int
     ir_cut: int
-    fraction: float
 
     @property
     def eligible_count(self) -> int:
@@ -73,13 +71,6 @@ class CohortResult:
             )
             for i, p in enumerate(self.ranked)
         )
-
-    @cached_property
-    def _cohort_by_id(self) -> dict[str, str]:
-        return {a.paper_id: a.cohort for a in self.assignments}
-
-    def cohort_of(self, paper_id: str) -> str:
-        return self._cohort_by_id[paper_id]
 
 
 def eligible_ids(
@@ -137,25 +128,4 @@ def select_cohorts(
     ranked.sort(key=attrgetter("bcp"), reverse=True)
     n = len(ranked)
     size = math.ceil(fraction * n)
-    return CohortResult(
-        ranked=tuple(ranked), dr_cut=size, ir_cut=max(n - size, size), fraction=fraction
-    )
-
-
-def citation_percentiles(totals: Mapping[str, int]) -> dict[str, float]:
-    """Percentile of each paper's citation total within the pool, 0..100.
-
-    100 times the share of OTHER pool members with a strictly smaller total,
-    over N - 1; the minimum maps to 0 and a unique maximum to 100. A pool of
-    one sits at 100 by convention.
-    """
-    if not totals:
-        raise InvalidCountsError("percentiles need a non-empty pool")
-    n = len(totals)
-    if n == 1:
-        return {pid: 100.0 for pid in totals}
-    ordered = sorted(totals.values())
-    return {
-        pid: 100.0 * bisect_left(ordered, total) / (n - 1)
-        for pid, total in totals.items()
-    }
+    return CohortResult(ranked=tuple(ranked), dr_cut=size, ir_cut=max(n - size, size))

@@ -12,12 +12,11 @@ Everything is computed in exact integer arithmetic over the raw counts, so
 results carry no float drift: multiplying every count by a constant leaves
 the index and the turning year bit-for-bit unchanged.
 
-Two paths compute the same values. profile, the one every command uses,
-walks only the years with citations of a sparse CitationSeries and sums
-each run of zero years between them in closed form (an arithmetic series),
-comparing distances only where the farthest year of a run can lie, at its
-end. cumulative_fraction, bcp and turning_point are the slow year-by-year
-reference over the dense counts; the tests pin profile to them.
+profile walks only the years with citations of a sparse CitationSeries and
+sums each run of zero years between them in closed form (an arithmetic
+series), comparing distances only where the farthest year of a run can lie,
+at its end. The tests pin it to a year-by-year reference over the dense
+counts, which they keep in tests/reference.py.
 
 Caveat for consumers: the index grows with the observation window, so values
 for papers of different ages are not directly comparable. No age
@@ -36,106 +35,6 @@ FALLING = "falling"
 FLAT = "flat"
 
 
-class CumulativeCurve:
-    """Cumulative citation fractions C_0..C_{t_m}, kept exact internally.
-
-    The raw running totals and the overall total are retained so downstream
-    index and turning-point computations can stay in integer arithmetic;
-    ``fractions`` surfaces the float view with the final entry exactly 1.
-    """
-
-    __slots__ = ("cumulative", "total")
-
-    def __init__(self, cumulative: tuple[int, ...], total: int):
-        if len(cumulative) < 1:
-            raise ValueError("curve needs at least one point")
-        if total <= 0:
-            raise ValueError("curve total must be positive")
-        if cumulative[-1] != total:
-            raise ValueError("running totals must end at the overall total")
-        self.cumulative = cumulative
-        self.total = total
-
-    @property
-    def t_m(self) -> int:
-        return len(self.cumulative) - 1
-
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        return tuple(c / self.total for c in self.cumulative)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CumulativeCurve(t_m={self.t_m}, total={self.total})"
-
-
-def cumulative_fraction(series: CitationSeries) -> CumulativeCurve:
-    """Running citation share per year; requires at least one citation."""
-    total = series.total
-    if total == 0:
-        raise ZeroCitationsError(series.paper_id)
-    running = 0
-    cumulative = []
-    for c in series.counts:
-        running += c
-        cumulative.append(running)
-    return CumulativeCurve(tuple(cumulative), total)
-
-
-def _require_window(curve: CumulativeCurve) -> None:
-    if curve.t_m < 1:
-        raise ValueError("curve spans a single year; reference line undefined")
-
-
-def reference_line(curve: CumulativeCurve) -> list[float]:
-    """Straight line from (0, C_0) to (t_m, 1), evaluated at every year."""
-    _require_window(curve)
-    t_m, total = curve.t_m, curve.total
-    c0 = curve.cumulative[0]
-    # L_t = (c0 * t_m + (total - c0) * t) / (total * t_m), exact per entry.
-    den = total * t_m
-    return [(c0 * t_m + (total - c0) * t) / den for t in range(t_m + 1)]
-
-
-def _deviation_numerators(curve: CumulativeCurve) -> list[int]:
-    """Integer numerators of L_t - C_t over the common denominator total*t_m."""
-    t_m = curve.t_m
-    total = curve.total
-    c0 = curve.cumulative[0]
-    return [
-        c0 * t_m + (total - c0) * t - t_m * cum
-        for t, cum in enumerate(curve.cumulative)
-    ]
-
-
-def bcp(curve: CumulativeCurve) -> float:
-    """Delay index: sum over years of (reference line - cumulative fraction)."""
-    _require_window(curve)
-    num = sum(_deviation_numerators(curve))
-    return num / (curve.total * curve.t_m)
-
-
-def turning_point(curve: CumulativeCurve) -> tuple[int, str]:
-    """Year offset farthest from the reference line, plus the curve class.
-
-    Distance is the unsigned perpendicular distance from (t, C_t) to the
-    line; its constant normalization is dropped so the comparison is exact.
-    Ties go to the earliest offset. The class follows the sign of the index:
-    awakening for positive, falling for negative, flat for zero.
-    """
-    _require_window(curve)
-    t_m = curve.t_m
-    total = curve.total
-    c0 = curve.cumulative[0]
-    best_t = 0
-    best = 0
-    for t, cum in enumerate(curve.cumulative):
-        d = abs((total - c0) * t - t_m * (cum - c0))
-        if d > best:
-            best = d
-            best_t = t
-    return best_t, _curve_type(sum(_deviation_numerators(curve)))
-
-
 def _curve_type(index_numerator: int) -> str:
     if index_numerator > 0:
         return AWAKENING
@@ -147,12 +46,12 @@ def _curve_type(index_numerator: int) -> str:
 def profile(series: CitationSeries) -> CurveProfile:
     """Full curve profile for one paper: index, turning year and curve class.
 
-    Equal to composing cumulative_fraction with bcp and turning_point, but
-    it visits only the years with citations, in one pass. The deviation
-    numerator (see _deviation_numerators) is 0 at t = 0 and changes by
-    rise - t_m * counts[t] from year t - 1 to year t, where
-    rise = total - c0 >= 0; its magnitude is the unnormalized turning
-    distance.
+    It visits only the years with citations, in one pass. The deviation
+    numerator of year t, c0 * t_m + rise * t - t_m * (citations through t)
+    with rise = total - c0 >= 0, is L_t - C_t over the common denominator
+    total * t_m, and its magnitude is the unnormalized turning distance. It
+    is 0 at t = 0 and changes by rise - t_m * counts[t] from year t - 1 to
+    year t.
 
     Across a run of zero years the numerator so grows by rise per year: the
     run adds an arithmetic series to the index sum, and its largest distance

@@ -72,12 +72,6 @@ class NoPatentCitationsError(DataError):
         super().__init__(f"paper {paper_id!r} has no citing patent families")
 
 
-class UnmappedIpcError(DataError):
-    def __init__(self, code: str):
-        self.code = code
-        super().__init__(f"no concordance prefix matches IPC code {code!r}")
-
-
 class InvalidCountsError(DataError):
     pass
 

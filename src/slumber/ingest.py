@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .errors import (
     DataError,
@@ -236,24 +236,20 @@ def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
 
 def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     records = []
-    keys = [f.name for f in dataclasses.fields(CitationContextRecord)]
+    kinds = get_type_hints(CitationContextRecord)  # each key's type, str or int
     for line_no, obj in read_json_lines(path):
-        for key in keys:
+        for key in kinds:
             if key not in obj:
                 raise MalformedRowError(line_no, f"missing key {key!r}")
-        year = obj["year"]
-        # A JSON integer only: int() would take 1.7 and true as 1, and fail on 1e400.
-        if type(year) is not int:
-            raise MalformedRowError(line_no, f"year {year!r} is not a JSON integer")
+        for key, kind in kinds.items():
+            value = obj[key]
+            # The JSON type only: int() would take 1.7 and true as 1 and fail
+            # on 1e400, and str() would take null, numbers and lists.
+            if type(value) is not kind:
+                name = "integer" if kind is int else "string"
+                raise MalformedRowError(line_no, f"{key} {value!r} is not a JSON {name}")
         try:
-            records.append(
-                CitationContextRecord(
-                    citing_id=str(obj["citing_id"]),
-                    cited_paper_id=str(obj["cited_paper_id"]),
-                    year=year,
-                    sentence=str(obj["sentence"]),
-                )
-            )
+            records.append(CitationContextRecord(*(obj[key] for key in kinds)))
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from None
     return tuple(records)

@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import UnmappedIpcError
 from .model import ConcordanceEntry, Dataset, PatentFamilyRecord
 from .patent import earliest_family, families_by_paper
 
@@ -29,37 +28,16 @@ def normalize_ipc(code: str) -> str:
     return "".join(code.split()).upper()
 
 
-def wipo_field_for(
-    code: str, concordance: Sequence[ConcordanceEntry]
-) -> ConcordanceEntry | None:
-    """Concordance entry with the longest prefix matching the code, if any.
-
-    Equal-length candidates tie-break by prefix then field id, and entries
-    equal in both by concordance order. This scans every entry; IpcIndex
-    gives the same answer per lookup without the scan, and this stays as its
-    reference.
-    """
-    norm = normalize_ipc(code)
-    best: ConcordanceEntry | None = None
-    best_key: tuple[int, str, int] | None = None
-    for entry in concordance:
-        prefix = normalize_ipc(entry.ipc_prefix)
-        if not norm.startswith(prefix):
-            continue
-        key = (-len(prefix), prefix, entry.wipo_field_id)
-        if best_key is None or key < best_key:
-            best, best_key = entry, key
-    return best
-
-
 class IpcIndex:
-    """Longest-prefix lookup over a concordance, giving wipo_field_for's answer.
+    """Longest-prefix lookup over a concordance: each IPC code's entry, if any.
 
-    Entries are keyed by normalized prefix. Of entries whose prefixes
-    normalize alike, the lowest field id is kept, and of those the first in
-    concordance order. A lookup probes the code's own prefix at each distinct
-    prefix length, longest first, so it costs O(number of lengths) rather
-    than O(number of entries).
+    The entry whose normalized prefix is the longest that the normalized code
+    starts with wins. Of entries whose prefixes normalize alike, the lowest
+    field id is kept, and of those the first in concordance order. A lookup
+    probes the code's own prefix at each distinct prefix length, longest
+    first, so it costs O(number of lengths) rather than O(number of entries).
+    The tests pin it to a scan over every entry, which they keep in
+    tests/reference.py.
     """
 
     __slots__ = ("_by_prefix", "_lengths")
@@ -82,14 +60,6 @@ class IpcIndex:
             if entry is not None:
                 return entry
         return None
-
-
-def map_ipc_to_wipo(code: str, concordance: Sequence[ConcordanceEntry]) -> ConcordanceEntry:
-    """Like wipo_field_for, but a missing mapping is an error."""
-    entry = wipo_field_for(code, concordance)
-    if entry is None:
-        raise UnmappedIpcError(code)
-    return entry
 
 
 @dataclass(frozen=True)

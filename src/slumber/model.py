@@ -147,17 +147,6 @@ class CitationSeries:
         )
 
     @property
-    def counts(self) -> tuple[int, ...]:
-        """Dense counts over the whole window, built on each access.
-
-        The input of the slow reference in curve; no command reads it.
-        """
-        dense = [0] * (self.t_m + 1)
-        for t, c in zip(self.offsets, self.values):
-            dense[t] = c
-        return tuple(dense)
-
-    @property
     def total(self) -> int:
         return sum(self.values)
 
@@ -204,9 +193,6 @@ class ValidationReport:
 
     def has_errors(self) -> bool:
         return any(i.severity == "error" for i in self.issues)
-
-    def __bool__(self) -> bool:
-        return bool(self.issues)
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,7 @@ def write_interaction_marginals(matrix: InteractionMatrix, path: Path) -> None:
 
 
 def write_field_distribution(dist: FieldDistribution, path: Path) -> None:
-    rows = (
-        (field, count, fmt(count / dist.total_papers if dist.total_papers else 0.0))
-        for field, count in dist.counts
-    )
+    rows = ((field, count, fmt(dist.share(field))) for field, count in dist.counts)
     write_rows(path, ("field_of_study", "papers", "share"), rows)
 
 

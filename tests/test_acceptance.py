@@ -138,8 +138,8 @@ def test_c02_extreme_value_identities():
     started = time.perf_counter()
     ok = True
     for t_m in range(2, 61):
-        late = curve.bcp(curve.cumulative_fraction(make_series([0] * t_m + [9])))
-        early = curve.bcp(curve.cumulative_fraction(make_series([0, 9] + [0] * (t_m - 1))))
+        late = curve.profile(make_series([0] * t_m + [9])).bcp
+        early = curve.profile(make_series([0, 9] + [0] * (t_m - 1))).bcp
         ok = ok and abs(late - (t_m - 1) / 2) <= 1e-9
         ok = ok and abs(early + (t_m - 1) / 2) <= 1e-9
     elapsed = time.perf_counter() - started
@@ -151,9 +151,9 @@ def test_c02_extreme_value_identities():
 def test_c03_uniform_series_scores_zero():
     ok = True
     for t_m in range(2, 61):
-        c = curve.cumulative_fraction(make_series([3] * (t_m + 1)))
-        ok = ok and abs(curve.bcp(c)) <= 1e-12
-        ok = ok and curve.turning_point(c)[1] == curve.FLAT
+        prof = curve.profile(make_series([3] * (t_m + 1)))
+        ok = ok and abs(prof.bcp) <= 1e-12
+        ok = ok and prof.turning_type == curve.FLAT
     report(3, "uniform series score 0 within 1e-12 and type flat", ok)
     assert ok
 
@@ -162,8 +162,7 @@ def test_c04_turning_point_oracle_equivalence():
     started = time.perf_counter()
     mismatches = 0
     for counts in seeded_series(1404, 1000):
-        got_t, _ = curve.turning_point(curve.cumulative_fraction(make_series(counts)))
-        if got_t != oracle_turning_t(counts):
+        if curve.profile(make_series(counts)).turning_t != oracle_turning_t(counts):
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 5.0
@@ -193,7 +192,7 @@ def test_c06_bound_property():
     ok = True
     for counts in seeded_series(1404, 1000):
         t_m = len(counts) - 1
-        b = curve.bcp(curve.cumulative_fraction(make_series(counts)))
+        b = curve.profile(make_series(counts)).bcp
         ok = ok and abs(b) <= (t_m - 1) / 2 + 1e-9
     report(6, "|index| bounded by (t_m - 1)/2 on the same 1000 series", ok)
     assert ok

@@ -400,12 +400,16 @@ ANALYSIS_COMMANDS = (
 
 
 def test_commands_do_not_read_dense_counts(tmp_path, demo_dir, capsys, monkeypatch):
-    """The dense view of a series is the slow reference's input only."""
+    """No command reads a dense view of a series; only the tests' reference builds one.
+
+    CitationSeries has no counts attribute, so the trap below is added, not
+    replaced: it catches a dense view coming back into the commands' path.
+    """
 
     def dense_counts(series):
         raise AssertionError(f"dense counts of {series.paper_id} read")
 
-    monkeypatch.setattr(CitationSeries, "counts", property(dense_counts))
+    monkeypatch.setattr(CitationSeries, "counts", property(dense_counts), raising=False)
     for command in ANALYSIS_COMMANDS:
         code, _, err = run(
             capsys, command, "--dataset", str(demo_dir), "--out", str(tmp_path / command)

@@ -1,4 +1,4 @@
-"""Eligibility filtering, extreme-cohort selection, citation percentiles."""
+"""Eligibility filtering and extreme-cohort selection."""
 
 from __future__ import annotations
 
@@ -44,7 +44,8 @@ def test_fixture_cohorts_are_pure_blocks(table1):
     assert all(pid.startswith("d") for pid in dr)
     assert all(pid.startswith("i") for pid in ir)
     assert result.members(cohort.NONE) == ()
-    assert all(result.cohort_of(a.paper_id) == a.cohort for a in result.assignments)
+    cohorts = {a.paper_id: a.cohort for a in result.assignments}
+    assert [cohorts[pid] for pid in dr + ir] == [cohort.DR] * 200 + [cohort.IR] * 200
     profiles = {pid: curve.profile(s) for pid, s in table1.series.items()}
     assert cohort.select_cohorts(table1, 1970, 2005, 200, fraction=0.5, profiles=profiles) == result
 
@@ -71,7 +72,7 @@ def test_dr_wins_contested_middle():
     # ceil(0.5 * 3) = 2 from each end would overlap on the middle paper.
     assert result.members(cohort.DR) == ("a", "b")
     assert result.members(cohort.IR) == ("c",)
-    assert result.cohort_of("b") == cohort.DR
+    assert {a.paper_id: a.cohort for a in result.assignments}["b"] == cohort.DR
 
 
 def test_ranks_are_descending_and_ties_break_by_id():
@@ -107,7 +108,6 @@ def test_ranking_matches_the_id_tiebreak_key():
             assert list(result.assignments) == expected
             for label in (cohort.DR, cohort.IR, cohort.NONE):
                 assert result.members(label) == tuple(a.paper_id for a in expected if a.cohort == label)
-            assert all(result.cohort_of(a.paper_id) == a.cohort for a in expected)
         if n == 1:
             # The cuts meet: the one paper is DR and IR is empty.
             assert result.members(cohort.IR) == ()
@@ -161,34 +161,3 @@ def test_eligibility_monotone_in_floor():
 def test_single_year_series_not_eligible():
     ds = make_ds({"p": (2004, (300,))})
     assert cohort.eligible_ids(ds, 1990, 2004, 1) == []
-
-
-def test_percentile_examples():
-    got = cohort.citation_percentiles({"a": 200, "b": 300, "c": 400})
-    assert got == {"a": 0.0, "b": 50.0, "c": 100.0}
-    assert cohort.citation_percentiles({"a": 7, "b": 7, "c": 7}) == {
-        "a": 0.0,
-        "b": 0.0,
-        "c": 0.0,
-    }
-    assert cohort.citation_percentiles({"only": 12}) == {"only": 100.0}
-    with pytest.raises(InvalidCountsError):
-        cohort.citation_percentiles({})
-
-
-def test_percentiles_match_counting_oracle():
-    rng = random.Random(31)
-    for _ in range(50):
-        n = rng.randint(2, 60)
-        totals = {f"p{i}": rng.randint(0, 30) for i in range(n)}
-        got = cohort.citation_percentiles(totals)
-        for pid, total in totals.items():
-            below = sum(1 for other in totals.values() if other < total)
-            assert got[pid] == pytest.approx(100.0 * below / (n - 1), abs=1e-12)
-
-
-def test_cohort_of_unknown_paper():
-    ds = make_ds({"p": (2000, late_counts(5))})
-    result = cohort.select_cohorts(ds, 1990, 2004, 1, fraction=0.5)
-    with pytest.raises(KeyError):
-        result.cohort_of("ghost")

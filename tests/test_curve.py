@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from slumber import curve
 from slumber.errors import ZeroCitationsError
-from slumber.model import CitationSeries
+from slumber.model import CitationSeries, CurveProfile
 
 
 def series(counts, pid="p", base_year=1970) -> CitationSeries:
@@ -58,62 +59,71 @@ def random_counts(rng: random.Random) -> list[int]:
             return counts
 
 
+def gaps(counts) -> list[Fraction]:
+    """L_t - C_t for every year, from reference.deviation_numerators."""
+    den = sum(counts) * (len(counts) - 1)
+    return [Fraction(n, den) for n in reference.deviation_numerators(counts)]
+
+
 def test_cumulative_fraction_examples():
-    assert curve.cumulative_fraction(series([0, 3, 0])).fractions == (0.0, 1.0, 1.0)
-    assert curve.cumulative_fraction(series([1, 1, 1, 1])).fractions == (0.25, 0.5, 0.75, 1.0)
+    # C = (0, 1, 1) against L = (0, 1/2, 1): the curve jumps above the line.
+    assert gaps([0, 3, 0]) == [0, Fraction(-1, 2), 0]
+    assert curve.profile(series([0, 3, 0])) == CurveProfile("p", -0.5, 1, 1971, curve.FALLING)
+    # C = (1/4, 1/2, 3/4, 1) is its own reference line.
+    assert gaps([1, 1, 1, 1]) == [0, 0, 0, 0]
+    assert curve.profile(series([1, 1, 1, 1])) == CurveProfile("p", 0.0, 0, 1970, curve.FLAT)
 
 
 def test_all_zero_counts_rejected():
     with pytest.raises(ZeroCitationsError):
-        curve.cumulative_fraction(series([0, 0, 0]))
-    with pytest.raises(ZeroCitationsError):
         curve.profile(series([0, 0, 0]))
+    with pytest.raises(ZeroCitationsError):
+        reference.profile_dense(series([0, 0, 0]))
 
 
 def test_reference_line_examples():
-    c = curve.cumulative_fraction(series([0, 0, 0, 0, 5]))
-    assert curve.reference_line(c) == [0.0, 0.25, 0.5, 0.75, 1.0]
-    flat = curve.cumulative_fraction(series([5, 0, 0]))
-    assert curve.reference_line(flat) == [1.0, 1.0, 1.0]
-    half = curve.cumulative_fraction(series([2, 0, 2]))
-    assert curve.reference_line(half) == [0.5, 0.75, 1.0]
+    # L = (0, 1/4, 1/2, 3/4, 1) over C = (0, 0, 0, 0, 1).
+    assert gaps([0, 0, 0, 0, 5]) == [0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 0]
+    assert curve.profile(series([0, 0, 0, 0, 5])) == CurveProfile("p", 1.5, 3, 1973, curve.AWAKENING)
+    # L = (1, 1, 1) when every citation falls in year 0.
+    assert gaps([5, 0, 0]) == [0, 0, 0]
+    assert curve.profile(series([5, 0, 0])) == CurveProfile("p", 0.0, 0, 1970, curve.FLAT)
+    # L = (1/2, 3/4, 1) over C = (1/2, 1/2, 1).
+    assert gaps([2, 0, 2]) == [0, Fraction(1, 4), 0]
+    assert curve.profile(series([2, 0, 2])) == CurveProfile("p", 0.25, 1, 1971, curve.AWAKENING)
 
 
 def test_single_year_window_rejected():
-    c = curve.cumulative_fraction(series([4]))
-    with pytest.raises(ValueError):
-        curve.bcp(c)
-    with pytest.raises(ValueError):
-        curve.turning_point(c)
     with pytest.raises(ValueError):
         curve.profile(series([4]))
+    with pytest.raises(ValueError):
+        reference.profile_dense(series([4]))
 
 
 def test_extreme_identities():
     for t_m in range(2, 61):
-        late = curve.cumulative_fraction(series([0] * t_m + [9]))
-        assert math.isclose(curve.bcp(late), (t_m - 1) / 2, abs_tol=1e-9)
-        early = curve.cumulative_fraction(series([0, 9] + [0] * (t_m - 1)))
-        assert math.isclose(curve.bcp(early), -(t_m - 1) / 2, abs_tol=1e-9)
+        late = curve.profile(series([0] * t_m + [9]))
+        assert math.isclose(late.bcp, (t_m - 1) / 2, abs_tol=1e-9)
+        early = curve.profile(series([0, 9] + [0] * (t_m - 1)))
+        assert math.isclose(early.bcp, -(t_m - 1) / 2, abs_tol=1e-9)
 
 
 def test_uniform_is_zero_and_flat():
     for t_m in (2, 7, 45):
-        c = curve.cumulative_fraction(series([3] * (t_m + 1)))
-        assert curve.bcp(c) == 0.0
-        assert curve.turning_point(c) == (0, curve.FLAT)
+        prof = curve.profile(series([3] * (t_m + 1)))
+        assert prof.bcp == 0.0
+        assert (prof.turning_t, prof.turning_type) == (0, curve.FLAT)
 
 
 def test_degenerate_all_in_year_zero_is_flat():
-    c = curve.cumulative_fraction(series([7, 0, 0, 0]))
-    assert curve.bcp(c) == 0.0
-    assert curve.turning_point(c) == (0, curve.FLAT)
+    prof = curve.profile(series([7, 0, 0, 0]))
+    assert prof.bcp == 0.0
+    assert (prof.turning_t, prof.turning_type) == (0, curve.FLAT)
 
 
 def test_small_late_series_frozen_value():
     # t_m = 5, single citation in the final year.
-    c = curve.cumulative_fraction(series([0, 0, 0, 0, 0, 1]))
-    assert curve.bcp(c) == 2.0
+    assert curve.profile(series([0, 0, 0, 0, 0, 1])).bcp == 2.0
     assert oracle_bcp([0, 0, 0, 0, 0, 1]) == 2
 
 
@@ -121,7 +131,7 @@ def test_bcp_matches_rational_oracle():
     rng = random.Random(101)
     for _ in range(300):
         counts = random_counts(rng)
-        got = curve.bcp(curve.cumulative_fraction(series(counts)))
+        got = curve.profile(series(counts)).bcp
         assert math.isclose(got, float(oracle_bcp(counts)), rel_tol=0, abs_tol=1e-9)
 
 
@@ -129,8 +139,7 @@ def test_turning_matches_distance_oracle():
     rng = random.Random(202)
     for _ in range(300):
         counts = random_counts(rng)
-        got_t, _ = curve.turning_point(curve.cumulative_fraction(series(counts)))
-        assert got_t == oracle_turning_t(counts)
+        assert curve.profile(series(counts)).turning_t == oracle_turning_t(counts)
 
 
 def test_turning_tie_breaks_to_earliest():
@@ -139,8 +148,7 @@ def test_turning_tie_breaks_to_earliest():
     cum = [Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1)]
     d = lambda t: abs(1 * t - 3 * cum[t])  # noqa: E731 - unnormalized distance
     assert d(1) == d(2)
-    t, _ = curve.turning_point(curve.cumulative_fraction(series(counts)))
-    assert t == 1
+    assert curve.profile(series(counts)).turning_t == 1
 
 
 def test_awakening_fixture_turns_in_2004():
@@ -191,12 +199,12 @@ def test_sign_coherence_for_monotone_counts():
         rising = [1]
         for step in steps:
             rising.append(rising[-1] + step)
-        _, kind = curve.turning_point(curve.cumulative_fraction(series(rising)))
-        assert curve.bcp(curve.cumulative_fraction(series(rising))) > 0
-        assert kind == curve.AWAKENING
-        _, kind = curve.turning_point(curve.cumulative_fraction(series(rising[::-1])))
-        assert curve.bcp(curve.cumulative_fraction(series(rising[::-1]))) < 0
-        assert kind == curve.FALLING
+        up = curve.profile(series(rising))
+        assert up.bcp > 0
+        assert up.turning_type == curve.AWAKENING
+        down = curve.profile(series(rising[::-1]))
+        assert down.bcp < 0
+        assert down.turning_type == curve.FALLING
 
 
 def test_reflection_negates_index_and_keeps_turning():
@@ -225,8 +233,7 @@ def test_reflection_negates_index_and_keeps_turning():
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=3, max_size=61).filter(lambda c: sum(c) > 0))
 def test_bound_property(counts):
     t_m = len(counts) - 1
-    b = curve.bcp(curve.cumulative_fraction(series(counts)))
-    assert abs(b) <= (t_m - 1) / 2 + 1e-9
+    assert abs(curve.profile(series(counts)).bcp) <= (t_m - 1) / 2 + 1e-9
 
 
 def test_profile_internal_consistency():
@@ -235,11 +242,10 @@ def test_profile_internal_consistency():
         counts = random_counts(rng)
         s = series(counts)
         prof = curve.profile(s)
-        c = curve.cumulative_fraction(s)
-        gaps = [line - frac for line, frac in zip(curve.reference_line(c), c.fractions)]
-        assert math.isclose(prof.bcp, sum(gaps), abs_tol=1e-9)
-        turning_t, kind = curve.turning_point(c)
-        assert (prof.turning_t, prof.turning_year, prof.turning_type) == (turning_t, 1970 + turning_t, kind)
+        t_m, fractions = s.t_m, [cum / s.total for cum in itertools.accumulate(counts)]
+        line = [fractions[0] + (1 - fractions[0]) * t / t_m for t in range(t_m + 1)]
+        assert math.isclose(prof.bcp, sum(l - c for l, c in zip(line, fractions)), abs_tol=1e-9)
+        assert prof.turning_year == 1970 + prof.turning_t
         if prof.bcp > 0:
             assert prof.turning_type == curve.AWAKENING
         elif prof.bcp < 0:
@@ -292,11 +298,7 @@ profile_counts = st.one_of(
 
 def assert_profile_matches_reference(counts, base_year=1970):
     s = series(counts, base_year=base_year)
-    c = curve.cumulative_fraction(s)
-    turning_t, kind = curve.turning_point(c)
-    prof = curve.profile(s)
-    assert prof.bcp == curve.bcp(c)
-    assert (prof.turning_t, prof.turning_year, prof.turning_type) == (turning_t, base_year + turning_t, kind)
+    assert curve.profile(s) == reference.profile_dense(s)
 
 
 @given(profile_counts, st.integers(min_value=1800, max_value=2015))
@@ -308,7 +310,7 @@ def test_profile_matches_reference_composition(counts, base_year):
 def test_mirrored_counts_tie_at_both_run_ends(counts):
     t_m = len(counts) - 1
     t = counts.index(max(counts))
-    nums = curve._deviation_numerators(curve.cumulative_fraction(series(counts)))
+    nums = reference.deviation_numerators(counts)
     first, last = nums[t + 1], nums[t_m - t - 1]
     assert first == -last != 0
     assert_profile_matches_reference(counts)
@@ -317,7 +319,7 @@ def test_mirrored_counts_tie_at_both_run_ends(counts):
 def zero_run_ends(counts) -> list[tuple[int, int]]:
     """Deviation numerators at the first and last year of each run of two or
     more zero years after year 0."""
-    nums = curve._deviation_numerators(curve.cumulative_fraction(series(counts)))
+    nums = reference.deviation_numerators(counts)
     ends, start = [], None
     for t in range(1, len(counts) + 1):
         if t < len(counts) and counts[t] == 0:

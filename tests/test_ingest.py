@@ -256,9 +256,10 @@ def test_read_citations_zero_fills_to_window_end(tmp_path):
     path = write_citation_text(tmp_path, "paper_id,year,count\np1,1971,3\n")
     series = ingest.read_citations(path, papers, 2015)
     assert series["p1"].t_m == 45
-    assert len(series["p1"].counts) == 46
-    assert series["p1"].counts[:3] == (0, 3, 0)
-    assert sum(series["p1"].counts) == 3
+    counts = reference.dense_counts(series["p1"])
+    assert len(counts) == 46
+    assert counts[:3] == (0, 3, 0)
+    assert sum(counts) == 3
 
 
 def test_read_citations_keeps_only_cited_years(tmp_path):
@@ -299,7 +300,7 @@ def test_read_citations_missing_column(tmp_path):
 
 def test_read_citations_long_row_and_blank_lines(tmp_path):
     path = write_citation_text(tmp_path, "paper_id,year,count\n\np1,1999,2\n\np1,2000,1\n")
-    assert ingest.read_citations(path, PAPERS_1990, 2000)["p1"].counts[-3:] == (0, 2, 1)
+    assert reference.dense_counts(ingest.read_citations(path, PAPERS_1990, 2000)["p1"])[-3:] == (0, 2, 1)
     path = write_citation_text(tmp_path, "paper_id,year,count\n\np1,1999,2,5\n")
     with pytest.raises(MalformedRowError, match="line 3: row has more cells than the header"):
         ingest.read_citations(path, PAPERS_1990, 2015)
@@ -437,12 +438,33 @@ def test_contexts_malformed_lines(tmp_path):
         ingest.parse_contexts(path)
 
 
+GOOD_CONTEXT = '{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003, "sentence": "s"}\n'
+
+
 @pytest.mark.parametrize("year", ["1.7", "true", '"2003"', "1e400", "null"])
 def test_contexts_year_must_be_a_json_integer(tmp_path, year):
     path = tmp_path / "contexts.jsonl"
-    good = '{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003, "sentence": "s"}\n'
-    path.write_text(good + good.replace("2003", year))
+    path.write_text(GOOD_CONTEXT + GOOD_CONTEXT.replace("2003", year))
     with pytest.raises(MalformedRowError, match="line 2: year .* is not a JSON integer"):
+        ingest.parse_contexts(path)
+
+
+@pytest.mark.parametrize(
+    "line,key",
+    [
+        # Every key but year is wrong; the first in record order is named.
+        ('{"citing_id": null, "cited_paper_id": 17, "year": 2003, "sentence": ["a", "b"]}', "citing_id"),
+        ('{"citing_id": true, "cited_paper_id": "p1", "year": 2003, "sentence": "s"}', "citing_id"),
+        ('{"citing_id": "c1", "cited_paper_id": 17, "year": 2003, "sentence": "s"}', "cited_paper_id"),
+        ('{"citing_id": "c1", "cited_paper_id": 1.5, "year": 2003, "sentence": "s"}', "cited_paper_id"),
+        ('{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003, "sentence": ["a", "b"]}', "sentence"),
+        ('{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003, "sentence": {"a": 1}}', "sentence"),
+    ],
+)
+def test_contexts_ids_and_sentence_must_be_json_strings(tmp_path, line, key):
+    path = tmp_path / "contexts.jsonl"
+    path.write_text(GOOD_CONTEXT + line + "\n")
+    with pytest.raises(MalformedRowError, match=f"line 2: {key} .* is not a JSON string"):
         ingest.parse_contexts(path)
 
 
@@ -496,7 +518,6 @@ def test_validator_clean_fixture(table1):
     report = ingest.validate_dataset(table1)
     assert report.issues == ()
     assert not report.has_errors()
-    assert bool(report) is False
 
 
 def test_validator_unknown_link_targets():

@@ -5,12 +5,11 @@ from __future__ import annotations
 import dataclasses
 import random
 
-import pytest
 from hypothesis import given, strategies as st
 
+import reference
 from fixture_builders import DR_BIOLOGY, IR_BIOLOGY
 from slumber import interact
-from slumber.errors import UnmappedIpcError
 from slumber.model import (
     CitationSeries,
     ConcordanceEntry,
@@ -65,10 +64,11 @@ def test_normalization():
 
 
 def test_longest_prefix_wins():
-    assert interact.wipo_field_for("G01N33/48", SAMPLE_CONCORDANCE).wipo_field_id == 11
-    assert interact.wipo_field_for("G01N27/00", SAMPLE_CONCORDANCE).wipo_field_id == 10
-    assert interact.wipo_field_for("C12N15/09", SAMPLE_CONCORDANCE).wipo_field_id == 15
-    assert interact.wipo_field_for("g01n 33/00", SAMPLE_CONCORDANCE).wipo_field_id == 11
+    index = interact.IpcIndex(SAMPLE_CONCORDANCE)
+    assert index.lookup("G01N33/48").wipo_field_id == 11
+    assert index.lookup("G01N27/00").wipo_field_id == 10
+    assert index.lookup("C12N15/09").wipo_field_id == 15
+    assert index.lookup("g01n 33/00").wipo_field_id == 11
 
 
 def test_equal_length_prefix_ties_are_stable():
@@ -76,14 +76,12 @@ def test_equal_length_prefix_ties_are_stable():
         ConcordanceEntry("A61B", 13, "Medical technology", "Instruments"),
         ConcordanceEntry("A61B", 9, "Optics", "Instruments"),
     )
-    assert interact.wipo_field_for("A61B5/00", entries).wipo_field_id == 9
-    assert interact.wipo_field_for("A61B5/00", tuple(reversed(entries))).wipo_field_id == 9
+    assert interact.IpcIndex(entries).lookup("A61B5/00").wipo_field_id == 9
+    assert interact.IpcIndex(reversed(entries)).lookup("A61B5/00").wipo_field_id == 9
 
 
 def test_unmapped_code():
-    assert interact.wipo_field_for("Z99Z9/99", SAMPLE_CONCORDANCE) is None
-    with pytest.raises(UnmappedIpcError):
-        interact.map_ipc_to_wipo("Z99Z9/99", SAMPLE_CONCORDANCE)
+    assert interact.IpcIndex(SAMPLE_CONCORDANCE).lookup("Z99Z9/99") is None
 
 
 PREFIX_POOL = ("A", "A6", "A61", "A61B", "A61B5", "A61B5/0", "G01N", "G01N33", "C12N", "")
@@ -120,7 +118,7 @@ def test_prefix_index_matches_linear_scan(concordance, codes):
     for entries in (concordance, tuple(reversed(concordance))):
         index = interact.IpcIndex(entries)
         for code in codes:
-            assert index.lookup(code) is interact.wipo_field_for(code, entries)
+            assert index.lookup(code) is reference.wipo_field_for(code, entries)
 
 
 def test_singleton_matrix():

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import reference
 from slumber import curve, ingest, patent, synth
 from slumber.errors import ConfigError
 
@@ -68,7 +69,7 @@ def test_shape_curve_signs():
     result = synth.generate(synth.SynthSpec(n_papers=80, seed=11))
     for pid, shape in result.shapes.items():
         series = result.dataset.series[pid]
-        b = curve.bcp(curve.cumulative_fraction(series))
+        b = curve.profile(series).bcp
         if shape == synth.DELAYED:
             assert b > 0, pid
         elif shape == synth.INSTANT:
@@ -85,7 +86,7 @@ def test_generated_papers_meet_floor_and_window():
         assert spec.pub_from <= paper.pub_year <= spec.pub_to
         series = ds.series[pid]
         assert series.total >= 150
-        assert len(series.counts) == spec.window_end - paper.pub_year + 1
+        assert len(reference.dense_counts(series)) == spec.window_end - paper.pub_year + 1
 
 
 def test_timing_quotas_exact():
