@@ -23,7 +23,6 @@ from .stats import (
     aagr,
     moving_window_mean,
     proportion_ci,
-    rate_ratio,
     summary_stats,
     two_proportion_test,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "moving_window_mean",
     "profile",
     "proportion_ci",
-    "rate_ratio",
     "select_cohorts",
     "summary_stats",
     "two_proportion_test",

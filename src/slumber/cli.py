@@ -18,17 +18,16 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
-from . import curve, ingest, reports, synth
+from . import ingest, reports, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
 from .errors import ConfigError, DataError, SlumberError
 from .interact import field_distribution, interaction_matrix
-from .model import CurveProfile, Dataset, PatentFamilyRecord
+from .model import Dataset
 from .patent import (
     LAG_FROM_PUBLICATION,
     LAG_FROM_TURNING,
     PatentIndicators,
     compute_indicators,
-    families_by_paper,
     lag_trend_points,
 )
 from .stats import aagr, moving_window_mean, summary_stats
@@ -133,10 +132,11 @@ def _load_checked(args, config: RunConfig) -> Dataset:
 class Run:
     """One analysis command: its config and validated dataset, loaded once.
 
-    The derived values (profiles, then the cohort result, then the cohort
-    indicators, and the citing families of each paper) are computed on first
-    use and kept, so a command that needs one of them twice, directly or
-    through another, computes it once.
+    The values derived from the dataset alone (profiles, citing families)
+    are cached on the Dataset instance. Run keeps the values that also
+    depend on the config, the cohort result and the cohort indicators, and
+    computes each on first use, so a command that needs one of them twice,
+    directly or through another, computes it once.
     """
 
     def __init__(self, args) -> None:
@@ -144,20 +144,6 @@ class Run:
         self.dataset = _load_checked(args, self.config)
         self.out = Path(_require(args.out, "--out"))
         self.out.mkdir(parents=True, exist_ok=True)
-
-    @cached_property
-    def profiles(self) -> dict[str, CurveProfile]:
-        """Profiles for every paper with a computable curve.
-
-        The papers left out, with no citations or a single-year window, are
-        the ones validation has already warned about.
-        """
-        series = self.dataset.series
-        return {
-            pid: curve.profile(series[pid])
-            for pid in sorted(series)
-            if series[pid].total and series[pid].t_m
-        }
 
     @cached_property
     def cohorts(self) -> CohortResult:
@@ -168,24 +154,17 @@ class Run:
             pub_to=config.pub_to,
             min_total_citations=config.min_total_citations,
             fraction=config.fraction,
-            profiles=self.profiles,
         )
-
-    @cached_property
-    def families(self) -> dict[str, tuple[PatentFamilyRecord, ...]]:
-        return families_by_paper(self.dataset)
 
     @cached_property
     def cohort_indicators(self) -> tuple[list[PatentIndicators], list[PatentIndicators]]:
         """Patent indicators of the DR and the IR cohort, in rank order."""
         dr_ids, ir_ids = self.cohorts.members(DR), self.cohorts.members(IR)
-        by_id = compute_indicators(
-            self.dataset, [*dr_ids, *ir_ids], self.turning_years(), self.families
-        )
+        by_id = compute_indicators(self.dataset, [*dr_ids, *ir_ids], self.turning_years())
         return [by_id[p] for p in dr_ids], [by_id[p] for p in ir_ids]
 
     def turning_years(self) -> dict[str, int]:
-        return {pid: prof.turning_year for pid, prof in self.profiles.items()}
+        return {pid: prof.turning_year for pid, prof in self.dataset.profiles.items()}
 
     def write(self, name: str, writer, *payload) -> None:
         path = self.out / name
@@ -195,7 +174,7 @@ class Run:
 
 def cmd_profile(args) -> int:
     run = Run(args)
-    run.write("profiles.csv", reports.write_profiles, run.dataset, run.profiles.values())
+    run.write("profiles.csv", reports.write_profiles, run.dataset, run.dataset.profiles.values())
     return 0
 
 
@@ -207,9 +186,7 @@ def cmd_cohort(args) -> int:
 
 def cmd_patents(args) -> int:
     run = Run(args)
-    indicators = compute_indicators(
-        run.dataset, sorted(run.profiles), run.turning_years(), run.families
-    )
+    indicators = compute_indicators(run.dataset, list(run.dataset.profiles), run.turning_years())
     run.write("patent_indicators.csv", reports.write_indicators, indicators.values())
     return 0
 
@@ -241,7 +218,7 @@ def cmd_interactions(args) -> int:
     run = Run(args)
     for tag, cohort in (("dr", DR), ("ir", IR)):
         ids = run.cohorts.members(cohort)
-        matrix = interaction_matrix(run.dataset, ids, run.families)
+        matrix = interaction_matrix(run.dataset, ids)
         dist = field_distribution(run.dataset, ids)
         run.write(f"interactions_{tag}.csv", reports.write_interactions, matrix)
         run.write(f"interaction_marginals_{tag}.csv", reports.write_interaction_marginals, matrix)
@@ -253,7 +230,7 @@ def cmd_aagr(args) -> int:
     run = Run(args)
     dataset, method = run.dataset, run.config.aagr_method
     rows = []
-    for pid, prof in sorted(run.profiles.items()):
+    for pid, prof in dataset.profiles.items():
         series = dataset.series[pid]
         if prof.turning_year >= dataset.window_end:
             log.warning("%s: turning year is the window end; growth undefined; skipped", pid)

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Mapping
 
-from . import curve
 from .errors import EmptyEligibleSetError, InvalidCountsError
 from .model import CurveProfile, Dataset
 
@@ -103,25 +101,20 @@ def select_cohorts(
     pub_to: int,
     min_total_citations: int,
     fraction: float,
-    profiles: Mapping[str, CurveProfile] | None = None,
 ) -> CohortResult:
     """Assign every eligible paper to DR, IR, or NONE.
 
     Each cohort holds ceil(fraction * N) papers. With tiny pools the ceiling
     can make the cuts meet; DR wins the contested middle and IR comes up
-    short rather than letting a paper carry two labels.
-
-    `profiles` must hold every eligible paper's profile, so a caller that has
-    already profiled the papers does not profile them again; when omitted,
-    the eligible papers are profiled here.
+    short rather than letting a paper carry two labels. The ranking reads
+    the profiles cached on the dataset.
     """
     if not 0.0 < fraction <= 0.5:
         raise InvalidCountsError(f"cohort fraction {fraction} outside (0, 0.5]")
     ids = eligible_ids(dataset, pub_from, pub_to, min_total_citations)
     if not ids:
         raise EmptyEligibleSetError()
-    if profiles is None:
-        profiles = {pid: curve.profile(dataset.series[pid]) for pid in ids}
+    profiles = dataset.profiles
     # ids ascend and the sort is stable under reverse, so papers tied on bcp
     # keep id order: the ranking is by (-bcp, paper_id) with no key tuples.
     ranked = [profiles[pid] for pid in ids]

@@ -43,12 +43,6 @@ class RowOutOfWindowError(DataError):
         super().__init__(f"citation year {year}{who} outside the observation window")
 
 
-class FieldIdOutOfRangeError(DataError):
-    def __init__(self, value: int):
-        self.value = value
-        super().__init__(f"technology field id {value} outside 1..35")
-
-
 class ZeroCitationsError(DataError):
     def __init__(self, paper_id: str):
         self.paper_id = paper_id
@@ -79,11 +73,6 @@ class InvalidCountsError(DataError):
 class DegeneratePoolError(DataError):
     def __init__(self) -> None:
         super().__init__("pooled rate is 0 or 1; z statistic undefined")
-
-
-class ZeroBaselineError(DataError):
-    def __init__(self) -> None:
-        super().__init__("baseline group has zero events; rate ratio undefined")
 
 
 class InsufficientDataError(DataError):

@@ -27,7 +27,6 @@ from typing import Iterable, Sequence, get_type_hints
 from .errors import (
     DataError,
     DuplicateIdError,
-    FieldIdOutOfRangeError,
     MalformedRowError,
     RowOutOfWindowError,
 )
@@ -218,8 +217,6 @@ def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
     rows = read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER)
     for line_no, (prefix, field_id, field_name, sector) in rows:
         field_id = _int_cell(field_id, "wipo_field_id", line_no)
-        if not 1 <= field_id <= 35:
-            raise FieldIdOutOfRangeError(field_id)
         try:
             entries.append(
                 ConcordanceEntry(
@@ -407,14 +404,6 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     return ValidationReport(issues=tuple(issues))
 
 
-def compile_term_pattern(terms: Sequence[str]) -> re.Pattern[str]:
-    """Whole-word, case-insensitive matcher for any of the given terms."""
-    if not terms:
-        raise ValueError("at least one term is required")
-    alternation = "|".join(re.escape(t) for t in terms)
-    return re.compile(rf"(?<!\w)(?:{alternation})(?!\w)", re.IGNORECASE)
-
-
 def flag_contexts(
     contexts: Iterable[CitationContextRecord],
     terms: Sequence[str] = DEFAULT_DISPUTE_TERMS,
@@ -425,10 +414,10 @@ def flag_contexts(
     the order given in `terms`. Substring hits inside longer words do not
     count ("disagreement" does not match "disagree").
     """
-    single = {t: compile_term_pattern([t]) for t in terms}
+    patterns = {t: re.compile(rf"(?<!\w){re.escape(t)}(?!\w)", re.IGNORECASE) for t in terms}
     flagged = []
     for rec in contexts:
-        matched = tuple(t for t in terms if single[t].search(rec.sentence))
+        matched = tuple(t for t in terms if patterns[t].search(rec.sentence))
         if matched:
             flagged.append((rec, matched))
     return flagged

@@ -10,15 +10,12 @@ total weight is conserved as the sum over papers of |fields| * |tech fields|.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .model import ConcordanceEntry, Dataset, PatentFamilyRecord
-from .patent import earliest_family, families_by_paper
-
-log = logging.getLogger(__name__)
+from .model import ConcordanceEntry, Dataset
+from .patent import earliest_family
 
 UNCLASSIFIED = "unclassified"
 
@@ -95,17 +92,14 @@ class InteractionMatrix:
 def interaction_matrix(
     dataset: Dataset,
     paper_ids: Iterable[str],
-    families: Mapping[str, Sequence[PatentFamilyRecord]] | None = None,
 ) -> InteractionMatrix:
     """Field-of-study by technology-field weights over the given papers.
 
     A paper contributes only if it has top-level fields, a citing family, and
     at least one mappable IPC code on its earliest citing family. Unmapped
-    codes are collected (and logged) but never counted. `families` is
-    families_by_paper(dataset), for a caller that already has it; when
-    omitted, the links are grouped here.
+    codes are collected but never counted; validation warns about each one.
     """
-    grouped = families_by_paper(dataset) if families is None else families
+    grouped = dataset.families
     index = dataset.ipc_index
     weights: Counter[tuple[str, int]] = Counter()
     names: dict[int, str] = {}
@@ -131,8 +125,6 @@ def interaction_matrix(
         for field in fields:
             for tid in tech_ids:
                 weights[(field, tid)] += 1
-    for code in sorted(unmapped):
-        log.warning("IPC code %r matches no concordance prefix; skipped", code)
     cells = tuple(
         InteractionCell(
             field_of_study=field,

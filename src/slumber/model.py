@@ -1,7 +1,11 @@
 """Canonical data model shared by every analysis stage.
 
 All records are frozen dataclasses validated on construction; a loaded
-Dataset is treated as immutable.
+Dataset is treated as immutable. The values every analysis derives from a
+Dataset (its IPC lookup, each paper's curve profile and each paper's citing
+patent families) are cached properties: computed on first use and kept on
+that Dataset instance. A copy made with dataclasses.replace starts with an
+empty cache.
 """
 
 from __future__ import annotations
@@ -172,6 +176,29 @@ class Dataset:
         from .interact import IpcIndex
 
         return IpcIndex(self.concordance)
+
+    @cached_property
+    def profiles(self) -> dict[str, CurveProfile]:
+        """Curve profiles of every paper with a computable curve, by ascending id.
+
+        The papers left out, with no citations or a single-year window, are
+        the ones validation warns about.
+        """
+        from . import curve
+
+        series = self.series
+        return {
+            pid: curve.profile(series[pid])
+            for pid in sorted(series)
+            if series[pid].total and series[pid].t_m
+        }
+
+    @cached_property
+    def families(self) -> dict[str, tuple[PatentFamilyRecord, ...]]:
+        """Each linked paper's distinct citing families, in family-id order."""
+        from . import patent
+
+        return patent.families_by_paper(self)
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,10 @@ def families_by_paper(dataset: Dataset) -> dict[str, tuple[PatentFamilyRecord, .
     return {pid: tuple(fams[k] for k in sorted(fams)) for pid, fams in grouped.items()}
 
 
-def earliest_family(families: Sequence[PatentFamilyRecord]) -> PatentFamilyRecord:
-    if not families:
+def earliest_family(citing: Sequence[PatentFamilyRecord]) -> PatentFamilyRecord:
+    if not citing:
         raise NoPatentCitationsError("")
-    return min(families, key=lambda f: (f.earliest_priority_year, f.family_id))
+    return min(citing, key=lambda f: (f.earliest_priority_year, f.family_id))
 
 
 def classify_timing(relative: int) -> str:
@@ -75,19 +75,19 @@ def classify_timing(relative: int) -> str:
 
 def indicators_for(
     paper: PaperRecord,
-    families: Sequence[PatentFamilyRecord],
+    citing: Sequence[PatentFamilyRecord],
     turning_year: int,
 ) -> PatentIndicators:
     """All indicators for one paper given its citing families."""
-    if not families:
+    if not citing:
         return PatentIndicators(paper_id=paper.paper_id, n_families=0)
-    first = earliest_family(families)
+    first = earliest_family(citing)
     earliest_filing = first.earliest_priority_year
-    latest_filing = max(max(f.filing_years) for f in families)
+    latest_filing = max(max(f.filing_years) for f in citing)
     relative = earliest_filing - turning_year
     return PatentIndicators(
         paper_id=paper.paper_id,
-        n_families=len(families),
+        n_families=len(citing),
         earliest_family_id=first.family_id,
         earliest_filing_year=earliest_filing,
         latest_filing_year=latest_filing,
@@ -103,14 +103,9 @@ def compute_indicators(
     dataset: Dataset,
     paper_ids: Sequence[str],
     turning_years: Mapping[str, int],
-    families: Mapping[str, Sequence[PatentFamilyRecord]] | None = None,
 ) -> dict[str, PatentIndicators]:
-    """Indicators for each requested paper, keyed by paper id.
-
-    `families` is families_by_paper(dataset), for a caller that already has
-    it; when omitted, the links are grouped here.
-    """
-    grouped = families_by_paper(dataset) if families is None else families
+    """Indicators for each requested paper, keyed by paper id."""
+    grouped = dataset.families
     out = {}
     for pid in paper_ids:
         paper = dataset.papers[pid]

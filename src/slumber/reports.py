@@ -31,7 +31,7 @@ def _opt(value) -> str:
     return "" if value is None else str(value)
 
 
-def write_profiles(dataset: Dataset, profiles: Iterable[CurveProfile], path: Path) -> None:
+def write_profiles(dataset: Dataset, curve_profiles: Iterable[CurveProfile], path: Path) -> None:
     columns = (
         "paper_id",
         "pub_year",
@@ -53,7 +53,7 @@ def write_profiles(dataset: Dataset, profiles: Iterable[CurveProfile], path: Pat
             prof.turning_year,
             prof.turning_type,
         )
-        for prof in sorted(profiles, key=lambda p: p.paper_id)
+        for prof in sorted(curve_profiles, key=lambda p: p.paper_id)
     )
     write_rows(path, columns, rows)
 

@@ -1,7 +1,7 @@
 """Statistical kernels: proportion intervals, two-group tests, trends, growth.
 
 Conventions are pinned for reproducibility:
-  - Wald interval for a binomial proportion, clamped to [0, 1].
+  - 95% Wald interval for a binomial proportion, clamped to [0, 1].
   - Pooled two-proportion z-test, two-sided p via the standard normal CDF
     (stdlib NormalDist, erf-based, abs error far below 1e-7), no continuity
     correction.
@@ -20,10 +20,12 @@ from .errors import (
     InsufficientDataError,
     InvalidCountsError,
     ZeroBaseError,
-    ZeroBaselineError,
 )
 
 _NORMAL = statistics.NormalDist()
+
+# The two-sided standard normal quantile of a 95% interval.
+_Z95 = _NORMAL.inv_cdf(0.5 + 0.95 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class ProportionSummary:
     rate: float
     ci_low: float
     ci_high: float
-    level: float = 0.95
 
 
 @dataclass(frozen=True)
@@ -75,35 +76,29 @@ class AagrResult:
     skipped_years: int = 0  # arithmetic only: years dropped for a zero denominator
 
 
-def proportion_ci(k: int, n: int, level: float = 0.95) -> ProportionSummary:
-    """Wald confidence interval for k successes out of n trials."""
+def proportion_ci(k: int, n: int) -> ProportionSummary:
+    """95% Wald confidence interval for k successes out of n trials."""
     if n < 1 or not 0 <= k <= n:
         raise InvalidCountsError(f"invalid counts k={k}, n={n}")
-    if not 0.0 < level < 1.0:
-        raise InvalidCountsError(f"confidence level {level} outside (0, 1)")
     rate = k / n
-    z = _NORMAL.inv_cdf(0.5 + level / 2.0)
-    half = z * (rate * (1.0 - rate) / n) ** 0.5
+    half = _Z95 * (rate * (1.0 - rate) / n) ** 0.5
     return ProportionSummary(
         successes=k,
         trials=n,
         rate=rate,
         ci_low=max(0.0, rate - half),
         ci_high=min(1.0, rate + half),
-        level=level,
     )
 
 
-def two_proportion_test(
-    k1: int, n1: int, k2: int, n2: int, level: float = 0.95
-) -> ComparisonResult:
+def two_proportion_test(k1: int, n1: int, k2: int, n2: int) -> ComparisonResult:
     """Pooled z-test comparing k1/n1 against k2/n2 (two-sided).
 
     The rate ratio is group A relative to group B, or None when group B has
     zero events.
     """
-    a = proportion_ci(k1, n1, level)
-    b = proportion_ci(k2, n2, level)
+    a = proportion_ci(k1, n1)
+    b = proportion_ci(k2, n2)
     pooled = (k1 + k2) / (n1 + n2)
     if pooled <= 0.0 or pooled >= 1.0:
         raise DegeneratePoolError()
@@ -114,34 +109,21 @@ def two_proportion_test(
     return ComparisonResult(group_a=a, group_b=b, rate_ratio=ratio, z=z, p_two_sided=p)
 
 
-def rate_ratio(k1: int, n1: int, k2: int, n2: int) -> float:
-    """How much more common the event is in group 1 than in group 2."""
-    if n1 < 1 or n2 < 1 or k1 < 0 or k2 < 0:
-        raise InvalidCountsError(f"invalid counts ({k1},{n1}) vs ({k2},{n2})")
-    if k2 == 0:
-        raise ZeroBaselineError()
-    return (k1 / n1) / (k2 / n2)
-
-
-def moving_window_mean(
-    points: Iterable[tuple[int, float]], width: int = 5, step: int = 1
-) -> WindowedTrend:
+def moving_window_mean(points: Iterable[tuple[int, float]], width: int = 5) -> WindowedTrend:
     """Means over successive, overlapping fixed-width year windows.
 
-    Window starts run from the earliest year to the latest year minus
-    width + 1; windows containing no observations are omitted.
+    Window starts run year by year from the earliest year to the latest year
+    minus width + 1; windows containing no observations are omitted.
     """
     if width < 1:
         raise InvalidCountsError(f"window width {width} must be >= 1")
-    if step < 1:
-        raise InvalidCountsError(f"window step {step} must be >= 1")
     pts = sorted(points)
     if not pts:
         return WindowedTrend(windows=())
     years = [y for y, _ in pts]
     lo, hi = years[0], years[-1]
     windows = []
-    for start in range(lo, hi - width + 2, step):
+    for start in range(lo, hi - width + 2):
         end = start + width - 1
         values = [v for y, v in pts if start <= y <= end]
         if not values:

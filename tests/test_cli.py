@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from slumber import cli, curve, ingest, interact, patent
+from slumber import cli, curve, ingest, patent
 from slumber.errors import ConfigError
 from slumber.model import CitationSeries
 
@@ -137,8 +137,7 @@ def test_cohort_commands_group_links_once(command, tmp_path, table1_dir, half_co
         calls.append(dataset)
         return reference(dataset)
 
-    for module in (cli, patent, interact):
-        monkeypatch.setattr(module, "families_by_paper", counting)
+    monkeypatch.setattr(patent, "families_by_paper", counting)
     code, _, _ = run(
         capsys, command, "--dataset", str(table1_dir), "--out", str(tmp_path), "--config", str(half_config)
     )

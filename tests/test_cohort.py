@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
 import reference
-from slumber import cohort, curve
+from slumber import cohort, curve, interact, patent
 from slumber.errors import EmptyEligibleSetError, InvalidCountsError
 from slumber.model import CitationSeries, CurveProfile, Dataset, PaperRecord
 
@@ -46,8 +48,33 @@ def test_fixture_cohorts_are_pure_blocks(table1):
     assert result.members(cohort.NONE) == ()
     cohorts = {a.paper_id: a.cohort for a in result.assignments}
     assert [cohorts[pid] for pid in dr + ir] == [cohort.DR] * 200 + [cohort.IR] * 200
-    profiles = {pid: curve.profile(s) for pid, s in table1.series.items()}
-    assert cohort.select_cohorts(table1, 1970, 2005, 200, fraction=0.5, profiles=profiles) == result
+
+
+def test_derived_values_are_computed_once_per_dataset(table1, monkeypatch):
+    ds = dataclasses.replace(table1)  # a new instance starts with an empty cache
+    profiled = Counter()
+    grouped = []
+    profile, families_by_paper = curve.profile, patent.families_by_paper
+
+    def counting_profile(series):
+        profiled[series.paper_id] += 1
+        return profile(series)
+
+    def counting_families(dataset):
+        grouped.append(dataset)
+        return families_by_paper(dataset)
+
+    monkeypatch.setattr(curve, "profile", counting_profile)
+    monkeypatch.setattr(patent, "families_by_paper", counting_families)
+    wide = cohort.select_cohorts(ds, 1970, 2005, 200, fraction=0.5)
+    narrow = cohort.select_cohorts(ds, 1970, 2005, 200, fraction=0.1)
+    ids = wide.members(cohort.DR) + wide.members(cohort.IR)
+    turning = {p.paper_id: p.turning_year for p in wide.ranked}
+    patent.compute_indicators(ds, ids, turning)
+    interact.interaction_matrix(ds, narrow.members(cohort.DR))
+    usable = [pid for pid, s in ds.series.items() if s.total > 0 and s.t_m >= 1]
+    assert profiled == Counter(usable)
+    assert len(grouped) == 1 and grouped[0] is ds
 
 
 def test_ceiling_keeps_one_per_side_in_tiny_pools():
@@ -102,8 +129,9 @@ def test_ranking_matches_the_id_tiebreak_key():
             pid: CurveProfile(paper_id=pid, bcp=b, turning_t=4, turning_year=2004, turning_type="flat")
             for pid, b in zip(ids, bcps)
         }
+        vars(ds)["profiles"] = profiles  # the slot where Dataset caches its profiles
         for fraction in (0.05, 1 / 3, 0.5):
-            result = cohort.select_cohorts(ds, 1990, 2004, 1, fraction=fraction, profiles=profiles)
+            result = cohort.select_cohorts(ds, 1990, 2004, 1, fraction=fraction)
             expected = reference.cohort_assignments(profiles, ids, fraction)
             assert list(result.assignments) == expected
             for label in (cohort.DR, cohort.IR, cohort.NONE):

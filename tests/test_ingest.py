@@ -14,7 +14,6 @@ from slumber import ingest
 from slumber.errors import (
     DataError,
     DuplicateIdError,
-    FieldIdOutOfRangeError,
     MalformedRowError,
     MissingColumnError,
     RowOutOfWindowError,
@@ -410,7 +409,7 @@ def test_concordance_field_id_range(tmp_path):
     header = "ipc_prefix\twipo_field_id\twipo_field_name\tsector\n"
     for bad in ("36", "0"):
         path.write_text(header + f"A61B\t{bad}\tX\tY\n")
-        with pytest.raises(FieldIdOutOfRangeError):
+        with pytest.raises(MalformedRowError, match=f"line 2: wipo_field_id {bad} outside 1..35"):
             ingest.parse_concordance(path)
 
 
@@ -648,7 +647,3 @@ def test_flagger_preserves_input_order():
     flagged = ingest.flag_contexts(records)
     assert [rec.citing_id for rec, _ in flagged] == ["c3", "c1", "c2"]
 
-
-def test_term_pattern_requires_terms():
-    with pytest.raises(ValueError):
-        ingest.compile_term_pattern([])

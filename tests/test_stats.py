@@ -14,14 +14,12 @@ from slumber.errors import (
     InsufficientDataError,
     InvalidCountsError,
     ZeroBaseError,
-    ZeroBaselineError,
 )
 from slumber.stats import (
     TrendWindow,
     aagr,
     moving_window_mean,
     proportion_ci,
-    rate_ratio,
     summary_stats,
     two_proportion_test,
 )
@@ -80,12 +78,6 @@ def test_ci_symmetry_under_complement():
         assert a.ci_high == pytest.approx(1.0 - b.ci_low, abs=1e-12)
 
 
-def test_ci_widens_with_level():
-    narrow = proportion_ci(40, 100, level=0.90)
-    wide = proportion_ci(40, 100, level=0.99)
-    assert wide.ci_high - wide.ci_low > narrow.ci_high - narrow.ci_low
-
-
 def test_ci_rejects_bad_inputs():
     with pytest.raises(InvalidCountsError):
         proportion_ci(-1, 10)
@@ -93,8 +85,6 @@ def test_ci_rejects_bad_inputs():
         proportion_ci(11, 10)
     with pytest.raises(InvalidCountsError):
         proportion_ci(1, 0)
-    with pytest.raises(InvalidCountsError):
-        proportion_ci(1, 10, level=1.0)
 
 
 def test_two_proportion_swap_negates_z():
@@ -134,23 +124,14 @@ def test_ratio_none_when_baseline_empty():
     assert r.z > 0
 
 
-def test_rate_ratio_function():
-    assert rate_ratio(99, 200, 70, 200) == pytest.approx(99 / 70, abs=1e-12)
-    assert rate_ratio(50, 100, 25, 50) == 1.0
-    with pytest.raises(ZeroBaselineError):
-        rate_ratio(5, 10, 0, 10)
-    with pytest.raises(InvalidCountsError):
-        rate_ratio(5, 0, 1, 10)
-
-
-def windows_oracle(points, width, step):
+def windows_oracle(points, width):
     """Set-based re-derivation of the expected windows."""
     by_year = {}
     for y, v in points:
         by_year.setdefault(y, []).append(v)
     years = sorted(by_year)
     out = []
-    for start in range(years[0], years[-1] - width + 2, step):
+    for start in range(years[0], years[-1] - width + 2):
         inside = [v for y in range(start, start + width) for v in by_year.get(y, [])]
         if inside:
             out.append((start, start + width - 1, sum(inside) / len(inside), len(inside)))
@@ -193,12 +174,6 @@ def test_empty_windows_are_omitted():
     )
 
 
-def test_step_skips_window_starts():
-    points = [(y, 1.0) for y in range(2000, 2011)]
-    trend = moving_window_mean(points, width=2, step=5)
-    assert [w.start_year for w in trend.windows] == [2000, 2005]
-
-
 def test_windows_match_oracle():
     rng = random.Random(77)
     for _ in range(150):
@@ -206,20 +181,17 @@ def test_windows_match_oracle():
         years = rng.sample(range(1960, 2020), n)
         points = [(y, rng.uniform(-30.0, 30.0)) for y in years]
         width = rng.randint(1, 8)
-        step = rng.randint(1, 4)
         got = [
             (w.start_year, w.end_year, w.mean, w.n_obs)
-            for w in moving_window_mean(points, width=width, step=step).windows
+            for w in moving_window_mean(points, width=width).windows
         ]
-        assert got == windows_oracle(points, width, step)
+        assert got == windows_oracle(points, width)
 
 
 def test_empty_points_and_bad_widths():
     assert moving_window_mean([]).windows == ()
     with pytest.raises(InvalidCountsError):
         moving_window_mean([(1970, 1.0)], width=0)
-    with pytest.raises(InvalidCountsError):
-        moving_window_mean([(1970, 1.0)], step=0)
 
 
 def test_summary_stats_values():
