@@ -160,11 +160,8 @@ class Run:
     def cohort_indicators(self) -> tuple[list[PatentIndicators], list[PatentIndicators]]:
         """Patent indicators of the DR and the IR cohort, in rank order."""
         dr_ids, ir_ids = self.cohorts.members(DR), self.cohorts.members(IR)
-        by_id = compute_indicators(self.dataset, [*dr_ids, *ir_ids], self.turning_years())
+        by_id = compute_indicators(self.dataset, [*dr_ids, *ir_ids])
         return [by_id[p] for p in dr_ids], [by_id[p] for p in ir_ids]
-
-    def turning_years(self) -> dict[str, int]:
-        return {pid: prof.turning_year for pid, prof in self.dataset.profiles.items()}
 
     def write(self, name: str, writer, *payload) -> None:
         path = self.out / name
@@ -186,7 +183,7 @@ def cmd_cohort(args) -> int:
 
 def cmd_patents(args) -> int:
     run = Run(args)
-    indicators = compute_indicators(run.dataset, list(run.dataset.profiles), run.turning_years())
+    indicators = compute_indicators(run.dataset, list(run.dataset.profiles))
     run.write("patent_indicators.csv", reports.write_indicators, indicators.values())
     return 0
 
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--dataset", type=Path, help="dataset directory to read")
     shared.add_argument("--out", type=Path, help="directory for generated files")
     shared.add_argument("--config", type=Path, help="key=value overrides file")
-    shared.add_argument("--seed", type=int, default=None, help="random seed (synth)")
 
     parser = argparse.ArgumentParser(
         prog="slumber",
@@ -302,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, parents=[shared], help=blurb)
         p.set_defaults(func=handler)
+    sub.choices["synth"].add_argument("--seed", type=int, default=None, help="random seed")
     return parser
 
 

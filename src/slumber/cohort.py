@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 
-from .errors import EmptyEligibleSetError, InvalidCountsError
+from .errors import DataError
 from .model import CurveProfile, Dataset
 
 DR = "DR"
@@ -77,22 +77,20 @@ def eligible_ids(
     pub_to: int,
     min_total_citations: int,
 ) -> list[str]:
-    """Paper ids passing the publication-window and citation-floor filter."""
+    """Ids of the profiled papers inside the publication window and at the floor or above.
+
+    The ids ascend, as the keys of dataset.profiles do.
+    """
     if pub_to < pub_from:
-        raise InvalidCountsError(f"publication window {pub_from}..{pub_to} is empty")
+        raise DataError(f"publication window {pub_from}..{pub_to} is empty")
     if min_total_citations < 1:
-        raise InvalidCountsError("minimum citation total must be at least 1")
-    out = []
-    for pid in sorted(dataset.papers):
-        paper = dataset.papers[pid]
-        if not pub_from <= paper.pub_year <= pub_to:
-            continue
-        series = dataset.series.get(pid)
-        if series is None or series.t_m < 1:
-            continue
-        if series.total >= min_total_citations:
-            out.append(pid)
-    return out
+        raise DataError("minimum citation total must be at least 1")
+    papers, series = dataset.papers, dataset.series
+    return [
+        pid
+        for pid in dataset.profiles
+        if pub_from <= papers[pid].pub_year <= pub_to and series[pid].total >= min_total_citations
+    ]
 
 
 def select_cohorts(
@@ -110,10 +108,10 @@ def select_cohorts(
     the profiles cached on the dataset.
     """
     if not 0.0 < fraction <= 0.5:
-        raise InvalidCountsError(f"cohort fraction {fraction} outside (0, 0.5]")
+        raise DataError(f"cohort fraction {fraction} outside (0, 0.5]")
     ids = eligible_ids(dataset, pub_from, pub_to, min_total_citations)
     if not ids:
-        raise EmptyEligibleSetError()
+        raise DataError("no paper satisfies the eligibility filter")
     profiles = dataset.profiles
     # ids ascend and the sort is stable under reverse, so papers tied on bcp
     # keep id order: the ranking is by (-bcp, paper_id) with no key tuples.

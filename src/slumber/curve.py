@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import ZeroCitationsError
+from .errors import DataError
 from .model import CitationSeries, CurveProfile
 
 AWAKENING = "awakening"
@@ -64,7 +64,7 @@ def profile(series: CitationSeries) -> CurveProfile:
     """
     total = series.total
     if total == 0:
-        raise ZeroCitationsError(series.paper_id)
+        raise DataError(f"paper {series.paper_id!r} has no citations; curve is undefined")
     t_m = series.t_m
     if t_m < 1:
         raise ValueError("curve spans a single year; reference line undefined")

@@ -13,7 +13,7 @@ Multi-valued cells (fields_of_study as name@level pairs, filing_years,
 ipc_codes) pack with ';'. Writers emit sorted rows, so rewriting an
 unchanged dataset is byte-identical.
 
-Malformed content raises DataError subclasses (exit code 1 territory);
+Malformed content raises DataError (exit code 1 territory);
 missing or unreadable files surface as OSError (exit code 2).
 """
 
@@ -24,12 +24,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
-from .errors import (
-    DataError,
-    DuplicateIdError,
-    MalformedRowError,
-    RowOutOfWindowError,
-)
+from .errors import DataError, MalformedRowError
 from .interact import normalize_ipc
 from .model import (
     CitationContextRecord,
@@ -100,7 +95,7 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
     fields_by_cell: dict[str, tuple[FieldOfStudy, ...]] = {}
     for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
-            raise DuplicateIdError(pid)
+            raise DataError(f"duplicate id: {pid!r}")
         year = _int_cell(pub_year, "pub_year", line_no)
         try:
             fields = fields_by_cell.get(cell)
@@ -153,14 +148,12 @@ def read_citations(
         if count < 0:
             raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
         slot = slots.get(pid)
-        if slot is None:
-            if pid not in papers:
-                raise DataError(f"citation row references unknown paper {pid!r}")
-            raise RowOutOfWindowError(year, pid)
+        if slot is None and pid not in papers:
+            raise DataError(f"citation row references unknown paper {pid!r}")
+        if slot is None or not slot[0] <= year <= window_end:
+            raise DataError(f"citation year {year} for paper {pid!r} outside the observation window")
         base, offsets, values = slot
         t = year - base
-        if t < 0 or year > window_end:
-            raise RowOutOfWindowError(year, pid)
         if offsets and t <= offsets[-1]:
             if t == offsets[-1]:
                 raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
@@ -187,7 +180,7 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
     for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
         if fid in patents:
-            raise DuplicateIdError(fid)
+            raise DataError(f"duplicate id: {fid!r}")
         years = tuple(_int_cell(y, "filing_years", line_no) for y in filing.split(";") if y)
         codes = tuple(c for c in ipc.split(";") if c)
         try:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DataError, NoPatentCitationsError, UnresolvedFamilyError
+from .errors import DataError
 from .model import Dataset, PaperRecord, PatentFamilyRecord
 
 EARLIER = "Earlier"
@@ -54,14 +54,12 @@ def families_by_paper(dataset: Dataset) -> dict[str, tuple[PatentFamilyRecord, .
             raise DataError(f"link references unknown paper {link.paper_id!r}")
         family = dataset.patents.get(link.family_id)
         if family is None:
-            raise UnresolvedFamilyError(link.family_id)
+            raise DataError(f"link references unknown patent family {link.family_id!r}")
         grouped[link.paper_id][family.family_id] = family
     return {pid: tuple(fams[k] for k in sorted(fams)) for pid, fams in grouped.items()}
 
 
 def earliest_family(citing: Sequence[PatentFamilyRecord]) -> PatentFamilyRecord:
-    if not citing:
-        raise NoPatentCitationsError("")
     return min(citing, key=lambda f: (f.earliest_priority_year, f.family_id))
 
 
@@ -99,18 +97,17 @@ def indicators_for(
     )
 
 
-def compute_indicators(
-    dataset: Dataset,
-    paper_ids: Sequence[str],
-    turning_years: Mapping[str, int],
-) -> dict[str, PatentIndicators]:
-    """Indicators for each requested paper, keyed by paper id."""
-    grouped = dataset.families
-    out = {}
-    for pid in paper_ids:
-        paper = dataset.papers[pid]
-        out[pid] = indicators_for(paper, grouped.get(pid, ()), turning_years[pid])
-    return out
+def compute_indicators(dataset: Dataset, paper_ids: Sequence[str]) -> dict[str, PatentIndicators]:
+    """Indicators for each requested paper, keyed by paper id.
+
+    Each paper must have a curve profile in dataset.profiles, whose turning
+    year anchors the timing.
+    """
+    grouped, profiles = dataset.families, dataset.profiles
+    return {
+        pid: indicators_for(dataset.papers[pid], grouped.get(pid, ()), profiles[pid].turning_year)
+        for pid in paper_ids
+    }
 
 
 def is_linked(ind: PatentIndicators) -> bool:

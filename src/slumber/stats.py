@@ -14,13 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .errors import (
-    AllDenominatorsZeroError,
-    DegeneratePoolError,
-    InsufficientDataError,
-    InvalidCountsError,
-    ZeroBaseError,
-)
+from .errors import DataError, DegeneratePoolError
 
 _NORMAL = statistics.NormalDist()
 
@@ -79,7 +73,7 @@ class AagrResult:
 def proportion_ci(k: int, n: int) -> ProportionSummary:
     """95% Wald confidence interval for k successes out of n trials."""
     if n < 1 or not 0 <= k <= n:
-        raise InvalidCountsError(f"invalid counts k={k}, n={n}")
+        raise DataError(f"invalid counts k={k}, n={n}")
     rate = k / n
     half = _Z95 * (rate * (1.0 - rate) / n) ** 0.5
     return ProportionSummary(
@@ -116,7 +110,7 @@ def moving_window_mean(points: Iterable[tuple[int, float]], width: int = 5) -> W
     minus width + 1; windows containing no observations are omitted.
     """
     if width < 1:
-        raise InvalidCountsError(f"window width {width} must be >= 1")
+        raise DataError(f"window width {width} must be >= 1")
     pts = sorted(points)
     if not pts:
         return WindowedTrend(windows=())
@@ -137,7 +131,7 @@ def moving_window_mean(points: Iterable[tuple[int, float]], width: int = 5) -> W
 def summary_stats(values: Sequence[float]) -> SummaryStats:
     """Min, max, midpoint median, and sample standard deviation."""
     if not values:
-        raise InsufficientDataError("summary statistics need at least one value")
+        raise DataError("summary statistics need at least one value")
     sd = statistics.stdev(values) if len(values) >= 2 else None
     return SummaryStats(
         min=min(values),
@@ -161,7 +155,7 @@ def aagr(
     Years absent from the input count as zero.
     """
     if end_year <= base_year:
-        raise InvalidCountsError(f"end year {end_year} must exceed base year {base_year}")
+        raise DataError(f"end year {end_year} must exceed base year {base_year}")
     by_year = dict(annual_counts)
     if method == "arithmetic":
         changes = []
@@ -174,14 +168,14 @@ def aagr(
                 continue
             changes.append((cur - prev) / prev)
         if not changes:
-            raise AllDenominatorsZeroError()
+            raise DataError("every year-over-year denominator is zero")
         value = 100.0 * sum(changes) / len(changes)
         return AagrResult(base_year, end_year, "arithmetic", value, skipped_years=skipped)
     if method == "compound":
         v_base = by_year.get(base_year, 0)
         v_end = by_year.get(end_year, 0)
         if v_base == 0:
-            raise ZeroBaseError(base_year)
+            raise DataError(f"count in base year {base_year} is zero; compound growth undefined")
         value = 100.0 * ((v_end / v_base) ** (1.0 / (end_year - base_year)) - 1.0)
         return AagrResult(base_year, end_year, "compound", value)
-    raise InvalidCountsError(f"unknown growth method {method!r}")
+    raise DataError(f"unknown growth method {method!r}")

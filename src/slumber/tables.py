@@ -19,7 +19,7 @@ import operator
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MalformedRowError, MissingColumnError
+from .errors import DataError, MalformedRowError
 
 
 def read_rows(
@@ -33,7 +33,7 @@ def read_rows(
             names = next(reader, [])
             for col in columns:
                 if col not in names:
-                    raise MissingColumnError(col)
+                    raise DataError(f"missing required column: {col!r}")
                 if names.count(col) > 1:
                     raise MalformedRowError(reader.line_num, f"header names column {col!r} twice")
             width = len(names)

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from slumber.cohort import DR, IR, NONE, CohortAssignment
 from slumber.curve import AWAKENING, FALLING, FLAT
-from slumber.errors import DataError, MalformedRowError, RowOutOfWindowError, ZeroCitationsError
+from slumber.errors import DataError, MalformedRowError
 from slumber.ingest import CITATION_COLUMNS, _int_cell
 from slumber.interact import normalize_ipc
 from slumber.model import CitationSeries, ConcordanceEntry, CurveProfile, PaperRecord
@@ -48,7 +48,7 @@ def profile_dense(series: CitationSeries) -> CurveProfile:
     counts = dense_counts(series)
     total, t_m = sum(counts), series.t_m
     if total == 0:
-        raise ZeroCitationsError(series.paper_id)
+        raise DataError(f"paper {series.paper_id!r} has no citations; curve is undefined")
     if t_m < 1:
         raise ValueError("curve spans a single year; reference line undefined")
     nums = deviation_numerators(counts)
@@ -106,11 +106,11 @@ def read_citations_dense(
         if slot is None:
             if pid not in papers:
                 raise DataError(f"citation row references unknown paper {pid!r}")
-            raise RowOutOfWindowError(year, pid)
+            raise DataError(f"citation year {year} for paper {pid!r} outside the observation window")
         base, counts, seen = slot
         t = year - base
         if t < 0 or year > window_end:
-            raise RowOutOfWindowError(year, pid)
+            raise DataError(f"citation year {year} for paper {pid!r} outside the observation window")
         if seen[t]:
             raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
         seen[t] = 1

@@ -240,9 +240,7 @@ def test_c07_cohort_sizing():
 def test_c08_timing_classes_and_worked_lag_example(table1):
     result = select_cohorts(table1, 1970, 2005, 200, fraction=0.5)
     grouped = families_by_paper(table1)
-    profiles = {pid: curve.profile(table1.series[pid]) for pid in table1.series}
-    turning = {pid: prof.turning_year for pid, prof in profiles.items()}
-    dr_inds = compute_indicators(table1, result.members(DR), turning)
+    dr_inds = compute_indicators(table1, result.members(DR))
     counts = Counter(
         ind.timing_class for ind in dr_inds.values() if ind.timing_class is not None
     )
@@ -268,7 +266,7 @@ def test_c08_timing_classes_and_worked_lag_example(table1):
     )
 
     # every linked IR paper in the fixture is built to the same +2 pattern
-    ir_inds = compute_indicators(table1, result.members(IR), turning)
+    ir_inds = compute_indicators(table1, result.members(IR))
     ir_points = lag_trend_points(
         [i for i in ir_inds.values() if i.n_families], table1, mode=LAG_FROM_TURNING
     )

@@ -281,6 +281,15 @@ def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
         ("citations.csv", lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n", "unreadable row"),
         ("contexts.jsonl", lambda b: b.replace(b"measurements", b"m\xe9asurements", 1), "line 1: not valid UTF-8"),
         ("contexts.jsonl", lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1), "line 1: year inf"),
+        # A `where` that starts with "error: " is the whole final stderr line.
+        ("papers.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'p00000'"),
+        ("citations.csv", lambda b: b.replace(b",count", b",cnt", 1), "error: missing required column: 'count'"),
+        (
+            "citations.csv",
+            lambda b: b + b"p00000,2100,1\n",
+            "error: citation year 2100 for paper 'p00000' outside the observation window",
+        ),
+        ("patents.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'f00000'"),
     ],
 )
 def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name, corrupt, where):
@@ -290,7 +299,32 @@ def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name
     path.write_bytes(corrupt(path.read_bytes()))
     code, _, err = run(capsys, "validate", "--dataset", str(ds_copy))
     assert code == 1
-    assert err.startswith("error: ") and where in err
+    last = err.splitlines()[-1]
+    if where.startswith("error: "):
+        assert last == where
+    else:
+        assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize(
+    "settings, line",
+    [
+        ("pub_from = 1800\npub_to = 1801\n", "error: no paper satisfies the eligibility filter"),
+        ("fraction = 0.9\n", "error: cohort fraction 0.9 outside (0, 0.5]"),
+    ],
+)
+def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(settings)
+    code, _, err = run(
+        capsys,
+        "cohort",
+        "--dataset", str(demo_dir),
+        "--out", str(tmp_path / "out"),
+        "--config", str(cfg),
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == line
 
 
 def test_missing_dataset_dir_exits_2(tmp_path, capsys):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from collections import Counter
 
 import pytest
 
 import reference
 from slumber import cohort, curve, interact, patent
-from slumber.errors import EmptyEligibleSetError, InvalidCountsError
+from slumber.errors import DataError
 from slumber.model import CitationSeries, CurveProfile, Dataset, PaperRecord
 
 
@@ -69,8 +70,7 @@ def test_derived_values_are_computed_once_per_dataset(table1, monkeypatch):
     wide = cohort.select_cohorts(ds, 1970, 2005, 200, fraction=0.5)
     narrow = cohort.select_cohorts(ds, 1970, 2005, 200, fraction=0.1)
     ids = wide.members(cohort.DR) + wide.members(cohort.IR)
-    turning = {p.paper_id: p.turning_year for p in wide.ranked}
-    patent.compute_indicators(ds, ids, turning)
+    patent.compute_indicators(ds, ids)
     interact.interaction_matrix(ds, narrow.members(cohort.DR))
     usable = [pid for pid, s in ds.series.items() if s.total > 0 and s.t_m >= 1]
     assert profiled == Counter(usable)
@@ -125,9 +125,10 @@ def test_ranking_matches_the_id_tiebreak_key():
         rng.shuffle(ids)
         ds = make_ds({pid: (2000, late_counts(5)) for pid in ids})
         bcps = [rng.choice((0.25, 0.0, -0.0, -0.5)) for _ in ids]
+        # Dataset.profiles holds its papers by ascending id; the ranking relies on it.
         profiles = {
             pid: CurveProfile(paper_id=pid, bcp=b, turning_t=4, turning_year=2004, turning_type="flat")
-            for pid, b in zip(ids, bcps)
+            for pid, b in sorted(zip(ids, bcps))
         }
         vars(ds)["profiles"] = profiles  # the slot where Dataset caches its profiles
         for fraction in (0.05, 1 / 3, 0.5):
@@ -144,14 +145,14 @@ def test_ranking_matches_the_id_tiebreak_key():
 def test_fraction_bounds():
     ds = make_ds({"p": (2000, late_counts(5))})
     for bad in (0.0, -0.1, 0.51, 1.0):
-        with pytest.raises(InvalidCountsError):
+        with pytest.raises(DataError, match=re.escape(f"cohort fraction {bad} outside (0, 0.5]")):
             cohort.select_cohorts(ds, 1990, 2004, 1, fraction=bad)
     assert cohort.select_cohorts(ds, 1990, 2004, 1, fraction=0.5).eligible_count == 1
 
 
 def test_empty_eligible_set():
     ds = make_ds({"p": (2000, late_counts(5))})
-    with pytest.raises(EmptyEligibleSetError):
+    with pytest.raises(DataError, match="no paper satisfies the eligibility filter"):
         cohort.select_cohorts(ds, 1800, 1900, 1, fraction=0.1)
 
 
@@ -166,9 +167,9 @@ def test_eligibility_window_and_floor():
     assert cohort.eligible_ids(ds, 1970, 2002, 200) == ["in"]
     assert cohort.eligible_ids(ds, 1960, 2003, 200) == ["early", "in", "late"]
     assert cohort.eligible_ids(ds, 1970, 2002, 199) == ["in", "thin"]
-    with pytest.raises(InvalidCountsError):
+    with pytest.raises(DataError, match=r"publication window 2002\.\.1970 is empty"):
         cohort.eligible_ids(ds, 2002, 1970, 200)
-    with pytest.raises(InvalidCountsError):
+    with pytest.raises(DataError, match="minimum citation total must be at least 1"):
         cohort.eligible_ids(ds, 1970, 2002, 0)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from slumber import curve
-from slumber.errors import ZeroCitationsError
+from slumber.errors import DataError
 from slumber.model import CitationSeries, CurveProfile
 
 
@@ -75,9 +75,9 @@ def test_cumulative_fraction_examples():
 
 
 def test_all_zero_counts_rejected():
-    with pytest.raises(ZeroCitationsError):
+    with pytest.raises(DataError, match="paper 'p' has no citations; curve is undefined"):
         curve.profile(series([0, 0, 0]))
-    with pytest.raises(ZeroCitationsError):
+    with pytest.raises(DataError, match="paper 'p' has no citations; curve is undefined"):
         reference.profile_dense(series([0, 0, 0]))
 
 

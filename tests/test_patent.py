@@ -6,7 +6,7 @@ import pytest
 
 from fixture_builders import two_family_paper
 from slumber import patent
-from slumber.errors import DataError, NoPatentCitationsError, UnresolvedFamilyError
+from slumber.errors import DataError
 from slumber.model import (
     CitationSeries,
     Dataset,
@@ -16,12 +16,13 @@ from slumber.model import (
 )
 
 
-def link_ds(papers, patents, links) -> Dataset:
+def link_ds(papers, patents, links, series=()) -> Dataset:
+    """Each paper gets a flat three-year series unless `series` holds its own."""
+    by_id = {p.paper_id: CitationSeries.from_counts(p.paper_id, p.pub_year, (1, 1, 1)) for p in papers}
+    by_id.update((s.paper_id, s) for s in series)
     return Dataset(
         papers={p.paper_id: p for p in papers},
-        series={
-            p.paper_id: CitationSeries.from_counts(p.paper_id, p.pub_year, (1, 1, 1)) for p in papers
-        },
+        series=by_id,
         patents={f.family_id: f for f in patents},
         links=tuple(links),
         concordance=(),
@@ -86,9 +87,9 @@ def test_families_sorted_by_id():
 def test_link_to_unknown_family_or_paper():
     paper = PaperRecord(paper_id="p1", pub_year=1980)
     fam = PatentFamilyRecord("f1", 1990, (1990,), 0, ())
-    with pytest.raises(UnresolvedFamilyError):
+    with pytest.raises(DataError, match="link references unknown patent family 'f2'"):
         patent.families_by_paper(link_ds([paper], [fam], [PatentCitationLink("p1", "f2")]))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="link references unknown paper 'p9'"):
         patent.families_by_paper(link_ds([paper], [fam], [PatentCitationLink("p9", "f1")]))
 
 
@@ -96,7 +97,7 @@ def test_earliest_family_breaks_priority_ties_by_id():
     f_b = PatentFamilyRecord("fb", 1990, (1990,), 5, ())
     f_a = PatentFamilyRecord("fa", 1990, (1992,), 1, ())
     assert patent.earliest_family((f_b, f_a)).family_id == "fa"
-    with pytest.raises(NoPatentCitationsError):
+    with pytest.raises(ValueError):
         patent.earliest_family(())
 
 
@@ -149,8 +150,11 @@ def test_compute_indicators_over_dataset():
         PaperRecord(paper_id="p2", pub_year=1985),
     ]
     fam = PatentFamilyRecord("f1", 1992, (1992,), 4, ())
-    ds = link_ds(papers, [fam], [PatentCitationLink("p1", "f1")])
-    got = patent.compute_indicators(ds, ["p1", "p2"], {"p1": 1990, "p2": 1991})
+    # Cited yearly through 1990, then never again: the curve turns in 1990.
+    fading = CitationSeries.from_counts("p1", 1980, (5,) * 11 + (0,) * 10)
+    ds = link_ds(papers, [fam], [PatentCitationLink("p1", "f1")], [fading])
+    assert ds.profiles["p1"].turning_year == 1990
+    got = patent.compute_indicators(ds, ["p1", "p2"])
     assert got["p1"].n_families == 1
     assert got["p1"].relative_timing == 2
     assert got["p1"].timing_class == patent.LATER
@@ -168,7 +172,7 @@ def test_lag_points_sorted_and_skip_unlinked():
         PatentFamilyRecord("f2", 1985, (1985,), 0, ()),
     ]
     ds = link_ds(papers, fams, [PatentCitationLink("a", "f1"), PatentCitationLink("b", "f2")])
-    inds = patent.compute_indicators(ds, ["a", "b", "c"], {"a": 1992, "b": 1980, "c": 1985})
+    inds = patent.compute_indicators(ds, ["a", "b", "c"])
     points = patent.lag_trend_points(inds.values(), ds)
     assert points == [(1975, 10.0), (1990, 5.0)]
     with pytest.raises(DataError):

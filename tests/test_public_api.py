@@ -1,0 +1,33 @@
+"""The public surface: the error types and the names README documents."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import slumber
+from slumber import errors
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_error_types_and_public_names_match_readme():
+    defined = {
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.SlumberError)
+        and obj.__module__ == errors.__name__
+    }
+    assert defined == {
+        "SlumberError",
+        "DataError",
+        "ConfigError",
+        "MalformedRowError",
+        "DegeneratePoolError",
+    }
+    # README's paragraph that begins with `slumber.__all__` names every public name once.
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    paragraph = next(p for p in paragraphs if p.startswith("`slumber.__all__`"))
+    documented = re.findall(r"`(\w+)`", paragraph)
+    assert sorted(documented) == sorted(slumber.__all__)
