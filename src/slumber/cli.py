@@ -3,7 +3,8 @@
 Every command reads `--dataset DIR`, writes reports under `--out DIR`, and
 takes overrides from `--config FILE` (plain key=value lines; keys mirror
 RunConfig, plus the synth generator's spec fields for `synth`). Exit codes:
-0 success, 1 bad data or configuration, 2 I/O failure.
+0 success, 1 bad data or configuration, 2 I/O failure, or a command line that
+does not parse.
 
 Commands never modify the dataset directory, and re-running one over
 unchanged inputs rewrites byte-identical reports.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from . import ingest, reports, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
 from .errors import ConfigError, DataError, SlumberError
 from .interact import field_distribution, interaction_matrix
-from .model import Dataset
+from .model import Dataset, ValidationReport
 from .patent import (
     LAG_FROM_PUBLICATION,
     LAG_FROM_TURNING,
@@ -61,20 +62,6 @@ class RunConfig:
 _KEY_TYPES = {f.name: type(f.default) for cls in (RunConfig, synth.SynthSpec) for f in fields(cls)}
 
 
-def parse_config_file(path: Path) -> dict[str, str]:
-    """key=value lines; blank lines and # comments are ignored."""
-    pairs: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-        pairs[key.strip()] = value.strip()
-    return pairs
-
-
 def _coerce(key: str, raw: str):
     kind = _KEY_TYPES[key]
     if kind is tuple:
@@ -87,28 +74,31 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"config key {key!r} has non-numeric value {raw!r}") from None
 
 
-def _typed_pairs(pairs: dict[str, str]) -> dict[str, object]:
+def load_config(cls, path: Path | None):
+    """A RunConfig or SynthSpec from a file of key=value lines, or the defaults without one.
+
+    Blank lines and # comments are ignored. One file may serve both classes,
+    so every key is checked and coerced, also the keys that only the other
+    class takes, and then `cls` keeps its own.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines() if path else []
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    pairs: dict[str, str] = {}
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+        pairs[key.strip()] = value.strip()
     for key in pairs:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-    return {k: _coerce(k, v) for k, v in pairs.items()}
-
-
-def load_run_config(path: Path | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    typed = _typed_pairs(parse_config_file(path))
-    names = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in typed.items() if k in names})
-
-
-def load_synth_spec(path: Path | None, seed: int | None) -> synth.SynthSpec:
-    typed = _typed_pairs(parse_config_file(path)) if path else {}
-    names = {f.name for f in fields(synth.SynthSpec)}
-    kwargs = {k: v for k, v in typed.items() if k in names}
-    if seed is not None:
-        kwargs["seed"] = seed
-    return synth.SynthSpec(**kwargs)
+    typed = {k: _coerce(k, v) for k, v in pairs.items()}
+    return cls(**{f.name: typed[f.name] for f in fields(cls) if f.name in typed})
 
 
 def _require(value, flag: str):
@@ -117,16 +107,11 @@ def _require(value, flag: str):
     return value
 
 
-def _load_checked(args, config: RunConfig) -> Dataset:
+def _load_and_validate(args) -> tuple[RunConfig, Dataset, ValidationReport]:
+    """The run config, then the `--dataset` it reads, then the dataset's validation report."""
+    config = load_config(RunConfig, args.config)
     dataset = ingest.load_dataset(_require(args.dataset, "--dataset"), config.window_end)
-    report = ingest.validate_dataset(dataset)
-    for issue in report.warnings():
-        log.warning("%s: %s", issue.entity_id, issue.message)
-    if report.has_errors():
-        for issue in report.errors():
-            print(f"error {issue.entity_id}: {issue.message}")
-        raise DataError(f"dataset failed validation with {len(report.errors())} errors")
-    return dataset
+    return config, dataset, ingest.validate_dataset(dataset)
 
 
 class Run:
@@ -140,20 +125,24 @@ class Run:
     """
 
     def __init__(self, args) -> None:
-        self.config = load_run_config(args.config)
-        self.dataset = _load_checked(args, self.config)
+        self.config, self.dataset, report = _load_and_validate(args)
+        for issue in report.warnings():
+            log.warning("%s: %s", issue.entity_id, issue.message)
+        if report.has_errors():
+            for issue in report.errors():
+                print(f"error {issue.entity_id}: {issue.message}")
+            raise DataError(f"dataset failed validation with {len(report.errors())} errors")
         self.out = Path(_require(args.out, "--out"))
         self.out.mkdir(parents=True, exist_ok=True)
 
     @cached_property
     def cohorts(self) -> CohortResult:
-        config = self.config
         return select_cohorts(
             self.dataset,
-            pub_from=config.pub_from,
-            pub_to=config.pub_to,
-            min_total_citations=config.min_total_citations,
-            fraction=config.fraction,
+            pub_from=self.config.pub_from,
+            pub_to=self.config.pub_to,
+            min_total_citations=self.config.min_total_citations,
+            fraction=self.config.fraction,
         )
 
     @cached_property
@@ -169,33 +158,24 @@ class Run:
         print(f"wrote {path}")
 
 
-def cmd_profile(args) -> int:
-    run = Run(args)
+def cmd_profile(run: Run) -> None:
     run.write("profiles.csv", reports.write_profiles, run.dataset, run.dataset.profiles.values())
-    return 0
 
 
-def cmd_cohort(args) -> int:
-    run = Run(args)
+def cmd_cohort(run: Run) -> None:
     run.write("cohort.csv", reports.write_cohorts, run.cohorts)
-    return 0
 
 
-def cmd_patents(args) -> int:
-    run = Run(args)
+def cmd_patents(run: Run) -> None:
     indicators = compute_indicators(run.dataset, list(run.dataset.profiles))
     run.write("patent_indicators.csv", reports.write_indicators, indicators.values())
-    return 0
 
 
-def cmd_table1(args) -> int:
-    run = Run(args)
+def cmd_table1(run: Run) -> None:
     run.write("comparison.csv", reports.write_comparison, *run.cohort_indicators)
-    return 0
 
 
-def cmd_lag_trend(args) -> int:
-    run = Run(args)
+def cmd_lag_trend(run: Run) -> None:
     dr_inds, ir_inds = run.cohort_indicators
     trends = {}
     summaries = {}
@@ -208,11 +188,9 @@ def cmd_lag_trend(args) -> int:
         summaries[(cohort, mode)] = (len(values), summary_stats(values))
     run.write("lag_trend.csv", reports.write_lag_trend, trends)
     run.write("lag_summary.csv", reports.write_lag_summary, summaries)
-    return 0
 
 
-def cmd_interactions(args) -> int:
-    run = Run(args)
+def cmd_interactions(run: Run) -> None:
     for tag, cohort in (("dr", DR), ("ir", IR)):
         ids = run.cohorts.members(cohort)
         matrix = interaction_matrix(run.dataset, ids)
@@ -220,41 +198,37 @@ def cmd_interactions(args) -> int:
         run.write(f"interactions_{tag}.csv", reports.write_interactions, matrix)
         run.write(f"interaction_marginals_{tag}.csv", reports.write_interaction_marginals, matrix)
         run.write(f"field_distribution_{tag}.csv", reports.write_field_distribution, dist)
-    return 0
 
 
-def cmd_aagr(args) -> int:
-    run = Run(args)
+def cmd_aagr(run: Run) -> None:
     dataset, method = run.dataset, run.config.aagr_method
     rows = []
     for pid, prof in dataset.profiles.items():
-        series = dataset.series[pid]
         if prof.turning_year >= dataset.window_end:
             log.warning("%s: turning year is the window end; growth undefined; skipped", pid)
             continue
         try:
             rows.append(
-                (pid, aagr(series.year_counts(), prof.turning_year, dataset.window_end, method))
+                (pid, aagr(dataset.series[pid].year_counts(), prof.turning_year, dataset.window_end, method))
             )
         except DataError as exc:
             log.warning("%s: %s; skipped", pid, exc)
     run.write("aagr.csv", reports.write_growth, rows)
-    return 0
 
 
-def cmd_flag_contexts(args) -> int:
-    run = Run(args)
+def cmd_flag_contexts(run: Run) -> None:
     contexts = run.dataset.contexts
     if contexts is None:
         log.warning("dataset has no contexts file; writing an empty report")
         contexts = ()
     flagged = ingest.flag_contexts(contexts, run.config.terms)
     run.write("flagged_contexts.jsonl", reports.write_flagged_contexts, flagged)
-    return 0
 
 
 def cmd_synth(args) -> int:
-    spec = load_synth_spec(args.config, args.seed)
+    spec = load_config(synth.SynthSpec, args.config)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     out = Path(_require(args.out, "--out"))
     result = synth.generate(spec)
     ingest.write_dataset(result.dataset, out)
@@ -263,9 +237,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = load_run_config(args.config)
-    dataset = ingest.load_dataset(_require(args.dataset, "--dataset"), config.window_end)
-    report = ingest.validate_dataset(dataset)
+    _, _, report = _load_and_validate(args)
     for issue in report.issues:
         print(f"{issue.severity} {issue.entity_id}: {issue.message}")
     errors = len(report.errors())
@@ -306,7 +278,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.func(args)
+        if args.command in ("synth", "validate"):
+            return args.func(args)
+        args.func(Run(args))
+        return 0
     except SlumberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

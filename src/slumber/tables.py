@@ -72,6 +72,10 @@ def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise MalformedRowError(line_no, f"invalid JSON: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:
+                    # An integer longer than the int-string limit, or nesting
+                    # deeper than the recursion limit.
+                    raise MalformedRowError(line_no, f"invalid JSON: {exc}") from None
                 if not isinstance(obj, dict):
                     raise MalformedRowError(line_no, "line is not a JSON object")
                 yield line_no, obj

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from slumber import cli, curve, ingest, patent
+from slumber import cli, curve, ingest, patent, synth
 from slumber.errors import ConfigError
 from slumber.model import CitationSeries
 
@@ -274,6 +274,92 @@ def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
     assert "error:" in err
 
 
+def cross_file_errors(tmp_path, demo_dir) -> Path:
+    """A copy of data/demo with one validation error of each cross-file kind."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    with open(ds_copy / "links.csv", "a", newline="") as fh:
+        fh.write("p00001,ghost-family\nghost-paper,f00000\n")
+    with open(ds_copy / "concordance.tsv", "a", newline="") as fh:
+        fh.write("a61k\t7\tX\tY\n")
+    patents = ds_copy / "patents.csv"
+    text = patents.read_text()
+    assert "\nf00001,2001,2001;2006;2009," in text
+    patents.write_text(text.replace("\nf00001,2001,", "\nf00001,2010,", 1))
+    return ds_copy
+
+
+CROSS_FILE_ERRORS = [
+    "error ghost-family: link references unknown patent family 'ghost-family'",
+    "error ghost-paper: link references unknown paper 'ghost-paper'",
+    "error a61k: prefix 'a61k' maps to fields 16 and 7",
+    "error f00001: earliest priority year 2010 is after every filing year",
+]
+
+
+def test_validate_prints_every_cross_file_error(tmp_path, demo_dir, capsys):
+    ds_copy = cross_file_errors(tmp_path, demo_dir)
+    code, stdout, _ = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert code == 1
+    assert stdout.splitlines() == [*CROSS_FILE_ERRORS, "4 errors, 0 warnings"]
+
+
+def test_analysis_command_refuses_cross_file_errors_before_writing(tmp_path, demo_dir, capsys):
+    ds_copy = cross_file_errors(tmp_path, demo_dir)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "profile", "--dataset", str(ds_copy), "--out", str(out))
+    assert code == 1
+    assert stdout.splitlines() == CROSS_FILE_ERRORS
+    assert err.splitlines()[-1] == "error: dataset failed validation with 4 errors"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cohort", "table1", "lag-trend", "interactions"])
+def test_cohort_commands_select_cohorts_once(command, tmp_path, table1_dir, half_config, capsys, monkeypatch):
+    calls = []
+    reference = cli.select_cohorts
+
+    def counting(dataset, **kwargs):
+        calls.append(dataset)
+        return reference(dataset, **kwargs)
+
+    monkeypatch.setattr(cli, "select_cohorts", counting)
+    code, _, _ = run(
+        capsys, command, "--dataset", str(table1_dir), "--out", str(tmp_path), "--config", str(half_config)
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_synth_seed_flag_overrides_config_file(tmp_path, capsys):
+    outs = {}
+    for tag, settings, flags in (
+        ("flag", "n_papers=30\nseed=3\n", ("--seed", "7")),
+        ("file", "n_papers=30\nseed=7\n", ()),
+    ):
+        cfg = tmp_path / f"{tag}.cfg"
+        cfg.write_text(settings)
+        out = tmp_path / tag
+        code, _, _ = run(capsys, "synth", "--out", str(out), "--config", str(cfg), *flags)
+        assert code == 0
+        outs[tag] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outs["file"]) == 6
+    assert outs["flag"] == outs["file"]
+
+
+def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo_dir, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_papers = 7.5\n")
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "profile", "--dataset", str(demo_dir), "--out", str(out), "--config", str(cfg))
+    assert code == 1
+    assert err.splitlines()[-1] == "error: config key 'n_papers' takes an integer, not '7.5'"
+    cfg.write_text("n_papers = 30\nfraction=0.5\n")
+    code, stdout, _ = run(capsys, "synth", "--out", str(tmp_path / "ds"), "--config", str(cfg))
+    assert code == 0
+    assert "30 papers" in stdout
+
+
 @pytest.mark.parametrize(
     "name, corrupt, where",
     [
@@ -281,6 +367,16 @@ def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
         ("citations.csv", lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n", "unreadable row"),
         ("contexts.jsonl", lambda b: b.replace(b"measurements", b"m\xe9asurements", 1), "line 1: not valid UTF-8"),
         ("contexts.jsonl", lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1), "line 1: year inf"),
+        (
+            "contexts.jsonl",
+            lambda b: b.replace(b'"year": 1989', b'"year": 1' + b"0" * 5000, 1),
+            "line 1: invalid JSON: Exceeds the limit (4300",
+        ),
+        (
+            "contexts.jsonl",
+            lambda b: b"[" * 200_000 + b"]" * 200_000 + b"\n" + b,
+            "line 1: invalid JSON: maximum recursion depth exceeded",
+        ),
         # A `where` that starts with "error: " is the whole final stderr line.
         ("papers.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'p00000'"),
         ("citations.csv", lambda b: b.replace(b",count", b",cnt", 1), "error: missing required column: 'count'"),
@@ -336,6 +432,14 @@ def test_missing_dataset_dir_exits_2(tmp_path, capsys):
     assert "io error:" in err
 
 
+def test_unparsable_command_line_exits_2(tmp_path, demo_dir, capsys):
+    argv = ["profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--confg", "x"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --confg x" in capsys.readouterr().err
+
+
 def test_missing_required_flag_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "profile", "--out", str(tmp_path / "out"))
     assert code == 1
@@ -356,6 +460,16 @@ def test_unknown_config_key_exits_1(tmp_path, demo_dir, capsys):
     assert "fractoin" in err
 
 
+def test_config_file_not_utf8_exits_1(tmp_path, demo_dir, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"fraction = 0.5\n# r\xe9sum\xe9\n")
+    code, _, err = run(
+        capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
+    )
+    assert code == 1
+    assert err.splitlines() == [f"error: {cfg}: not valid UTF-8: invalid continuation byte"]
+
+
 def test_config_parsing_units():
     assert cli._coerce("pub_from", "1980") == 1980
     assert cli._coerce("fraction", "0.25") == 0.25
@@ -370,19 +484,18 @@ def test_config_parsing_units():
         cli.RunConfig(terms=())
 
 
-def test_load_synth_spec_coerces_keys(tmp_path):
+def test_load_config_coerces_synth_keys(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("n_papers = 75\nlink_density = 0.3\n")
-    spec = cli.load_synth_spec(cfg, seed=None)
+    spec = cli.load_config(synth.SynthSpec, cfg)
     assert (spec.n_papers, spec.link_density, spec.seed) == (75, 0.3, 0)
     assert type(spec.n_papers) is int and type(spec.link_density) is float
-    assert cli.load_synth_spec(cfg, seed=7).seed == 7
     cfg.write_text("n_papers = 7.5\n")
     with pytest.raises(ConfigError, match="config key 'n_papers' takes an integer, not '7.5'"):
-        cli.load_synth_spec(cfg, seed=None)
+        cli.load_config(synth.SynthSpec, cfg)
     cfg.write_text("link_density = dense\n")
     with pytest.raises(ConfigError, match="config key 'link_density' has non-numeric value 'dense'"):
-        cli.load_synth_spec(cfg, seed=None)
+        cli.load_config(synth.SynthSpec, cfg)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -390,14 +503,14 @@ def test_config_file_round_trip(tmp_path):
     cfg.write_text(
         "\n# comment line\npub_from = 1975\nfraction=0.02\nterms = refute, challenge\n"
     )
-    config = cli.load_run_config(cfg)
+    config = cli.load_config(cli.RunConfig, cfg)
     assert config.pub_from == 1975
     assert config.fraction == 0.02
     assert config.terms == ("refute", "challenge")
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
-        cli.load_run_config(bad)
+        cli.load_config(cli.RunConfig, bad)
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, table1_dir, half_config, capsys):
