@@ -48,12 +48,15 @@ class CohortResult:
         return len(self.ranked)
 
     def members(self, cohort: str) -> tuple[str, ...]:
-        """The cohort's paper ids, in rank order."""
-        start, stop = {
+        """The paper ids of cohort DR, IR or NONE, in rank order."""
+        bounds = {
             DR: (0, self.dr_cut),
             NONE: (self.dr_cut, self.ir_cut),
             IR: (self.ir_cut, len(self.ranked)),
-        }.get(cohort, (0, 0))
+        }
+        if cohort not in bounds:
+            raise DataError(f"unknown cohort {cohort!r}; expected {DR!r}, {IR!r} or {NONE!r}")
+        start, stop = bounds[cohort]
         return tuple(p.paper_id for p in self.ranked[start:stop])
 
     @cached_property

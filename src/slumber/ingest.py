@@ -64,11 +64,29 @@ CONCORDANCE_DELIMITER = "\t"
 DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
 
 
+# A rejected value is echoed in its error message up to this many characters.
+_SHOWN_CHARS = 40
+
+
+def _shown(value: object) -> str:
+    """The repr of a rejected value for an error message, cut short when long.
+
+    Past _SHOWN_CHARS characters (of a string, or of any other value's repr)
+    it shows the first _SHOWN_CHARS, then '…' and the full length.
+    """
+    is_str = isinstance(value, str)
+    text = value if is_str else repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return repr(value)
+    head = text[:_SHOWN_CHARS]
+    return f"{repr(head) if is_str else head}… ({len(text)} characters)"
+
+
 def _int_cell(value: str, name: str, line_no: int) -> int:
     try:
         return int(value)
     except ValueError:
-        raise MalformedRowError(line_no, f"{name} {value!r} is not an integer") from None
+        raise MalformedRowError(line_no, f"{name} {_shown(value)} is not an integer") from None
 
 
 def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
@@ -79,8 +97,12 @@ def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
     for part in packed.split(";"):
         name, sep, level = part.rpartition("@")
         if not sep:
-            raise ValueError(f"field entry {part!r} lacks an @level suffix")
-        fields.append(FieldOfStudy(name=name, level=int(level)))
+            raise ValueError(f"field entry {_shown(part)} lacks an @level suffix")
+        try:
+            number = int(level)
+        except ValueError:
+            raise ValueError(f"field of study level {_shown(level)} is not an integer") from None
+        fields.append(FieldOfStudy(name=name, level=number))
     return tuple(fields)
 
 
@@ -237,7 +259,7 @@ def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
             # on 1e400, and str() would take null, numbers and lists.
             if type(value) is not kind:
                 name = "integer" if kind is int else "string"
-                raise MalformedRowError(line_no, f"{key} {value!r} is not a JSON {name}")
+                raise MalformedRowError(line_no, f"{key} {_shown(value)} is not a JSON {name}")
         try:
             records.append(CitationContextRecord(*(obj[key] for key in kinds)))
         except ValueError as exc:

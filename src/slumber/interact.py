@@ -70,11 +70,6 @@ class InteractionCell:
 @dataclass(frozen=True)
 class InteractionMatrix:
     cells: tuple[InteractionCell, ...]  # sorted by (field_of_study, wipo_field_id)
-    unmapped_codes: tuple[str, ...]  # distinct codes no prefix matched
-    n_contributing: int  # papers that produced at least one cell
-
-    def total_weight(self) -> int:
-        return sum(c.weight for c in self.cells)
 
     def field_marginals(self) -> dict[str, int]:
         sums: Counter[str] = Counter()
@@ -97,14 +92,12 @@ def interaction_matrix(
 
     A paper contributes only if it has top-level fields, a citing family, and
     at least one mappable IPC code on its earliest citing family. Unmapped
-    codes are collected but never counted; validation warns about each one.
+    codes are skipped; validate_dataset reports each one as a warning.
     """
     grouped = dataset.families
     index = dataset.ipc_index
     weights: Counter[tuple[str, int]] = Counter()
     names: dict[int, str] = {}
-    unmapped: set[str] = set()
-    contributing = 0
     for pid in sorted(set(paper_ids)):
         fields = dataset.papers[pid].top_level_fields()
         families = grouped.get(pid)
@@ -115,13 +108,11 @@ def interaction_matrix(
         for code in first.ipc_codes:
             entry = index.lookup(code)
             if entry is None:
-                unmapped.add(code)
                 continue
             tech_ids.add(entry.wipo_field_id)
             names[entry.wipo_field_id] = entry.wipo_field_name
         if not tech_ids:
             continue
-        contributing += 1
         for field in fields:
             for tid in tech_ids:
                 weights[(field, tid)] += 1
@@ -134,23 +125,17 @@ def interaction_matrix(
         )
         for (field, tid), w in sorted(weights.items())
     )
-    return InteractionMatrix(
-        cells=cells,
-        unmapped_codes=tuple(sorted(unmapped)),
-        n_contributing=contributing,
-    )
+    return InteractionMatrix(cells=cells)
 
 
 @dataclass(frozen=True)
 class FieldDistribution:
     """Papers per top-level field; multi-field papers count once per field.
 
-    Papers with no top-level field land in the "unclassified" bucket, which
-    does not count toward total_assignments.
+    Papers with no top-level field land in the "unclassified" bucket.
     """
 
     counts: tuple[tuple[str, int], ...]  # sorted by field name
-    total_assignments: int
     total_papers: int
 
     def share(self, field: str) -> float:
@@ -163,17 +148,6 @@ def field_distribution(dataset: Dataset, paper_ids: Iterable[str]) -> FieldDistr
     """Distribution of the given papers over top-level fields of study."""
     ids = sorted(set(paper_ids))
     counts: Counter[str] = Counter()
-    assignments = 0
     for pid in ids:
-        fields = dataset.papers[pid].top_level_fields()
-        if not fields:
-            counts[UNCLASSIFIED] += 1
-            continue
-        assignments += len(fields)
-        for field in fields:
-            counts[field] += 1
-    return FieldDistribution(
-        counts=tuple(sorted(counts.items())),
-        total_assignments=assignments,
-        total_papers=len(ids),
-    )
+        counts.update(dataset.papers[pid].top_level_fields() or (UNCLASSIFIED,))
+    return FieldDistribution(counts=tuple(sorted(counts.items())), total_papers=len(ids))

@@ -17,7 +17,7 @@ from .errors import DegeneratePoolError
 from .interact import FieldDistribution, InteractionMatrix
 from .model import CitationContextRecord, CurveProfile, Dataset
 from .patent import BINARY_INDICATORS, PatentIndicators
-from .stats import AagrResult, SummaryStats, WindowedTrend, proportion_ci, two_proportion_test
+from .stats import AagrResult, SummaryStats, TrendWindow, proportion_ci, two_proportion_test
 from .tables import write_json_lines, write_rows
 
 DEGENERATE_LABEL = "DegeneratePool"
@@ -128,12 +128,12 @@ def write_comparison(dr: Sequence[PatentIndicators], ir: Sequence[PatentIndicato
     write_rows(path, columns, comparison_rows(dr, ir))
 
 
-def write_lag_trend(trends: Mapping[tuple[str, str], WindowedTrend], path: Path) -> None:
+def write_lag_trend(trends: Mapping[tuple[str, str], tuple[TrendWindow, ...]], path: Path) -> None:
     """One row per (cohort, lag mode, window); keys iterate in sorted order."""
     rows = (
         (cohort, mode, w.start_year, w.end_year, fmt(w.mean), w.n_obs)
         for cohort, mode in sorted(trends)
-        for w in trends[(cohort, mode)].windows
+        for w in trends[(cohort, mode)]
     )
     write_rows(path, ("cohort", "mode", "window_start", "window_end", "mean_lag", "n_obs"), rows)
 

@@ -24,8 +24,6 @@ _Z95 = _NORMAL.inv_cdf(0.5 + 0.95 / 2.0)
 
 @dataclass(frozen=True)
 class ProportionSummary:
-    successes: int
-    trials: int
     rate: float
     ci_low: float
     ci_high: float
@@ -46,11 +44,6 @@ class TrendWindow:
     end_year: int
     mean: float
     n_obs: int
-
-
-@dataclass(frozen=True)
-class WindowedTrend:
-    windows: tuple[TrendWindow, ...]
 
 
 @dataclass(frozen=True)
@@ -76,13 +69,7 @@ def proportion_ci(k: int, n: int) -> ProportionSummary:
         raise DataError(f"invalid counts k={k}, n={n}")
     rate = k / n
     half = _Z95 * (rate * (1.0 - rate) / n) ** 0.5
-    return ProportionSummary(
-        successes=k,
-        trials=n,
-        rate=rate,
-        ci_low=max(0.0, rate - half),
-        ci_high=min(1.0, rate + half),
-    )
+    return ProportionSummary(rate=rate, ci_low=max(0.0, rate - half), ci_high=min(1.0, rate + half))
 
 
 def two_proportion_test(k1: int, n1: int, k2: int, n2: int) -> ComparisonResult:
@@ -103,17 +90,18 @@ def two_proportion_test(k1: int, n1: int, k2: int, n2: int) -> ComparisonResult:
     return ComparisonResult(group_a=a, group_b=b, rate_ratio=ratio, z=z, p_two_sided=p)
 
 
-def moving_window_mean(points: Iterable[tuple[int, float]], width: int = 5) -> WindowedTrend:
-    """Means over successive, overlapping fixed-width year windows.
+def moving_window_mean(points: Iterable[tuple[int, float]], width: int = 5) -> tuple[TrendWindow, ...]:
+    """Means over successive, overlapping fixed-width year windows, in start order.
 
     Window starts run year by year from the earliest year to the latest year
-    minus width + 1; windows containing no observations are omitted.
+    minus width + 1; windows containing no observations are omitted, so no
+    points, or a span shorter than width, give an empty tuple.
     """
     if width < 1:
         raise DataError(f"window width {width} must be >= 1")
     pts = sorted(points)
     if not pts:
-        return WindowedTrend(windows=())
+        return ()
     years = [y for y, _ in pts]
     lo, hi = years[0], years[-1]
     windows = []
@@ -125,7 +113,7 @@ def moving_window_mean(points: Iterable[tuple[int, float]], width: int = 5) -> W
         windows.append(
             TrendWindow(start_year=start, end_year=end, mean=sum(values) / len(values), n_obs=len(values))
         )
-    return WindowedTrend(windows=tuple(windows))
+    return tuple(windows)
 
 
 def summary_stats(values: Sequence[float]) -> SummaryStats:

@@ -292,7 +292,7 @@ def test_c09_moving_window_oracle():
         width = rng.randint(1, 9)
         got = [
             (w.start_year, w.end_year, w.mean, w.n_obs)
-            for w in moving_window_mean(points, width=width).windows
+            for w in moving_window_mean(points, width=width)
         ]
         by_year = {y: v for y, v in points}
         lo, hi = min(by_year), max(by_year)
@@ -304,7 +304,7 @@ def test_c09_moving_window_oracle():
         if got != expected:
             mismatches += 1
 
-    span = moving_window_mean([(y, 1.0) for y in range(1970, 1995)], width=5).windows
+    span = moving_window_mean([(y, 1.0) for y in range(1970, 1995)], width=5)
     enumeration_ok = (
         (span[0].start_year, span[0].end_year) == (1970, 1974)
         and (span[-1].start_year, span[-1].end_year) == (1990, 1994)
@@ -361,7 +361,7 @@ def test_c10_interaction_weight_conservation():
             first = min(fams, key=lambda f: (f.earliest_priority_year, f.family_id))
             techs = {mapped[c] for c in first.ipc_codes if c in mapped}
             expected += len({f.name for f in paper.fields_of_study if f.level == 0}) * len(techs)
-        if matrix.total_weight() != expected:
+        if sum(c.weight for c in matrix.cells) != expected:
             mismatches += 1
 
         no_links = Dataset(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -370,7 +373,7 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
         (
             "contexts.jsonl",
             lambda b: b.replace(b'"year": 1989', b'"year": 1' + b"0" * 5000, 1),
-            "line 1: invalid JSON: Exceeds the limit (4300",
+            "line 1: invalid JSON: number too long",
         ),
         (
             "contexts.jsonl",
@@ -379,6 +382,12 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
         ),
         # A `where` that starts with "error: " is the whole final stderr line.
         ("papers.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'p00000'"),
+        # A 5,000-digit cell is echoed as its first 40 characters and its length.
+        (
+            "papers.csv",
+            lambda b: b.replace(b",1977,", b"," + b"1" * 5000 + b",", 1),
+            "error: line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
+        ),
         ("citations.csv", lambda b: b.replace(b",count", b",cnt", 1), "error: missing required column: 'count'"),
         (
             "citations.csv",
@@ -578,3 +587,26 @@ def test_commands_do_not_mutate_dataset(tmp_path, table1_dir, half_config, capsy
         )
     after = {p.name: p.read_bytes() for p in table1_dir.iterdir()}
     assert before == after
+
+
+def test_module_entry_point_exit_codes(tmp_path, demo_dir):
+    """`python -m slumber.cli` in a fresh interpreter: 0, 1 and 2."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def entry(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "slumber.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    done = entry("validate", "--dataset", str(demo_dir))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].startswith("0 errors,")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fraction=0.9\n")
+    done = entry("cohort", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == "error: cohort fraction 0.9 outside (0, 0.5]"
+    done = entry("validate", "--dataset", str(demo_dir), "--no-such-flag")
+    assert done.returncode == 2
+    assert "unrecognized arguments: --no-such-flag" in done.stderr

@@ -51,6 +51,14 @@ def test_fixture_cohorts_are_pure_blocks(table1):
     assert [cohorts[pid] for pid in dr + ir] == [cohort.DR] * 200 + [cohort.IR] * 200
 
 
+def test_members_rejects_an_unknown_cohort_label(table1):
+    result = cohort.select_cohorts(table1, 1970, 2005, 200, fraction=0.5)
+    for label in ("dr", "Dr", "", "ALL"):
+        with pytest.raises(DataError) as exc:
+            result.members(label)
+        assert str(exc.value) == f"unknown cohort {label!r}; expected 'DR', 'IR' or 'NONE'"
+
+
 def test_derived_values_are_computed_once_per_dataset(table1, monkeypatch):
     ds = dataclasses.replace(table1)  # a new instance starts with an empty cache
     profiled = Counter()

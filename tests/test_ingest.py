@@ -106,6 +106,21 @@ def test_bad_fields_of_study_cell_names_its_line(tmp_path):
     assert exc.value.line_no == 4
 
 
+def test_non_integer_field_level_is_named_in_own_words(tmp_path):
+    # A NUL after the level digit; Python's int() text would be passed through.
+    with pytest.raises(ValueError) as exc:
+        ingest.parse_fields_of_study("biology@0\x00")
+    assert str(exc.value) == "field of study level '0\\x00' is not an integer"
+    path = tmp_path / "papers.csv"
+    path.write_text(
+        "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
+        "p1,2000,,,,biology@0;physics@zero\n"
+    )
+    with pytest.raises(MalformedRowError) as exc:
+        ingest.parse_papers(path)
+    assert str(exc.value) == "line 2: field of study level 'zero' is not an integer"
+
+
 def test_missing_column(tmp_path):
     path = tmp_path / "papers.csv"
     path.write_text("paper_id,pub_year\np1,2000\n")
@@ -463,6 +478,19 @@ def test_contexts_ids_and_sentence_must_be_json_strings(tmp_path, line, key):
     path.write_text(GOOD_CONTEXT + line + "\n")
     with pytest.raises(MalformedRowError, match=f"line 2: {key} .* is not a JSON string"):
         ingest.parse_contexts(path)
+
+
+def test_long_rejected_values_are_cut_short(tmp_path):
+    path = tmp_path / "papers.csv"
+    path.write_text("paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,biology@" + "1" * 4999 + "x\n")
+    with pytest.raises(MalformedRowError) as exc:
+        ingest.parse_papers(path)
+    assert str(exc.value) == f"line 2: field of study level '{'1' * 40}'… (5000 characters) is not an integer"
+    path = tmp_path / "contexts.jsonl"
+    path.write_text(GOOD_CONTEXT + GOOD_CONTEXT.replace('"s"', "[" + ", ".join(["1"] * 2000) + "]"))
+    with pytest.raises(MalformedRowError) as exc:
+        ingest.parse_contexts(path)
+    assert str(exc.value) == f"line 2: sentence [{'1, ' * 13}… (6000 characters) is not a JSON string"
 
 
 def test_undecodable_bytes_name_their_line(tmp_path):

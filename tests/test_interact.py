@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from fixture_builders import DR_BIOLOGY, IR_BIOLOGY
-from slumber import interact
+from slumber import ingest, interact
 from slumber.model import (
     CitationSeries,
     ConcordanceEntry,
@@ -132,8 +132,6 @@ def test_singleton_matrix():
     cell = matrix.cells[0]
     assert (cell.field_of_study, cell.wipo_field_id, cell.weight) == ("biology", 15, 1)
     assert cell.wipo_field_name == "Biotechnology"
-    assert matrix.n_contributing == 1
-    assert matrix.unmapped_codes == ()
 
 
 def test_cross_product_and_code_dedup():
@@ -151,7 +149,7 @@ def test_cross_product_and_code_dedup():
         ("chemistry", 13): 1,
         ("chemistry", 15): 1,
     }
-    assert matrix.total_weight() == 4
+    assert sum(c.weight for c in matrix.cells) == 4
 
 
 def test_only_earliest_family_contributes():
@@ -171,9 +169,11 @@ def test_unmapped_codes_are_skipped_not_fatal():
         [PatentCitationLink("p1", "f1"), PatentCitationLink("p2", "f2")],
     )
     matrix = interact.interaction_matrix(ds, ["p1", "p2"])
-    assert matrix.unmapped_codes == ("X00X0/00", "Z99Z9/99")
-    assert {c.field_of_study for c in matrix.cells} == {"biology"}
-    assert matrix.n_contributing == 1
+    # p2's only code maps nowhere, so p2 contributes nothing.
+    assert [(c.field_of_study, c.wipo_field_id, c.weight) for c in matrix.cells] == [("biology", 15, 1)]
+    # Validation is where unmapped codes are reported.
+    warned = [w.message for w in ingest.validate_dataset(ds).warnings()]
+    assert [code for code in UNMAPPED_CODES if any(code in m for m in warned)] == list(UNMAPPED_CODES)
 
 
 def test_weights_accumulate_across_papers():
@@ -227,8 +227,8 @@ def test_matrix_conservation_against_triple_count():
                 continue
             contributing += 1
             expected += len(set(fields)) * len(techs)
-        assert matrix.total_weight() == expected
-        assert matrix.n_contributing == contributing
+        assert sum(c.weight for c in matrix.cells) == expected
+        assert bool(matrix.cells) == (contributing > 0)
         assert sum(matrix.field_marginals().values()) == expected
         assert sum(matrix.wipo_marginals().values()) == expected
         assert list(matrix.cells) == sorted(
@@ -238,11 +238,10 @@ def test_matrix_conservation_against_triple_count():
 
 def test_removing_links_empties_matrix_but_not_distribution(table1):
     dr_ids = [f"d{i:03d}" for i in range(200)]
-    assert interact.interaction_matrix(table1, dr_ids).total_weight() > 0
+    assert interact.interaction_matrix(table1, dr_ids).cells
     unlinked = dataclasses.replace(table1, links=())
     matrix = interact.interaction_matrix(unlinked, dr_ids)
     assert matrix.cells == ()
-    assert matrix.n_contributing == 0
     before = interact.field_distribution(table1, dr_ids)
     after = interact.field_distribution(unlinked, dr_ids)
     assert before == after
@@ -263,7 +262,6 @@ def test_unclassified_bucket():
     counts = dict(dist.counts)
     assert counts[interact.UNCLASSIFIED] == 1
     assert counts["biology"] == 1
-    assert dist.total_assignments == 1
     assert dist.total_papers == 2
     empty = interact.field_distribution(ds, [])
     assert empty.share("biology") == 0.0

@@ -135,25 +135,25 @@ def windows_oracle(points, width):
 def test_constant_series_windows():
     points = [(y, 7.0) for y in range(1970, 1995)]
     trend = moving_window_mean(points, width=5)
-    assert len(trend.windows) == 21
-    assert trend.windows[0] == TrendWindow(1970, 1974, 7.0, 5)
-    assert trend.windows[-1] == TrendWindow(1990, 1994, 7.0, 5)
-    assert all(w.mean == 7.0 and w.n_obs == 5 for w in trend.windows)
+    assert len(trend) == 21
+    assert trend[0] == TrendWindow(1970, 1974, 7.0, 5)
+    assert trend[-1] == TrendWindow(1990, 1994, 7.0, 5)
+    assert all(w.mean == 7.0 and w.n_obs == 5 for w in trend)
 
 
 def test_sparse_points_single_window():
     trend = moving_window_mean([(1970, 2.0), (1972, 4.0)], width=3)
-    assert trend.windows == (TrendWindow(1970, 1972, 3.0, 2),)
+    assert trend == (TrendWindow(1970, 1972, 3.0, 2),)
 
 
 def test_span_shorter_than_width_gives_no_windows():
-    assert moving_window_mean([(1970, 2.0), (1972, 4.0)], width=5).windows == ()
-    assert moving_window_mean([(1980, 1.0)], width=2).windows == ()
+    assert moving_window_mean([(1970, 2.0), (1972, 4.0)], width=5) == ()
+    assert moving_window_mean([(1980, 1.0)], width=2) == ()
 
 
 def test_width_one_is_identity_on_observed_years():
     trend = moving_window_mean([(1970, 1.0), (1973, 5.0), (1974, 2.0)], width=1)
-    assert trend.windows == (
+    assert trend == (
         TrendWindow(1970, 1970, 1.0, 1),
         TrendWindow(1973, 1973, 5.0, 1),
         TrendWindow(1974, 1974, 2.0, 1),
@@ -162,7 +162,7 @@ def test_width_one_is_identity_on_observed_years():
 
 def test_empty_windows_are_omitted():
     trend = moving_window_mean([(1970, 1.0), (1980, 3.0)], width=2)
-    assert trend.windows == (
+    assert trend == (
         TrendWindow(1970, 1971, 1.0, 1),
         TrendWindow(1979, 1980, 3.0, 1),
     )
@@ -177,13 +177,13 @@ def test_windows_match_oracle():
         width = rng.randint(1, 8)
         got = [
             (w.start_year, w.end_year, w.mean, w.n_obs)
-            for w in moving_window_mean(points, width=width).windows
+            for w in moving_window_mean(points, width=width)
         ]
         assert got == windows_oracle(points, width)
 
 
 def test_empty_points_and_bad_widths():
-    assert moving_window_mean([]).windows == ()
+    assert moving_window_mean([]) == ()
     with pytest.raises(DataError, match="window width 0 must be >= 1"):
         moving_window_mean([(1970, 1.0)], width=0)
 
