@@ -1,13 +1,17 @@
 """Command-line orchestration over a dataset directory.
 
-Every command reads `--dataset DIR`, writes reports under `--out DIR`, and
-takes overrides from `--config FILE` (plain key=value lines; keys mirror
-RunConfig, plus the synth generator's spec fields for `synth`). Exit codes:
-0 success, 1 bad data or configuration, 2 I/O failure, or a command line that
-does not parse.
+The analysis commands read `--dataset DIR` and write reports under
+`--out DIR`; `validate` reads a dataset and writes nothing, and `synth`
+writes a dataset under `--out DIR`. Every command takes overrides from
+`--config FILE` (plain key=value lines; keys mirror RunConfig, plus the synth
+generator's spec fields for `synth`). Exit codes: 0 success, 1 bad data or
+configuration, 2 I/O failure, or a command line that does not parse.
 
-Commands never modify the dataset directory, and re-running one over
-unchanged inputs rewrites byte-identical reports.
+Each analysis command builds its own report rows in a fixed column order and
+writes them with the tables module. Every float is rendered with
+format(x, ".6f") (correctly rounded, half to even) and every line ends with
+'\n', so two runs over the same inputs are byte-identical regardless of
+platform. Commands never modify the dataset directory.
 """
 
 from __future__ import annotations
@@ -15,25 +19,31 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
-from . import ingest, reports, synth
+from . import ingest, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
-from .errors import ConfigError, DataError, SlumberError
+from .errors import ConfigError, DataError, DegeneratePoolError, SlumberError
 from .interact import field_distribution, interaction_matrix
 from .model import Dataset, ValidationReport
 from .patent import (
+    BINARY_INDICATORS,
     LAG_FROM_PUBLICATION,
     LAG_FROM_TURNING,
     PatentIndicators,
     compute_indicators,
     lag_trend_points,
 )
-from .stats import aagr, moving_window_mean, summary_stats
+from .stats import aagr, moving_window_mean, proportion_ci, summary_stats, two_proportion_test
+from .tables import write_json_lines, write_rows
 
 log = logging.getLogger("slumber")
+
+# The p cell of a Table-1 row whose pooled rate makes the z test undefined.
+DEGENERATE_LABEL = "DegeneratePool"
 
 
 @dataclass(frozen=True)
@@ -154,40 +164,108 @@ class Run:
 
     def write(self, name: str, writer, *payload) -> None:
         path = self.out / name
-        writer(*payload, path)
+        writer(path, *payload)
         print(f"wrote {path}")
 
 
+def _fmt(x: float) -> str:
+    return format(x, ".6f")
+
+
 def cmd_profile(run: Run) -> None:
-    run.write("profiles.csv", reports.write_profiles, run.dataset, run.dataset.profiles.values())
+    papers, series = run.dataset.papers, run.dataset.series
+    columns = (
+        "paper_id",
+        "pub_year",
+        "t_m",
+        "total_citations",
+        "bcp",
+        "turning_t",
+        "turning_year",
+        "turning_type",
+    )
+    rows = (
+        (
+            pid,
+            papers[pid].pub_year,
+            series[pid].t_m,
+            series[pid].total,
+            _fmt(prof.bcp),
+            prof.turning_t,
+            prof.turning_year,
+            prof.turning_type,
+        )
+        for pid, prof in run.dataset.profiles.items()
+    )
+    run.write("profiles.csv", write_rows, columns, rows)
 
 
 def cmd_cohort(run: Run) -> None:
-    run.write("cohort.csv", reports.write_cohorts, run.cohorts)
+    rows = ((a.paper_id, a.rank, _fmt(a.bcp), a.cohort) for a in run.cohorts.assignments)
+    run.write("cohort.csv", write_rows, ("paper_id", "rank", "bcp", "cohort"), rows)
 
 
 def cmd_patents(run: Run) -> None:
+    columns = (
+        "paper_id",
+        "n_families",
+        "earliest_filing_year",
+        "latest_filing_year",
+        "durability_years",
+        "forward_cites_of_earliest",
+        "first_citation_lag",
+        "relative_timing",
+        "timing_class",
+    )
     indicators = compute_indicators(run.dataset, list(run.dataset.profiles))
-    run.write("patent_indicators.csv", reports.write_indicators, indicators.values())
+    # The csv writer leaves a None cell empty.
+    run.write("patent_indicators.csv", write_rows, columns, map(attrgetter(*columns), indicators.values()))
 
 
 def cmd_table1(run: Run) -> None:
-    run.write("comparison.csv", reports.write_comparison, *run.cohort_indicators)
+    """Three binary indicators by two groups, the DR row carrying the test.
+
+    When the pooled rate is degenerate (0 or 1) the z test is undefined; the
+    per-group rates and intervals still go out, with the p cell labelled
+    instead of a number.
+    """
+    dr, ir = run.cohort_indicators
+    n1, n2 = len(dr), len(ir)
+    rows = []
+    for name, predicate in BINARY_INDICATORS:
+        k1 = sum(1 for i in dr if predicate(i))
+        k2 = sum(1 for i in ir if predicate(i))
+        try:
+            res = two_proportion_test(k1, n1, k2, n2)
+            ratio = "" if res.rate_ratio is None else _fmt(res.rate_ratio)
+            z, p = _fmt(res.z), _fmt(res.p_two_sided)
+            a, b = res.group_a, res.group_b
+        except DegeneratePoolError:
+            ratio, z, p = "", "", DEGENERATE_LABEL
+            a, b = proportion_ci(k1, n1), proportion_ci(k2, n2)
+        rows.append((name, DR, k1, n1 - k1, _fmt(a.rate), _fmt(a.ci_low), _fmt(a.ci_high), ratio, z, p))
+        rows.append((name, IR, k2, n2 - k2, _fmt(b.rate), _fmt(b.ci_low), _fmt(b.ci_high), "", "", ""))
+    columns = ("indicator", "group", "yes", "no", "rate", "ci_low", "ci_high", "rate_ratio", "z", "p")
+    run.write("comparison.csv", write_rows, columns, rows)
 
 
 def cmd_lag_trend(run: Run) -> None:
     dr_inds, ir_inds = run.cohort_indicators
-    trends = {}
-    summaries = {}
+    trend_rows, summary_rows = [], []
     for cohort, inds, mode in ((DR, dr_inds, LAG_FROM_PUBLICATION), (IR, ir_inds, LAG_FROM_TURNING)):
         points = lag_trend_points(inds, run.dataset, mode)
         if not points:
             continue
-        trends[(cohort, mode)] = moving_window_mean(points, width=run.config.window_width)
+        for w in moving_window_mean(points, width=run.config.window_width):
+            trend_rows.append((cohort, mode, w.start_year, w.end_year, _fmt(w.mean), w.n_obs))
         values = [v for _, v in points]
-        summaries[(cohort, mode)] = (len(values), summary_stats(values))
-    run.write("lag_trend.csv", reports.write_lag_trend, trends)
-    run.write("lag_summary.csv", reports.write_lag_summary, summaries)
+        s = summary_stats(values)
+        sd = "" if s.sd is None else _fmt(s.sd)
+        summary_rows.append((cohort, mode, len(values), _fmt(s.min), _fmt(s.max), _fmt(s.median), sd))
+    columns = ("cohort", "mode", "window_start", "window_end", "mean_lag", "n_obs")
+    run.write("lag_trend.csv", write_rows, columns, trend_rows)
+    columns = ("cohort", "mode", "n", "min", "max", "median", "sd")
+    run.write("lag_summary.csv", write_rows, columns, summary_rows)
 
 
 def cmd_interactions(run: Run) -> None:
@@ -195,25 +273,34 @@ def cmd_interactions(run: Run) -> None:
         ids = run.cohorts.members(cohort)
         matrix = interaction_matrix(run.dataset, ids)
         dist = field_distribution(run.dataset, ids)
-        run.write(f"interactions_{tag}.csv", reports.write_interactions, matrix)
-        run.write(f"interaction_marginals_{tag}.csv", reports.write_interaction_marginals, matrix)
-        run.write(f"field_distribution_{tag}.csv", reports.write_field_distribution, dist)
+        cells = ((c.field_of_study, c.wipo_field_id, c.wipo_field_name, c.weight) for c in matrix.cells)
+        columns = ("field_of_study", "wipo_field_id", "wipo_field_name", "weight")
+        run.write(f"interactions_{tag}.csv", write_rows, columns, cells)
+        # Row and column sums in one long-form file, the axis column telling which.
+        names = {c.wipo_field_id: c.wipo_field_name for c in matrix.cells}
+        marginals = [
+            *(("field_of_study", field, "", weight) for field, weight in matrix.field_marginals().items()),
+            *(("wipo_field", tid, names[tid], weight) for tid, weight in matrix.wipo_marginals().items()),
+        ]
+        columns = ("axis", "key", "label", "weight")
+        run.write(f"interaction_marginals_{tag}.csv", write_rows, columns, marginals)
+        shares = ((field, count, _fmt(dist.share(field))) for field, count in dist.counts)
+        run.write(f"field_distribution_{tag}.csv", write_rows, ("field_of_study", "papers", "share"), shares)
 
 
 def cmd_aagr(run: Run) -> None:
     dataset, method = run.dataset, run.config.aagr_method
     rows = []
     for pid, prof in dataset.profiles.items():
-        if prof.turning_year >= dataset.window_end:
-            log.warning("%s: turning year is the window end; growth undefined; skipped", pid)
-            continue
         try:
-            rows.append(
-                (pid, aagr(dataset.series[pid].year_counts(), prof.turning_year, dataset.window_end, method))
-            )
+            res = aagr(dataset.series[pid].year_counts(), prof.turning_year, dataset.window_end, method)
         except DataError as exc:
             log.warning("%s: %s; skipped", pid, exc)
-    run.write("aagr.csv", reports.write_growth, rows)
+            continue
+        growth = _fmt(res.value_percent)
+        rows.append((pid, res.base_year, res.end_year, res.method, growth, res.skipped_years))
+    columns = ("paper_id", "base_year", "end_year", "method", "aagr_percent", "skipped_years")
+    run.write("aagr.csv", write_rows, columns, rows)
 
 
 def cmd_flag_contexts(run: Run) -> None:
@@ -222,7 +309,8 @@ def cmd_flag_contexts(run: Run) -> None:
         log.warning("dataset has no contexts file; writing an empty report")
         contexts = ()
     flagged = ingest.flag_contexts(contexts, run.config.terms)
-    run.write("flagged_contexts.jsonl", reports.write_flagged_contexts, flagged)
+    records = ({**asdict(rec), "matched_terms": list(terms)} for rec, terms in flagged)
+    run.write("flagged_contexts.jsonl", write_json_lines, records)
 
 
 def cmd_synth(args) -> int:

@@ -67,7 +67,7 @@ def profile(series: CitationSeries) -> CurveProfile:
         raise DataError(f"paper {series.paper_id!r} has no citations; curve is undefined")
     t_m = series.t_m
     if t_m < 1:
-        raise ValueError("curve spans a single year; reference line undefined")
+        raise DataError("curve spans a single year; reference line undefined")
     offsets, values = series.offsets, series.values
     c0 = values[0] if offsets[0] == 0 else 0
     rise = total - c0

@@ -117,7 +117,7 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
     fields_by_cell: dict[str, tuple[FieldOfStudy, ...]] = {}
     for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
-            raise DataError(f"duplicate id: {pid!r}")
+            raise DataError(f"duplicate id: {_shown(pid)}")
         year = _int_cell(pub_year, "pub_year", line_no)
         try:
             fields = fields_by_cell.get(cell)
@@ -171,14 +171,14 @@ def read_citations(
             raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
         slot = slots.get(pid)
         if slot is None and pid not in papers:
-            raise DataError(f"citation row references unknown paper {pid!r}")
+            raise DataError(f"citation row references unknown paper {_shown(pid)}")
         if slot is None or not slot[0] <= year <= window_end:
-            raise DataError(f"citation year {year} for paper {pid!r} outside the observation window")
+            raise DataError(f"citation year {year} for paper {_shown(pid)} outside the observation window")
         base, offsets, values = slot
         t = year - base
         if offsets and t <= offsets[-1]:
             if t == offsets[-1]:
-                raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
+                raise DataError(f"duplicate citation row for paper {_shown(pid)}, year {year}")
             irregular.add(pid)
         elif not count:
             irregular.add(pid)
@@ -189,7 +189,7 @@ def read_citations(
         rows = sorted(zip(offsets, values))
         for (t, _), (next_t, _) in zip(rows, rows[1:]):
             if t == next_t:
-                raise DataError(f"duplicate citation row for paper {pid!r}, year {base + t}")
+                raise DataError(f"duplicate citation row for paper {_shown(pid)}, year {base + t}")
         offsets[:] = [t for t, count in rows if count]
         values[:] = [count for _, count in rows if count]
     return {
@@ -202,7 +202,7 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
     for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
         if fid in patents:
-            raise DataError(f"duplicate id: {fid!r}")
+            raise DataError(f"duplicate id: {_shown(fid)}")
         years = tuple(_int_cell(y, "filing_years", line_no) for y in filing.split(";") if y)
         codes = tuple(c for c in ipc.split(";") if c)
         try:

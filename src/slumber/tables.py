@@ -5,7 +5,7 @@ header row. Readers find columns by header name, so columns may come in any
 order and extra ones are ignored; a column that is read must be named once.
 Blank lines are skipped; every other row must have exactly as many cells as
 the header, since an unquoted delimiter inside a cell would otherwise shift
-or drop values.
+or drop values. A file holding a NUL character is refused.
 
 JSON-lines files hold one object per line; blank lines are skipped on
 reading, and writing sorts the keys and keeps non-ASCII characters as they are.
@@ -26,6 +26,7 @@ def read_rows(
     path: Path, columns: Sequence[str], delimiter: str = ","
 ) -> Iterator[tuple[int, Sequence[str]]]:
     """Yield (line_no, cells) per row, cells holding `columns` (two or more) in that order."""
+    _refuse_nul(path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         # One try around the whole loop keeps the per-row path free of it.
@@ -49,6 +50,25 @@ def read_rows(
             raise _not_utf8(path, exc) from None
         except csv.Error as exc:
             raise MalformedRowError(reader.line_num, f"unreadable row: {exc}") from None
+
+
+def _refuse_nul(path: Path) -> None:
+    """Refuse a file holding a NUL character, at the line of the first one.
+
+    Python 3.10's csv module refuses such a line and later versions read it;
+    this refuses it on every version, in 3.10's words. No other UTF-8
+    character holds a zero byte, so a scan of the raw bytes finds it, which
+    costs far less than a check on each line; reading in blocks keeps the
+    whole file out of memory.
+    """
+    line_no = 1
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            at = block.find(b"\0")
+            if at >= 0:
+                line_no += block.count(b"\n", 0, at)
+                raise MalformedRowError(line_no, "unreadable row: line contains NUL")
+            line_no += block.count(b"\n")
 
 
 def write_rows(

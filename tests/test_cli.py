@@ -109,6 +109,25 @@ def test_table1_command_frozen_counts(tmp_path, table1_dir, half_config, capsys)
     assert key[("linked", "IR")]["rate"] == "0.350000"
 
 
+def test_table1_degenerate_pool_keeps_rates_and_labels_p(tmp_path, capsys):
+    # Every paper is linked and forward-cited, so two pooled rates are 1.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_papers = 60\nlink_density = 1.0\nfraction = 0.5\n")
+    ds, out = tmp_path / "ds", tmp_path / "out"
+    assert run(capsys, "synth", "--seed", "42", "--out", str(ds), "--config", str(cfg))[0] == 0
+    code, _, _ = run(capsys, "table1", "--dataset", str(ds), "--out", str(out), "--config", str(cfg))
+    assert code == 0
+    assert (out / "comparison.csv").read_text(encoding="utf-8") == (
+        "indicator,group,yes,no,rate,ci_low,ci_high,rate_ratio,z,p\n"
+        "linked,DR,30,0,1.000000,1.000000,1.000000,,,DegeneratePool\n"
+        "linked,IR,30,0,1.000000,1.000000,1.000000,,,\n"
+        "forward_cited,DR,30,0,1.000000,1.000000,1.000000,,,DegeneratePool\n"
+        "forward_cited,IR,30,0,1.000000,1.000000,1.000000,,,\n"
+        "durably_cited,DR,26,4,0.866667,0.745025,0.988308,1.000000,0.000000,1.000000\n"
+        "durably_cited,IR,26,4,0.866667,0.745025,0.988308,,,\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["table1", "lag-trend", "interactions"])
 def test_cohort_commands_profile_each_usable_paper_once(
     command, tmp_path, table1_dir, half_config, capsys, monkeypatch
@@ -395,6 +414,30 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
             "error: citation year 2100 for paper 'p00000' outside the observation window",
         ),
         ("patents.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'f00000'"),
+        # A 5,000-character id is echoed as its first 40 characters and its length.
+        (
+            "citations.csv",
+            lambda b: b + b"q" * 5000 + b",1990,1\n",
+            "error: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
+        ),
+        (
+            "papers.csv",
+            lambda b: b + (b"q" * 5000 + b",1990,,,,\n") * 2,
+            "error: duplicate id: '" + "q" * 40 + "'… (5000 characters)",
+        ),
+        # Python 3.10's csv module refuses a NUL byte and later versions read it;
+        # every version refuses it here.
+        (
+            "papers.csv",
+            lambda b: b.replace(b"Synthetic", b"Synth\x00etic", 1),
+            "error: line 2: unreadable row: line contains NUL",
+        ),
+        # Past the first 64 KiB that the NUL scan reads: 1,025 lines, then blank ones.
+        (
+            "citations.csv",
+            lambda b: b + b"\n" * 70_000 + b"p00000,\x001990,1\n",
+            "error: line 71026: unreadable row: line contains NUL",
+        ),
     ],
 )
 def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name, corrupt, where):
@@ -405,6 +448,7 @@ def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name
     code, _, err = run(capsys, "validate", "--dataset", str(ds_copy))
     assert code == 1
     last = err.splitlines()[-1]
+    assert len(last.encode("utf-8")) < 200
     if where.startswith("error: "):
         assert last == where
     else:

@@ -94,7 +94,7 @@ def test_reference_line_examples():
 
 
 def test_single_year_window_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="curve spans a single year; reference line undefined"):
         curve.profile(series([4]))
     with pytest.raises(ValueError):
         reference.profile_dense(series([4]))
@@ -246,6 +246,8 @@ def test_profile_internal_consistency():
         line = [fractions[0] + (1 - fractions[0]) * t / t_m for t in range(t_m + 1)]
         assert math.isclose(prof.bcp, sum(l - c for l, c in zip(line, fractions)), abs_tol=1e-9)
         assert prof.turning_year == 1970 + prof.turning_t
+        # The distance at t_m is always 0 and ties go to the earlier year.
+        assert 0 <= prof.turning_t < t_m
         if prof.bcp > 0:
             assert prof.turning_type == curve.AWAKENING
         elif prof.bcp < 0:
