@@ -17,6 +17,7 @@ platform. Commands never modify the dataset directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -28,7 +29,7 @@ from . import ingest, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
 from .errors import ConfigError, DataError, DegeneratePoolError, SlumberError
 from .interact import field_distribution, interaction_matrix
-from .model import Dataset, ValidationReport
+from .model import Dataset, ValidationIssue, ValidationReport
 from .patent import (
     BINARY_INDICATORS,
     LAG_FROM_PUBLICATION,
@@ -124,6 +125,14 @@ def _load_and_validate(args) -> tuple[RunConfig, Dataset, ValidationReport]:
     return config, dataset, ingest.validate_dataset(dataset)
 
 
+def _issue_text(issue: ValidationIssue) -> str:
+    """`entity: message`; an entity id too long to echo whole is cut short like a rejected value."""
+    entity = issue.entity_id
+    if len(entity) > ingest._SHOWN_CHARS:
+        entity = ingest._shown(entity)
+    return f"{entity}: {issue.message}"
+
+
 class Run:
     """One analysis command: its config and validated dataset, loaded once.
 
@@ -137,10 +146,10 @@ class Run:
     def __init__(self, args) -> None:
         self.config, self.dataset, report = _load_and_validate(args)
         for issue in report.warnings():
-            log.warning("%s: %s", issue.entity_id, issue.message)
+            log.warning("%s", _issue_text(issue))
         if report.has_errors():
             for issue in report.errors():
-                print(f"error {issue.entity_id}: {issue.message}")
+                print(f"error {_issue_text(issue)}")
             raise DataError(f"dataset failed validation with {len(report.errors())} errors")
         self.out = Path(_require(args.out, "--out"))
         self.out.mkdir(parents=True, exist_ok=True)
@@ -327,7 +336,7 @@ def cmd_synth(args) -> int:
 def cmd_validate(args) -> int:
     _, _, report = _load_and_validate(args)
     for issue in report.issues:
-        print(f"{issue.severity} {issue.entity_id}: {issue.message}")
+        print(f"{issue.severity} {_issue_text(issue)}")
     errors = len(report.errors())
     print(f"{errors} errors, {len(report.warnings())} warnings")
     return 1 if errors else 0
@@ -364,8 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    # Safe: a command builds only acyclic records, all kept until it returns.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        log_format = "%(levelname)s %(name)s: %(message)s"
+        logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format=log_format)
         if args.command in ("synth", "validate"):
             return args.func(args)
         args.func(Run(args))
@@ -376,6 +389,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

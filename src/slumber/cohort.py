@@ -22,7 +22,7 @@ IR = "IR"
 NONE = "NONE"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CohortAssignment:
     paper_id: str
     rank: int  # 1-based, by descending delay index

@@ -153,9 +153,10 @@ def read_citations(
     no series (the validator flags them); a paper with no rows gets the
     empty series. A row for an unknown paper, outside its paper's window,
     or repeating a (paper, year) pair, even with count 0, is an error. A
-    row that repeats its paper's previous year is reported at once; any
-    other repeat is found as two equal neighbours after the sort, so it is
-    reported after the pass.
+    row that repeats its paper's previous year is reported at once, with
+    its line number like the other row errors; any other repeat is found as
+    two equal neighbours after the sort, so it is reported after the pass,
+    with no line number.
     """
     # Per paper: base year, then each row's year offset and count, in file order.
     slots: dict[str, tuple[int, list[int], list[int]]] = {
@@ -171,14 +172,18 @@ def read_citations(
             raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
         slot = slots.get(pid)
         if slot is None and pid not in papers:
-            raise DataError(f"citation row references unknown paper {_shown(pid)}")
+            raise MalformedRowError(line_no, f"citation row references unknown paper {_shown(pid)}")
         if slot is None or not slot[0] <= year <= window_end:
-            raise DataError(f"citation year {year} for paper {_shown(pid)} outside the observation window")
+            raise MalformedRowError(
+                line_no, f"citation year {year} for paper {_shown(pid)} outside the observation window"
+            )
         base, offsets, values = slot
         t = year - base
         if offsets and t <= offsets[-1]:
             if t == offsets[-1]:
-                raise DataError(f"duplicate citation row for paper {_shown(pid)}, year {year}")
+                raise MalformedRowError(
+                    line_no, f"duplicate citation row for paper {_shown(pid)}, year {year}"
+                )
             irregular.add(pid)
         elif not count:
             irregular.add(pid)
@@ -380,11 +385,11 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
     for link in dataset.links:
         pair = (link.paper_id, link.family_id)
         if link.paper_id not in dataset.papers:
-            err(link.paper_id, f"link references unknown paper {link.paper_id!r}")
+            err(link.paper_id, f"link references unknown paper {_shown(link.paper_id)}")
         if link.family_id not in dataset.patents:
-            err(link.family_id, f"link references unknown patent family {link.family_id!r}")
+            err(link.family_id, f"link references unknown patent family {_shown(link.family_id)}")
         if pair in seen_pairs:
-            warn(link.paper_id, f"duplicate link to family {link.family_id!r}")
+            warn(link.paper_id, f"duplicate link to family {_shown(link.family_id)}")
         seen_pairs.add(pair)
 
     # Keyed like IpcIndex, so prefixes that differ only in case or
@@ -396,9 +401,10 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         if prior is None:
             by_prefix[key] = entry.wipo_field_id
         elif prior != entry.wipo_field_id:
-            err(entry.ipc_prefix, f"prefix {entry.ipc_prefix!r} maps to fields {prior} and {entry.wipo_field_id}")
+            message = f"prefix {_shown(entry.ipc_prefix)} maps to fields {prior} and {entry.wipo_field_id}"
+            err(entry.ipc_prefix, message)
         else:
-            warn(entry.ipc_prefix, f"prefix {entry.ipc_prefix!r} listed twice")
+            warn(entry.ipc_prefix, f"prefix {_shown(entry.ipc_prefix)} listed twice")
 
     index = dataset.ipc_index
     unmapped = set()
@@ -409,12 +415,12 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         for code in family.ipc_codes:
             if code not in unmapped and index.lookup(code) is None:
                 unmapped.add(code)
-                warn(fid, f"IPC code {code!r} matches no concordance prefix")
+                warn(fid, f"IPC code {_shown(code)} matches no concordance prefix")
 
     if dataset.contexts:
         for rec in dataset.contexts:
             if rec.cited_paper_id not in dataset.papers:
-                warn(rec.cited_paper_id, f"context cites unknown paper {rec.cited_paper_id!r}")
+                warn(rec.cited_paper_id, f"context cites unknown paper {_shown(rec.cited_paper_id)}")
 
     return ValidationReport(issues=tuple(issues))
 

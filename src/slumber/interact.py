@@ -59,7 +59,7 @@ class IpcIndex:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionCell:
     field_of_study: str
     wipo_field_id: int
@@ -67,7 +67,7 @@ class InteractionCell:
     weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteractionMatrix:
     cells: tuple[InteractionCell, ...]  # sorted by (field_of_study, wipo_field_id)
 
@@ -128,7 +128,7 @@ def interaction_matrix(
     return InteractionMatrix(cells=cells)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldDistribution:
     """Papers per top-level field; multi-field papers count once per field.
 

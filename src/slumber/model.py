@@ -1,11 +1,12 @@
 """Canonical data model shared by every analysis stage.
 
 All records are frozen dataclasses validated on construction; a loaded
-Dataset is treated as immutable. The values every analysis derives from a
-Dataset (its IPC lookup, each paper's curve profile and each paper's citing
-patent families) are cached properties: computed on first use and kept on
-that Dataset instance. A copy made with dataclasses.replace starts with an
-empty cache.
+Dataset is treated as immutable. Every record but Dataset is slotted, so it
+has no __dict__ (read one with dataclasses.asdict, not vars). The values
+every analysis derives from a Dataset (its IPC lookup, each paper's curve
+profile and each paper's citing patent families) are cached properties:
+computed on first use and kept on that Dataset instance. A copy made with
+dataclasses.replace starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ if TYPE_CHECKING:
     from .interact import IpcIndex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldOfStudy:
     name: str
     level: int  # 0 (top level) .. 5
@@ -32,7 +33,7 @@ class FieldOfStudy:
             raise ValueError(f"field of study level {self.level} outside 0..5")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaperRecord:
     paper_id: str
     pub_year: int
@@ -54,7 +55,7 @@ class PaperRecord:
         return tuple(sorted({f.name for f in self.fields_of_study if f.level == 0}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatentFamilyRecord:
     family_id: str
     earliest_priority_year: int
@@ -71,13 +72,13 @@ class PatentFamilyRecord:
             raise ValueError("forward_citation_count must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatentCitationLink:
     paper_id: str
     family_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcordanceEntry:
     ipc_prefix: str
     wipo_field_id: int  # 1..35
@@ -91,7 +92,7 @@ class ConcordanceEntry:
             raise ValueError(f"wipo_field_id {self.wipo_field_id} outside 1..35")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationContextRecord:
     citing_id: str
     cited_paper_id: str
@@ -103,7 +104,7 @@ class CitationContextRecord:
             raise ValueError("sentence must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CitationSeries:
     """Yearly citation counts for one paper, kept sparse.
 
@@ -201,14 +202,14 @@ class Dataset:
         return patent.families_by_paper(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationIssue:
     severity: str  # "error" | "warning"
     entity_id: str
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     issues: tuple[ValidationIssue, ...] = ()
 
@@ -222,7 +223,7 @@ class ValidationReport:
         return any(i.severity == "error" for i in self.issues)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveProfile:
     """Shape summary of one paper's cumulative citation curve.
 

@@ -25,7 +25,7 @@ LAG_FROM_PUBLICATION = "publication"
 LAG_FROM_TURNING = "turning"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatentIndicators:
     """Link-derived measures for one paper; all None when nothing cites it.
 

@@ -22,14 +22,14 @@ _NORMAL = statistics.NormalDist()
 _Z95 = _NORMAL.inv_cdf(0.5 + 0.95 / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProportionSummary:
     rate: float
     ci_low: float
     ci_high: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonResult:
     group_a: ProportionSummary
     group_b: ProportionSummary
@@ -38,7 +38,7 @@ class ComparisonResult:
     p_two_sided: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrendWindow:
     start_year: int
     end_year: int
@@ -46,7 +46,7 @@ class TrendWindow:
     n_obs: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SummaryStats:
     min: float
     max: float
@@ -54,7 +54,7 @@ class SummaryStats:
     sd: float | None  # None when fewer than two values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AagrResult:
     base_year: int
     end_year: int

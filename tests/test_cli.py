@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import os
 import shutil
@@ -336,6 +337,32 @@ def test_analysis_command_refuses_cross_file_errors_before_writing(tmp_path, dem
     assert not out.exists()
 
 
+def test_long_ids_in_validation_issues_are_cut_short(tmp_path, demo_dir, capsys, caplog):
+    """A 5,000-character id is echoed cut short, both as the entity and in the message."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    long_id = "q" * 5000
+    with open(ds_copy / "links.csv", "a", newline="") as fh:
+        fh.write(f"{long_id},f00000\n")
+    context = {"cited_paper_id": long_id, "citing_id": "x", "sentence": "s", "year": 1990}
+    with open(ds_copy / "contexts.jsonl", "a") as fh:
+        fh.write(json.dumps(context) + "\n")
+    shown = "'" + "q" * 40 + "'… (5000 characters)"
+    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert code == 1
+    lines = stdout.splitlines()
+    assert f"error {shown}: link references unknown paper {shown}" in lines
+    assert f"warning {shown}: context cites unknown paper {shown}" in lines
+    assert all(len(line.encode("utf-8")) < 200 for line in lines + err.splitlines())
+    # An analysis command logs the warnings and prints the errors the same way.
+    code, stdout, err = run(capsys, "profile", "--dataset", str(ds_copy), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert f"error {shown}: link references unknown paper {shown}" in stdout.splitlines()
+    assert f"{shown}: context cites unknown paper {shown}" in caplog.messages
+    printed = stdout.splitlines() + err.splitlines() + caplog.messages
+    assert all(len(line.encode("utf-8")) < 200 for line in printed)
+
+
 @pytest.mark.parametrize("command", ["cohort", "table1", "lag-trend", "interactions"])
 def test_cohort_commands_select_cohorts_once(command, tmp_path, table1_dir, half_config, capsys, monkeypatch):
     calls = []
@@ -408,17 +435,20 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
             "error: line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
         ),
         ("citations.csv", lambda b: b.replace(b",count", b",cnt", 1), "error: missing required column: 'count'"),
-        (
+        # The row appended after data/demo's 1,025 lines is line 1026.
+        pytest.param(
             "citations.csv",
             lambda b: b + b"p00000,2100,1\n",
-            "error: citation year 2100 for paper 'p00000' outside the observation window",
+            "error: line 1026: citation year 2100 for paper 'p00000' outside the observation window",
+            id="citations.csv-year-outside-window",
         ),
         ("patents.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'f00000'"),
         # A 5,000-character id is echoed as its first 40 characters and its length.
-        (
+        pytest.param(
             "citations.csv",
             lambda b: b + b"q" * 5000 + b",1990,1\n",
-            "error: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
+            "error: line 1026: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
+            id="citations.csv-long-unknown-paper",
         ),
         (
             "papers.csv",
@@ -654,3 +684,47 @@ def test_module_entry_point_exit_codes(tmp_path, demo_dir):
     done = entry("validate", "--dataset", str(demo_dir), "--no-such-flag")
     assert done.returncode == 2
     assert "unrecognized arguments: --no-such-flag" in done.stderr
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("expected_code", [0, 1, 2])
+def test_main_restores_the_collector_state(tmp_path, demo_dir, capsys, enabled, expected_code):
+    dataset = {
+        0: demo_dir,
+        1: cross_file_errors(tmp_path, demo_dir),
+        2: tmp_path / "missing",
+    }[expected_code]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run(capsys, "table1", "--dataset", str(dataset), "--out", str(tmp_path / "out"))
+        assert code == expected_code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_commands_build_no_cycles_that_grow_with_the_data(tmp_path, demo_dir, capsys):
+    """With the collector off, what a collection finds after table1 does not depend on the dataset.
+
+    That garbage is the command's argument parser; the records a command
+    builds hold no cycles, which is what makes pausing the collector safe.
+    """
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text("n_papers=2000\n")
+    code, _, err = run(capsys, "synth", "--seed", "5", "--config", str(cfg), "--out", str(tmp_path / "big"))
+    assert code == 0, err
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        # The first run warms the module caches; its count is not compared.
+        for dataset in (demo_dir, demo_dir, tmp_path / "big"):
+            gc.collect()
+            code, _, err = run(capsys, "table1", "--dataset", str(dataset), "--out", str(tmp_path / "out"))
+            assert code == 0, err
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[1] == found[2]

@@ -283,7 +283,8 @@ def test_read_citations_rejects_out_of_window_rows(tmp_path):
     for year in (1969, 2016):
         path = write_citation_text(tmp_path, f"paper_id,year,count\np1,1980,1\np1,{year},1\n")
         with pytest.raises(
-            DataError, match=f"citation year {year} for paper 'p1' outside the observation window"
+            MalformedRowError,
+            match=f"line 3: citation year {year} for paper 'p1' outside the observation window",
         ):
             ingest.read_citations(path, papers, 2015)
 
@@ -334,15 +335,24 @@ def test_read_citations_negative_count(tmp_path):
 
 def test_read_citations_unknown_paper(tmp_path):
     path = write_citation_text(tmp_path, "paper_id,year,count\np2,1999,2\n")
-    with pytest.raises(DataError, match="citation row references unknown paper 'p2'") as exc:
+    with pytest.raises(MalformedRowError, match="line 2: citation row references unknown paper 'p2'") as exc:
         ingest.read_citations(path, PAPERS_1990, 2015)
-    assert type(exc.value) is DataError
+    assert exc.value.line_no == 2
 
 
 @pytest.mark.parametrize("second", [2, 0])
 def test_read_citations_duplicate_row(tmp_path, second):
     path = write_citation_text(tmp_path, f"paper_id,year,count\np1,1999,0\np1,1999,{second}\n")
-    with pytest.raises(DataError, match="duplicate citation row for paper 'p1', year 1999") as exc:
+    message = "line 3: duplicate citation row for paper 'p1', year 1999"
+    with pytest.raises(MalformedRowError, match=message) as exc:
+        ingest.read_citations(path, PAPERS_1990, 2015)
+    assert exc.value.line_no == 3
+
+
+def test_read_citations_duplicate_found_after_the_sort_names_no_line(tmp_path):
+    # The repeat is not next to its twin in the file, so only the sort finds it.
+    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999,1\np1,2000,1\np1,1999,1\n")
+    with pytest.raises(DataError, match="^duplicate citation row for paper 'p1', year 1999$") as exc:
         ingest.read_citations(path, PAPERS_1990, 2015)
     assert type(exc.value) is DataError
 

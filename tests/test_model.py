@@ -1,11 +1,14 @@
-"""CitationSeries: the sparse form and its checks."""
+"""Model records: CitationSeries's sparse form and checks, and the slotted records."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
+from slumber import cohort, interact, model, patent, stats
 from slumber.model import CitationSeries
 
 
@@ -51,3 +54,51 @@ def test_from_counts_rejects_negative_and_empty_counts():
         CitationSeries.from_counts("p", 2000, (3, -1, 0))
     with pytest.raises(ValueError, match="negative"):
         CitationSeries.from_counts("p", 2000, ())
+
+
+_SUMMARY = stats.ProportionSummary(0.5, 0.25, 0.75)
+SLOTTED_RECORDS = [
+    model.FieldOfStudy("Biology", 0),
+    model.PaperRecord("p", 2000),
+    model.PatentFamilyRecord("f", 2000, (2001,), 0),
+    model.PatentCitationLink("p", "f"),
+    model.ConcordanceEntry("A61K", 16, "Pharmaceuticals", "Chemistry"),
+    model.CitationContextRecord("x", "p", 2001, "s"),
+    CitationSeries("p", 2000, 3),
+    model.ValidationIssue("error", "p", "m"),
+    model.ValidationReport(),
+    model.CurveProfile("p", 0.0, 0, 2000, "flat"),
+    cohort.CohortAssignment("p", 1, 0.0, cohort.DR),
+    patent.PatentIndicators("p", 0),
+    interact.InteractionCell("Biology", 16, "Pharmaceuticals", 1),
+    interact.InteractionMatrix(()),
+    interact.FieldDistribution((), 0),
+    _SUMMARY,
+    stats.ComparisonResult(_SUMMARY, _SUMMARY, None, 0.0, 1.0),
+    stats.TrendWindow(2000, 2004, 1.0, 3),
+    stats.SummaryStats(0.0, 1.0, 0.5, None),
+    stats.AagrResult(2000, 2010, "arithmetic", 1.0),
+]
+# Their cached properties need an instance __dict__.
+UNSLOTTED = {model.Dataset, cohort.CohortResult}
+
+
+@pytest.mark.parametrize("record", SLOTTED_RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_slotted_and_frozen(record):
+    assert not hasattr(record, "__dict__")
+    first = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, first, getattr(record, first))
+    assert dataclasses.replace(record) == record
+
+
+def test_every_record_but_the_cached_ones_is_slotted():
+    records = {
+        obj
+        for module in (model, cohort, patent, interact, stats)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+    }
+    assert records - UNSLOTTED == {type(r) for r in SLOTTED_RECORDS}
+    assert all("__slots__" in vars(cls) for cls in records - UNSLOTTED)
+    assert all("__dict__" in vars(cls) for cls in UNSLOTTED)
