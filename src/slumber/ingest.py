@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -117,7 +118,7 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
     fields_by_cell: dict[str, tuple[FieldOfStudy, ...]] = {}
     for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
-            raise DataError(f"duplicate id: {_shown(pid)}")
+            raise MalformedRowError(line_no, f"duplicate id: {_shown(pid)}")
         year = _int_cell(pub_year, "pub_year", line_no)
         try:
             fields = fields_by_cell.get(cell)
@@ -207,7 +208,7 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
     for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
         if fid in patents:
-            raise DataError(f"duplicate id: {_shown(fid)}")
+            raise MalformedRowError(line_no, f"duplicate id: {_shown(fid)}")
         years = tuple(_int_cell(y, "filing_years", line_no) for y in filing.split(";") if y)
         codes = tuple(c for c in ipc.split(";") if c)
         try:
@@ -346,7 +347,10 @@ def write_concordance(entries: Iterable[ConcordanceEntry], path: Path) -> None:
 
 
 def write_contexts(contexts: Iterable[CitationContextRecord], path: Path) -> None:
-    write_json_lines(path, map(dataclasses.asdict, contexts))
+    # A flat dict per record; dataclasses.asdict would deep-copy each field.
+    keys = tuple(f.name for f in dataclasses.fields(CitationContextRecord))
+    fields_of = attrgetter(*keys)
+    write_json_lines(path, (dict(zip(keys, fields_of(rec))) for rec in contexts))
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:

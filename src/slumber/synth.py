@@ -4,9 +4,12 @@ Papers come in four curve shapes: delayed (non-decreasing yearly counts, so
 the index is strictly positive), instant (non-increasing, strictly negative),
 linear (constant counts, exactly zero), and noise (unconstrained sign). Every
 paper is scaled up to the eligibility floor, so cohort selection downstream
-sees the full pool. Patent links, timing classes, and citation contexts are
-derived from the same single random stream, which makes a given spec + seed
-produce byte-identical directories.
+sees the full pool. Each curve is built sparse, as loading builds it: a shape
+yields only its cited years and their counts, and the scaling multiplies
+those counts. Only noise, which draws a count for every year, holds a list
+per window year, and it drops the zeros at once. Patent links, timing
+classes, and citation contexts are derived from the same single random
+stream, which makes a given spec + seed produce byte-identical directories.
 
 Shape and timing-class counts are apportioned by largest remainder, so the
 requested proportions are hit exactly after rounding.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from . import curve
 from .errors import ConfigError
@@ -169,28 +173,36 @@ def largest_remainder(total: int, proportions: list[float]) -> list[int]:
     return counts
 
 
-def _delayed_counts(rng: random.Random, t_m: int) -> list[int]:
+# A curve as the two tuples CitationSeries stores: the offsets of the years
+# with citations, ascending, and their counts. Every other year of the window
+# counts zero.
+_Curve = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _delayed_counts(rng: random.Random, t_m: int) -> _Curve:
     # Zeros, then a rising ramp: non-decreasing and non-constant.
     if t_m == 1:
-        return [0, 1]
+        return (1,), (1,)
     start = rng.randint(max(1, t_m // 2), t_m - 1)
-    return [0] * start + list(range(1, t_m - start + 2))
+    return tuple(range(start, t_m + 1)), tuple(range(1, t_m - start + 2))
 
 
-def _instant_counts(rng: random.Random, t_m: int) -> list[int]:
+def _instant_counts(rng: random.Random, t_m: int) -> _Curve:
+    # A falling ramp from the peak that reaches zero, or the window end, first.
     peak = rng.randint(2, 9)
-    return [max(peak - t, 0) for t in range(t_m + 1)]
+    n = min(peak, t_m + 1)
+    return tuple(range(n)), tuple(range(peak, peak - n, -1))
 
 
-def _linear_counts(rng: random.Random, t_m: int) -> list[int]:
-    return [rng.randint(1, 9)] * (t_m + 1)
+def _linear_counts(rng: random.Random, t_m: int) -> _Curve:
+    return tuple(range(t_m + 1)), (rng.randint(1, 9),) * (t_m + 1)
 
 
-def _noise_counts(rng: random.Random, t_m: int) -> list[int]:
+def _noise_counts(rng: random.Random, t_m: int) -> _Curve:
     while True:
         counts = [rng.randint(0, 50) for _ in range(t_m + 1)]
-        if sum(counts) > 0:
-            return counts
+        if any(counts):
+            return tuple(compress(range(t_m + 1), counts)), tuple(filter(None, counts))
 
 
 _SHAPE_BUILDERS = {
@@ -201,11 +213,18 @@ _SHAPE_BUILDERS = {
 }
 
 
-def _scale_to_floor(counts: list[int], floor: int) -> list[int]:
+def _scale_to_floor(values: tuple[int, ...], floor: int) -> tuple[int, ...]:
     # Integer scaling preserves the curve shape, index, and turning year.
-    total = sum(counts)
-    k = -(-floor // total)
-    return [c * k for c in counts] if k > 1 else counts
+    k = -(-floor // sum(values))
+    return tuple([c * k for c in values]) if k > 1 else values
+
+
+def _series(
+    rng: random.Random, shape: str, paper_id: str, pub_year: int, t_m: int, floor: int
+) -> CitationSeries:
+    """One paper's curve of the given shape, scaled up to the citation floor."""
+    offsets, values = _SHAPE_BUILDERS[shape](rng, t_m)
+    return CitationSeries(paper_id, pub_year, t_m, offsets, _scale_to_floor(values, floor))
 
 
 def generate(spec: SynthSpec) -> SynthResult:
@@ -225,7 +244,7 @@ def generate(spec: SynthSpec) -> SynthResult:
             pid = f"p{i:05d}"
             pub_year = rng.randint(spec.pub_from, spec.pub_to)
             t_m = spec.window_end - pub_year
-            counts = _scale_to_floor(_SHAPE_BUILDERS[shape](rng, t_m), spec.min_total_citations)
+            series[pid] = _series(rng, shape, pid, pub_year, t_m, spec.min_total_citations)
             fields = rng.sample(_TOP_LEVEL_RECORDS, rng.randint(1, 2))
             if rng.random() < 0.3:
                 fields.append(rng.choice(_SUBFIELD_RECORDS))
@@ -237,7 +256,6 @@ def generate(spec: SynthSpec) -> SynthResult:
                 pmid=None,
                 fields_of_study=tuple(fields),
             )
-            series[pid] = CitationSeries.from_counts(pid, pub_year, counts)
             shapes[pid] = shape
             order.append(pid)
             i += 1

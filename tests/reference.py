@@ -7,6 +7,7 @@ does faster; the property tests compare the two on random inputs.
 from __future__ import annotations
 
 import math
+import random
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -17,6 +18,7 @@ from slumber.errors import DataError, MalformedRowError
 from slumber.ingest import CITATION_COLUMNS, _int_cell
 from slumber.interact import normalize_ipc
 from slumber.model import CitationSeries, ConcordanceEntry, CurveProfile, PaperRecord
+from slumber.synth import DELAYED, INSTANT, LINEAR, NOISE
 from slumber.tables import read_rows
 
 
@@ -138,3 +140,57 @@ def cohort_assignments(
         )
         for i, pid in enumerate(ranked)
     ]
+
+
+def delayed_counts_dense(rng: random.Random, t_m: int) -> list[int]:
+    """synth's delayed curve as a count for every year: zeros, then a rising ramp."""
+    if t_m == 1:
+        return [0, 1]
+    start = rng.randint(max(1, t_m // 2), t_m - 1)
+    return [0] * start + list(range(1, t_m - start + 2))
+
+
+def instant_counts_dense(rng: random.Random, t_m: int) -> list[int]:
+    """synth's instant curve as a count for every year: a ramp falling to zero."""
+    peak = rng.randint(2, 9)
+    return [max(peak - t, 0) for t in range(t_m + 1)]
+
+
+def linear_counts_dense(rng: random.Random, t_m: int) -> list[int]:
+    """synth's linear curve as a count for every year: one constant count."""
+    return [rng.randint(1, 9)] * (t_m + 1)
+
+
+def noise_counts_dense(rng: random.Random, t_m: int) -> list[int]:
+    """synth's noise curve as a count for every year, redrawn until one is non-zero."""
+    while True:
+        counts = [rng.randint(0, 50) for _ in range(t_m + 1)]
+        if sum(counts) > 0:
+            return counts
+
+
+DENSE_SHAPE_BUILDERS = {
+    DELAYED: delayed_counts_dense,
+    INSTANT: instant_counts_dense,
+    LINEAR: linear_counts_dense,
+    NOISE: noise_counts_dense,
+}
+
+
+def scale_to_floor_dense(counts: list[int], floor: int) -> list[int]:
+    """Every year's count times the least integer that lifts the total to the floor."""
+    total = sum(counts)
+    k = -(-floor // total)
+    return [c * k for c in counts] if k > 1 else counts
+
+
+def synth_series_dense(
+    rng: random.Random, shape: str, paper_id: str, pub_year: int, t_m: int, floor: int
+) -> CitationSeries:
+    """synth._series by a dense list over every year of the window.
+
+    It draws from rng exactly what synth does, in the same order, and the
+    list goes through the checked CitationSeries.from_counts at the end.
+    """
+    counts = scale_to_floor_dense(DENSE_SHAPE_BUILDERS[shape](rng, t_m), floor)
+    return CitationSeries.from_counts(paper_id, pub_year, counts)

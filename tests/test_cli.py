@@ -427,7 +427,14 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
             "line 1: invalid JSON: maximum recursion depth exceeded",
         ),
         # A `where` that starts with "error: " is the whole final stderr line.
-        ("papers.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'p00000'"),
+        # data/demo's papers.csv has 61 lines and patents.csv 97, so a repeated
+        # first row is line 62 or 98.
+        pytest.param(
+            "papers.csv",
+            lambda b: b + b.splitlines(keepends=True)[1],
+            "error: line 62: duplicate id: 'p00000'",
+            id="papers.csv-duplicate-id",
+        ),
         # A 5,000-digit cell is echoed as its first 40 characters and its length.
         (
             "papers.csv",
@@ -442,7 +449,12 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
             "error: line 1026: citation year 2100 for paper 'p00000' outside the observation window",
             id="citations.csv-year-outside-window",
         ),
-        ("patents.csv", lambda b: b + b.splitlines(keepends=True)[1], "error: duplicate id: 'f00000'"),
+        pytest.param(
+            "patents.csv",
+            lambda b: b + b.splitlines(keepends=True)[1],
+            "error: line 98: duplicate id: 'f00000'",
+            id="patents.csv-duplicate-id",
+        ),
         # A 5,000-character id is echoed as its first 40 characters and its length.
         pytest.param(
             "citations.csv",
@@ -450,10 +462,11 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
             "error: line 1026: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
             id="citations.csv-long-unknown-paper",
         ),
-        (
+        pytest.param(
             "papers.csv",
             lambda b: b + (b"q" * 5000 + b",1990,,,,\n") * 2,
-            "error: duplicate id: '" + "q" * 40 + "'… (5000 characters)",
+            "error: line 63: duplicate id: '" + "q" * 40 + "'… (5000 characters)",
+            id="papers.csv-long-duplicate-id",
         ),
         # Python 3.10's csv module refuses a NUL byte and later versions read it;
         # every version refuses it here.

@@ -164,7 +164,7 @@ def test_duplicate_paper_id(tmp_path):
     path.write_text(
         "paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,\np1,2001,,,,\n"
     )
-    with pytest.raises(DataError, match="duplicate id: 'p1'"):
+    with pytest.raises(MalformedRowError, match="^line 3: duplicate id: 'p1'$"):
         ingest.parse_papers(path)
 
 
@@ -403,7 +403,7 @@ def test_patent_bad_rows(tmp_path):
     with pytest.raises(MalformedRowError):
         ingest.parse_patents(path)
     path.write_text(header + "f1,1999,1999,3,A61B\nf1,2000,2000,1,\n")
-    with pytest.raises(DataError, match="duplicate id: 'f1'"):
+    with pytest.raises(MalformedRowError, match="^line 3: duplicate id: 'f1'$"):
         ingest.parse_patents(path)
 
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import reference
 from slumber import curve, ingest, patent, synth
@@ -21,8 +23,6 @@ def test_largest_remainder_examples():
 
 
 def test_largest_remainder_always_sums_to_total():
-    import random
-
     rng = random.Random(8)
     for _ in range(200):
         k = rng.randint(1, 6)
@@ -87,6 +87,26 @@ def test_generated_papers_meet_floor_and_window():
         series = ds.series[pid]
         assert series.total >= 150
         assert len(reference.dense_counts(series)) == spec.window_end - paper.pub_year + 1
+
+
+@given(
+    st.sampled_from((synth.DELAYED, synth.INSTANT, synth.LINEAR, synth.NOISE)),
+    st.integers(min_value=1, max_value=120),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=1, max_value=5000),
+)
+# One-year windows: the delayed curve's own branch, and an instant ramp cut
+# short by the window end.
+@example(synth.DELAYED, 1, 0, 200)
+@example(synth.INSTANT, 1, 0, 200)
+@example(synth.INSTANT, 3, 5, 200)
+def test_sparse_curves_match_the_dense_builders(shape, t_m, seed, floor):
+    # Equal rng states afterwards pin the random stream, so every later draw
+    # of generate, and so every file synth writes, stays the same.
+    fast, slow = random.Random(seed), random.Random(seed)
+    series = synth._series(fast, shape, "p", 1950, t_m, floor)
+    assert series == reference.synth_series_dense(slow, shape, "p", 1950, t_m, floor)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_timing_quotas_exact():
