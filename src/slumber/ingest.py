@@ -13,6 +13,12 @@ Multi-valued cells (fields_of_study as name@level pairs, filing_years,
 ipc_codes) pack with ';'. Writers emit sorted rows, so rewriting an
 unchanged dataset is byte-identical.
 
+An integer cell, or a fields_of_study level, is ASCII '-?[0-9]+' and
+nothing else: no sign '+', no spaces, no '_', no non-ASCII digits. Each
+distinct text of an integer column is checked and converted once per file
+read, and each distinct fields_of_study cell is parsed once; repeats are
+one dict lookup, and equal cells share one int object.
+
 Malformed content raises DataError (exit code 1 territory);
 missing or unreadable files surface as OSError (exit code 2).
 """
@@ -23,7 +29,7 @@ import dataclasses
 import re
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, NoReturn, Sequence, get_type_hints
 
 from .errors import DataError, MalformedRowError
 from .interact import normalize_ipc
@@ -83,11 +89,38 @@ def _shown(value: object) -> str:
     return f"{repr(head) if is_str else head}… ({len(text)} characters)"
 
 
-def _int_cell(value: str, name: str, line_no: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise MalformedRowError(line_no, f"{name} {_shown(value)} is not an integer") from None
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _strict_int(text: str, name: str) -> int:
+    """The value of an ASCII '-?[0-9]+' text; ValueError names the column otherwise."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            # More digits than the int-string limit; Python's own text for it
+            # differs between versions.
+            pass
+    raise ValueError(f"{name} {_shown(text)} is not an integer")
+
+
+class _IntCells(dict):
+    """One integer column's cells during one file read: cells[text] is its int.
+
+    The first lookup of a text runs _strict_int and keeps the result; every
+    repeat is a plain dict lookup. A rejected text raises _strict_int's
+    ValueError and is not kept.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = _strict_int(text, self.name)
+        return value
 
 
 def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
@@ -99,11 +132,7 @@ def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
         name, sep, level = part.rpartition("@")
         if not sep:
             raise ValueError(f"field entry {_shown(part)} lacks an @level suffix")
-        try:
-            number = int(level)
-        except ValueError:
-            raise ValueError(f"field of study level {_shown(level)} is not an integer") from None
-        fields.append(FieldOfStudy(name=name, level=number))
+        fields.append(FieldOfStudy(name=name, level=_strict_int(level, "field of study level")))
     return tuple(fields)
 
 
@@ -116,11 +145,12 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
     # Each distinct fields_of_study cell is parsed once; equal cells share
     # one tuple.
     fields_by_cell: dict[str, tuple[FieldOfStudy, ...]] = {}
+    years = _IntCells("pub_year")
     for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
             raise MalformedRowError(line_no, f"duplicate id: {_shown(pid)}")
-        year = _int_cell(pub_year, "pub_year", line_no)
         try:
+            year = years[pub_year]
             fields = fields_by_cell.get(cell)
             if fields is None:
                 fields = fields_by_cell[cell] = parse_fields_of_study(cell)
@@ -156,8 +186,8 @@ def read_citations(
     or repeating a (paper, year) pair, even with count 0, is an error. A
     row that repeats its paper's previous year is reported at once, with
     its line number like the other row errors; any other repeat is found as
-    two equal neighbours after the sort, so it is reported after the pass,
-    with no line number.
+    two equal neighbours after the sort, so only then is the file read
+    again, to report the repeating row's line.
     """
     # Per paper: base year, then each row's year offset and count, in file order.
     slots: dict[str, tuple[int, list[int], list[int]]] = {
@@ -166,9 +196,13 @@ def read_citations(
         if paper.pub_year <= window_end
     }
     irregular: set[str] = set()
+    years, counts = _IntCells("year"), _IntCells("count")
     for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
-        year = _int_cell(year, "year", line_no)
-        count = _int_cell(count, "count", line_no)
+        try:
+            year = years[year]
+            count = counts[count]
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from None
         if count < 0:
             raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
         slot = slots.get(pid)
@@ -195,7 +229,7 @@ def read_citations(
         rows = sorted(zip(offsets, values))
         for (t, _), (next_t, _) in zip(rows, rows[1:]):
             if t == next_t:
-                raise DataError(f"duplicate citation row for paper {_shown(pid)}, year {base + t}")
+                _raise_repeat(path, pid, base + t)
         offsets[:] = [t for t, count in rows if count]
         values[:] = [count for _, count in rows if count]
     return {
@@ -204,19 +238,35 @@ def read_citations(
     }
 
 
+def _raise_repeat(path: Path, pid: str, year: int) -> NoReturn:
+    """Raise the error for a repeated citations.csv (paper, year), at its second row."""
+    message = f"duplicate citation row for paper {_shown(pid)}, year {year}"
+    seen = False
+    for line_no, (row_pid, row_year, _) in read_rows(path, CITATION_COLUMNS):
+        # The first read has checked every year cell.
+        if row_pid == pid and int(row_year) == year:
+            if seen:
+                raise MalformedRowError(line_no, message)
+            seen = True
+    raise DataError(message)  # the file changed after the first read
+
+
 def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
+    priorities = _IntCells("earliest_priority_year")
+    filings = _IntCells("filing_years")
+    forwards = _IntCells("forward_citation_count")
     for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
         if fid in patents:
             raise MalformedRowError(line_no, f"duplicate id: {_shown(fid)}")
-        years = tuple(_int_cell(y, "filing_years", line_no) for y in filing.split(";") if y)
         codes = tuple(c for c in ipc.split(";") if c)
         try:
+            years = tuple([filings[y] for y in filing.split(";") if y])
             patents[fid] = PatentFamilyRecord(
                 family_id=fid,
-                earliest_priority_year=_int_cell(priority, "earliest_priority_year", line_no),
+                earliest_priority_year=priorities[priority],
                 filing_years=years,
-                forward_citation_count=_int_cell(forward, "forward_citation_count", line_no),
+                forward_citation_count=forwards[forward],
                 ipc_codes=codes,
             )
         except ValueError as exc:
@@ -235,14 +285,14 @@ def parse_links(path: Path) -> tuple[PatentCitationLink, ...]:
 
 def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
     entries = []
+    field_ids = _IntCells("wipo_field_id")
     rows = read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER)
     for line_no, (prefix, field_id, field_name, sector) in rows:
-        field_id = _int_cell(field_id, "wipo_field_id", line_no)
         try:
             entries.append(
                 ConcordanceEntry(
                     ipc_prefix=prefix,
-                    wipo_field_id=field_id,
+                    wipo_field_id=field_ids[field_id],
                     wipo_field_name=field_name,
                     sector=sector,
                 )
@@ -380,7 +430,7 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
         series = dataset.series.get(pid)
         if series is None:
             warn(pid, f"published {paper.pub_year}, after the window end {dataset.window_end}")
-        elif series.total == 0:
+        elif not series.values:
             warn(pid, "no citations inside the observation window")
         elif series.t_m == 0:
             warn(pid, "observation window spans a single year; curve undefined")

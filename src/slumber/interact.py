@@ -19,6 +19,8 @@ from .patent import earliest_family
 
 UNCLASSIFIED = "unclassified"
 
+_UNSEEN = object()  # IpcIndex.lookup's mark for a code not looked up yet
+
 
 def normalize_ipc(code: str) -> str:
     """Uppercase and strip all whitespace, e.g. 'a61k 31/00' -> 'A61K31/00'."""
@@ -33,11 +35,12 @@ class IpcIndex:
     field id is kept, and of those the first in concordance order. A lookup
     probes the code's own prefix at each distinct prefix length, longest
     first, so it costs O(number of lengths) rather than O(number of entries).
-    The tests pin it to a scan over every entry, which they keep in
-    tests/reference.py.
+    Each distinct code is looked up once: the answer, None included, is kept
+    per raw code, and a repeat is one dict lookup. The tests pin it to a scan
+    over every entry, which they keep in tests/reference.py.
     """
 
-    __slots__ = ("_by_prefix", "_lengths")
+    __slots__ = ("_by_prefix", "_lengths", "_by_code")
 
     def __init__(self, concordance: Iterable[ConcordanceEntry]):
         by_prefix: dict[str, ConcordanceEntry] = {}
@@ -48,8 +51,15 @@ class IpcIndex:
                 by_prefix[prefix] = entry
         self._by_prefix = by_prefix
         self._lengths = sorted({len(p) for p in by_prefix}, reverse=True)
+        self._by_code: dict[str, ConcordanceEntry | None] = {}
 
     def lookup(self, code: str) -> ConcordanceEntry | None:
+        entry = self._by_code.get(code, _UNSEEN)
+        if entry is _UNSEEN:
+            entry = self._by_code[code] = self._longest_prefix(code)
+        return entry
+
+    def _longest_prefix(self, code: str) -> ConcordanceEntry | None:
         norm = normalize_ipc(code)
         by_prefix = self._by_prefix
         for n in self._lengths:

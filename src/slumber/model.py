@@ -191,7 +191,7 @@ class Dataset:
         return {
             pid: curve.profile(series[pid])
             for pid in sorted(series)
-            if series[pid].total and series[pid].t_m
+            if series[pid].values and series[pid].t_m
         }
 
     @cached_property

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -15,11 +16,25 @@ from typing import Mapping, Sequence
 from slumber.cohort import DR, IR, NONE, CohortAssignment
 from slumber.curve import AWAKENING, FALLING, FLAT
 from slumber.errors import DataError, MalformedRowError
-from slumber.ingest import CITATION_COLUMNS, _int_cell
+from slumber.ingest import CITATION_COLUMNS, _shown
 from slumber.interact import normalize_ipc
 from slumber.model import CitationSeries, ConcordanceEntry, CurveProfile, PaperRecord
 from slumber.synth import DELAYED, INSTANT, LINEAR, NOISE
 from slumber.tables import read_rows
+
+
+def int_cell(text: str, name: str) -> int:
+    """ingest's integer-cell parser, with no memo: ASCII '-?[0-9]+' only.
+
+    A rejected text, one past the int-string limit included, raises
+    ValueError naming the column.
+    """
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} {_shown(text)} is not an integer")
 
 
 def dense_counts(series: CitationSeries) -> tuple[int, ...]:
@@ -92,7 +107,8 @@ def read_citations_dense(
 
     Every count is written to its year's slot, a second list marks the
     years a row has set, and each list goes through the checked
-    CitationSeries.from_counts at the end.
+    CitationSeries.from_counts at the end. A bad row raises at once, at its
+    own line, so a repeated (paper, year) is reported at its second row.
     """
     slots: dict[str, tuple[int, list[int], bytearray]] = {}
     for pid, paper in papers.items():
@@ -100,21 +116,25 @@ def read_citations_dense(
         if n > 0:
             slots[pid] = (paper.pub_year, [0] * n, bytearray(n))
     for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
-        year = _int_cell(year, "year", line_no)
-        count = _int_cell(count, "count", line_no)
+        try:
+            year = int_cell(year, "year")
+            count = int_cell(count, "count")
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from None
         if count < 0:
             raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
         slot = slots.get(pid)
+        outside = f"citation year {year} for paper {_shown(pid)} outside the observation window"
         if slot is None:
             if pid not in papers:
-                raise DataError(f"citation row references unknown paper {pid!r}")
-            raise DataError(f"citation year {year} for paper {pid!r} outside the observation window")
+                raise MalformedRowError(line_no, f"citation row references unknown paper {_shown(pid)}")
+            raise MalformedRowError(line_no, outside)
         base, counts, seen = slot
         t = year - base
         if t < 0 or year > window_end:
-            raise DataError(f"citation year {year} for paper {pid!r} outside the observation window")
+            raise MalformedRowError(line_no, outside)
         if seen[t]:
-            raise DataError(f"duplicate citation row for paper {pid!r}, year {year}")
+            raise MalformedRowError(line_no, f"duplicate citation row for paper {_shown(pid)}, year {year}")
         seen[t] = 1
         counts[t] = count
     return {

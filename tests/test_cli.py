@@ -498,6 +498,57 @@ def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name
         assert err.startswith("error: ") and where in err
 
 
+# Every integer column of the dataset files: (file, column, the cell's text
+# around the integer, the name the error gives it). A fields_of_study level
+# follows its field's name.
+INTEGER_COLUMNS = [
+    ("citations.csv", "year", "{}", "year"),
+    ("citations.csv", "count", "{}", "count"),
+    ("papers.csv", "pub_year", "{}", "pub_year"),
+    ("papers.csv", "fields_of_study", "biology@{}", "field of study level"),
+    ("patents.csv", "earliest_priority_year", "{}", "earliest_priority_year"),
+    ("patents.csv", "filing_years", "{}", "filing_years"),
+    ("patents.csv", "forward_citation_count", "{}", "forward_citation_count"),
+    ("concordance.tsv", "wipo_field_id", "{}", "wipo_field_id"),
+]
+
+
+INTEGER_FORMS = {
+    "underscore": "1_990",
+    "leading-space": " 1990",
+    "trailing-space": "1990 ",
+    "plus-sign": "+5",
+    "arabic-indic-digits": "١٩٩٠",
+    "exponent": "1e3",
+    "hex": "0x7C6",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("form", INTEGER_FORMS.values(), ids=INTEGER_FORMS.keys())
+@pytest.mark.parametrize(
+    "name, column, cell, label", INTEGER_COLUMNS, ids=[f"{n}-{c}" for n, c, _, _ in INTEGER_COLUMNS]
+)
+def test_integer_cells_are_ascii_digits_only(tmp_path, demo_dir, capsys, name, column, cell, label, form):
+    """Only '-?[0-9]+' is an integer cell; anything else on line 2 stops the load there."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    path = ds_copy / name
+    delimiter = "\t" if name.endswith(".tsv") else ","
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))
+    rows[1][rows[0].index(column)] = cell.format(form)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    code, _, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert code == 1
+    if column == "filing_years" and not form:
+        # The empty cell lists no filing year; empty entries are skipped.
+        assert err.splitlines()[-1] == "error: line 2: filing_years must be non-empty"
+    else:
+        assert err.splitlines()[-1] == f"error: line 2: {label} {form!r} is not an integer"
+
+
 @pytest.mark.parametrize(
     "settings, line",
     [

@@ -159,6 +159,43 @@ def test_non_integer_cell(tmp_path):
     assert exc.value.line_no == 3
 
 
+# Texts near and far from the accepted ASCII '-?[0-9]+': any text, signs,
+# '_', spaces and non-ASCII digits among ASCII ones, other scripts' digits,
+# and digit runs around the int-string limit of 4,300 digits.
+INT_CELL_TEXTS = st.one_of(
+    st.text(max_size=8),
+    st.text(st.sampled_from("0123456789-+_ \t\x00١٩߁０"), max_size=8),
+    st.integers().map(str),
+    st.text(st.characters(categories=("Nd",)), min_size=1, max_size=5),
+    st.builds(
+        lambda sign, digit, n: sign + digit * n,
+        st.sampled_from(("", "-", "+")),
+        st.sampled_from("19١"),
+        st.integers(min_value=4290, max_value=5010),
+    ),
+)
+
+
+@given(st.lists(INT_CELL_TEXTS, min_size=1, max_size=6))
+@example(["1_990", " 1990", "1990 ", "+5", "١٩٩٠", "1e3", "0x7C6", ""])
+@example(["-0", "007", "-12", "1" * 4300, "1" * 4301, "1990\x00"])
+def test_int_cells_match_the_reference_parser(texts):
+    """Accepted and rejected alike; a repeated text gives the identical int."""
+    cells = ingest._IntCells("year")
+    first: dict[str, int] = {}
+    for text in texts + texts:
+        try:
+            want = reference.int_cell(text, "year")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cells[text]
+            assert str(got.value) == str(exc)
+            continue
+        got = cells[text]
+        assert type(got) is int and got == want
+        assert first.setdefault(text, got) is got
+
+
 def test_duplicate_paper_id(tmp_path):
     path = tmp_path / "papers.csv"
     path.write_text(
@@ -237,8 +274,8 @@ def test_read_citations_round_trip(tmp_path, case):
 def read_or_error(read, path, papers, window_end):
     try:
         return read(path, papers, window_end)
-    except DataError:
-        return DataError
+    except DataError as exc:
+        return str(exc)
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -252,7 +289,7 @@ def read_or_error(read, path, papers, window_end):
     )
 )
 def test_read_citations_matches_dense_reference(tmp_path, case):
-    """The sparse reader gives the dense reference's series, or fails with it."""
+    """The sparse reader gives the dense reference's series, or its error message."""
     papers, _, window_end, text = case
     path = write_citation_text(tmp_path, text)
     got = read_or_error(ingest.read_citations, path, papers, window_end)
@@ -349,12 +386,24 @@ def test_read_citations_duplicate_row(tmp_path, second):
     assert exc.value.line_no == 3
 
 
-def test_read_citations_duplicate_found_after_the_sort_names_no_line(tmp_path):
-    # The repeat is not next to its twin in the file, so only the sort finds it.
-    path = write_citation_text(tmp_path, "paper_id,year,count\np1,1999,1\np1,2000,1\np1,1999,1\n")
-    with pytest.raises(DataError, match="^duplicate citation row for paper 'p1', year 1999$") as exc:
-        ingest.read_citations(path, PAPERS_1990, 2015)
-    assert type(exc.value) is DataError
+@pytest.mark.parametrize(
+    "rows, line_no",
+    [
+        pytest.param("p1,1999,1\np1,2000,1\np1,1999,1\n", 4, id="repeat-last"),
+        # The earlier of the pair is line 3.
+        pytest.param("p1,2001,1\np1,1999,0\np1,2000,1\np1,1999,0\np1,2002,1\n", 5, id="zero-rows"),
+        pytest.param("p1,1999,1\np2,1999,1\np1,2000,1\np1,1999,3\np2,2000,1\n", 5, id="other-paper"),
+    ],
+)
+def test_read_citations_duplicate_found_after_the_sort_names_the_second_row(tmp_path, rows, line_no):
+    # The repeat is not next to its twin in the file, so only the sort finds
+    # it; the file is then read again for the repeating row's line.
+    path = write_citation_text(tmp_path, "paper_id,year,count\n" + rows)
+    papers = {**PAPERS_1990, "p2": PaperRecord(paper_id="p2", pub_year=1990)}
+    message = f"^line {line_no}: duplicate citation row for paper 'p1', year 1999$"
+    with pytest.raises(MalformedRowError, match=message) as exc:
+        ingest.read_citations(path, papers, 2015)
+    assert exc.value.line_no == line_no
 
 
 @pytest.mark.parametrize(

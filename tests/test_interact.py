@@ -117,7 +117,8 @@ def concordances(draw) -> tuple[ConcordanceEntry, ...]:
 def test_prefix_index_matches_linear_scan(concordance, codes):
     for entries in (concordance, tuple(reversed(concordance))):
         index = interact.IpcIndex(entries)
-        for code in codes:
+        # Each code again, after the others: the kept answer, None included.
+        for code in codes + codes[::-1]:
             assert index.lookup(code) is reference.wipo_field_for(code, entries)
 
 
