@@ -67,6 +67,12 @@ class RunConfig:
             raise ConfigError(f"aagr_method must be arithmetic or compound, not {self.aagr_method!r}")
         if not self.terms:
             raise ConfigError("terms must name at least one word")
+        if not 0.0 < self.fraction <= 0.5:
+            raise ConfigError(f"cohort fraction {self.fraction} outside (0, 0.5]")
+        if self.window_width < 1:
+            raise ConfigError(f"window width {self.window_width} must be >= 1")
+        if self.min_total_citations < 1:
+            raise ConfigError("minimum citation total must be at least 1")
 
 
 # Each config key's type, from the defaults of the dataclasses it fills.

@@ -17,9 +17,11 @@ class DataError(SlumberError):
 
 
 class MalformedRowError(DataError):
-    def __init__(self, line_no: int, reason: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {reason}")
+    """A bad row: 'FILE line N: reason', or 'line N: reason' when the file is not named."""
+
+    def __init__(self, line_no: int, reason: str, file: str = ""):
+        self.line_no, self.reason = line_no, reason
+        super().__init__(f"{file} line {line_no}: {reason}".lstrip())
 
 
 class DegeneratePoolError(DataError):

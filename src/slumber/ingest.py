@@ -15,21 +15,22 @@ unchanged dataset is byte-identical.
 
 An integer cell, or a fields_of_study level, is ASCII '-?[0-9]+' and
 nothing else: no sign '+', no spaces, no '_', no non-ASCII digits. Each
-distinct text of an integer column is checked and converted once per file
-read, and each distinct fields_of_study cell is parsed once; repeats are
-one dict lookup, and equal cells share one int object.
+integer and fields_of_study column memoizes its first _MEMO_CAP distinct
+cells for one file read: each is parsed once, and its repeats are one dict
+lookup sharing one value. Later new cells are parsed at every lookup.
 
-Malformed content raises DataError (exit code 1 territory);
-missing or unreadable files surface as OSError (exit code 2).
+Malformed content raises DataError (exit code 1), which load_dataset
+prefixes with its file's name; missing or unreadable files raise OSError (2).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import re
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence, get_type_hints
+from typing import Callable, Iterable, NoReturn, Sequence, get_type_hints
 
 from .errors import DataError, MalformedRowError
 from .interact import normalize_ipc
@@ -92,7 +93,7 @@ def _shown(value: object) -> str:
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def _strict_int(text: str, name: str) -> int:
+def _strict_int(name: str, text: str) -> int:
     """The value of an ASCII '-?[0-9]+' text; ValueError names the column otherwise."""
     if _INTEGER.fullmatch(text):
         try:
@@ -104,22 +105,27 @@ def _strict_int(text: str, name: str) -> int:
     raise ValueError(f"{name} {_shown(text)} is not an integer")
 
 
-class _IntCells(dict):
-    """One integer column's cells during one file read: cells[text] is its int.
+# The most distinct cells a _CellMemo keeps.
+_MEMO_CAP = 4096
 
-    The first lookup of a text runs _strict_int and keeps the result; every
-    repeat is a plain dict lookup. A rejected text raises _strict_int's
-    ValueError and is not kept.
+
+class _CellMemo(dict):
+    """One column's cells during one file read: cells[text] is parse(text).
+
+    A text's first lookup keeps its value while fewer than _MEMO_CAP are
+    kept; a rejected text raises parse's ValueError and is not kept.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("parse",)
 
-    def __init__(self, name: str):
+    def __init__(self, parse: Callable[[str], object]):
         super().__init__()
-        self.name = name
+        self.parse = parse
 
-    def __missing__(self, text: str) -> int:
-        value = self[text] = _strict_int(text, self.name)
+    def __missing__(self, text: str):
+        value = self.parse(text)
+        if len(self) < _MEMO_CAP:
+            self[text] = value
         return value
 
 
@@ -132,7 +138,7 @@ def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
         name, sep, level = part.rpartition("@")
         if not sep:
             raise ValueError(f"field entry {_shown(part)} lacks an @level suffix")
-        fields.append(FieldOfStudy(name=name, level=_strict_int(level, "field of study level")))
+        fields.append(FieldOfStudy(name=name, level=_strict_int("field of study level", level)))
     return tuple(fields)
 
 
@@ -142,25 +148,18 @@ def format_fields_of_study(fields: Iterable[FieldOfStudy]) -> str:
 
 def parse_papers(path: Path) -> dict[str, PaperRecord]:
     papers: dict[str, PaperRecord] = {}
-    # Each distinct fields_of_study cell is parsed once; equal cells share
-    # one tuple.
-    fields_by_cell: dict[str, tuple[FieldOfStudy, ...]] = {}
-    years = _IntCells("pub_year")
+    years, fields = _CellMemo(partial(_strict_int, "pub_year")), _CellMemo(parse_fields_of_study)
     for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
         if pid in papers:
             raise MalformedRowError(line_no, f"duplicate id: {_shown(pid)}")
         try:
-            year = years[pub_year]
-            fields = fields_by_cell.get(cell)
-            if fields is None:
-                fields = fields_by_cell[cell] = parse_fields_of_study(cell)
             papers[pid] = PaperRecord(
                 paper_id=pid,
-                pub_year=year,
+                pub_year=years[pub_year],
                 title=title or None,
                 doi=doi or None,
                 pmid=pmid or None,
-                fields_of_study=fields,
+                fields_of_study=fields[cell],
             )
         except ValueError as exc:
             raise MalformedRowError(line_no, str(exc)) from None
@@ -196,7 +195,7 @@ def read_citations(
         if paper.pub_year <= window_end
     }
     irregular: set[str] = set()
-    years, counts = _IntCells("year"), _IntCells("count")
+    years, counts = _CellMemo(partial(_strict_int, "year")), _CellMemo(partial(_strict_int, "count"))
     for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
         try:
             year = years[year]
@@ -253,9 +252,9 @@ def _raise_repeat(path: Path, pid: str, year: int) -> NoReturn:
 
 def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
-    priorities = _IntCells("earliest_priority_year")
-    filings = _IntCells("filing_years")
-    forwards = _IntCells("forward_citation_count")
+    priorities = _CellMemo(partial(_strict_int, "earliest_priority_year"))
+    filings = _CellMemo(partial(_strict_int, "filing_years"))
+    forwards = _CellMemo(partial(_strict_int, "forward_citation_count"))
     for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
         if fid in patents:
             raise MalformedRowError(line_no, f"duplicate id: {_shown(fid)}")
@@ -285,7 +284,7 @@ def parse_links(path: Path) -> tuple[PatentCitationLink, ...]:
 
 def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
     entries = []
-    field_ids = _IntCells("wipo_field_id")
+    field_ids = _CellMemo(partial(_strict_int, "wipo_field_id"))
     rows = read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER)
     for line_no, (prefix, field_id, field_name, sector) in rows:
         try:
@@ -323,16 +322,26 @@ def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     return tuple(records)
 
 
+def _read(parse, path: Path, *args):
+    """parse(path, *args); a DataError it raises names the file: 'citations.csv line 3: ...'."""
+    try:
+        return parse(path, *args)
+    except MalformedRowError as exc:
+        raise MalformedRowError(exc.line_no, exc.reason, path.name) from None
+    except DataError as exc:
+        raise DataError(f"{path.name}: {exc}") from None
+
+
 def load_dataset(directory: str | Path, window_end: int) -> Dataset:
     """Read one dataset directory into memory (contexts.jsonl is optional)."""
     root = Path(directory)
-    papers = parse_papers(root / PAPERS_FILE)
-    series = read_citations(root / CITATIONS_FILE, papers, window_end)
-    patents = parse_patents(root / PATENTS_FILE)
-    links = parse_links(root / LINKS_FILE)
-    concordance = parse_concordance(root / CONCORDANCE_FILE)
+    papers = _read(parse_papers, root / PAPERS_FILE)
+    series = _read(read_citations, root / CITATIONS_FILE, papers, window_end)
+    patents = _read(parse_patents, root / PATENTS_FILE)
+    links = _read(parse_links, root / LINKS_FILE)
+    concordance = _read(parse_concordance, root / CONCORDANCE_FILE)
     contexts_path = root / CONTEXTS_FILE
-    contexts = parse_contexts(contexts_path) if contexts_path.exists() else None
+    contexts = _read(parse_contexts, contexts_path) if contexts_path.exists() else None
     return Dataset(
         papers=papers,
         series=series,

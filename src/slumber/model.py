@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from operator import lt
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .interact import IpcIndex
@@ -135,21 +134,6 @@ class CitationSeries:
             raise ValueError("year offsets must be strictly ascending")
         if min(values) < 1:
             raise ValueError("stored counts must be positive; zero years are left out")
-
-    @classmethod
-    def from_counts(cls, paper_id: str, base_year: int, counts: Sequence[int]) -> CitationSeries:
-        """The series whose count t years after publication is counts[t].
-
-        A negative count is kept among the stored values, so construction
-        rejects it.
-        """
-        return cls(
-            paper_id=paper_id,
-            base_year=base_year,
-            t_m=len(counts) - 1,
-            offsets=tuple(compress(range(len(counts)), counts)),
-            values=tuple(filter(None, counts)),
-        )
 
     @property
     def total(self) -> int:

@@ -137,27 +137,25 @@ def aagr(
 ) -> AagrResult:
     """Annual average growth rate over (base_year, end_year], in percent.
 
-    arithmetic: mean of year-over-year relative changes, skipping years whose
-    previous-year count is zero (the skips are counted on the result).
+    arithmetic: mean of the year-over-year relative changes, in year order,
+    from each year in [base_year, end_year) with a non-zero count (an uncited
+    next year is a -100% change); skipped_years counts the other steps.
     compound: ((v_end / v_base) ** (1 / (end - base)) - 1).
-    Years absent from the input count as zero.
+    Years absent from the input count as zero; a repeated year's last count wins.
     """
     if end_year <= base_year:
         raise DataError(f"end year {end_year} must exceed base year {base_year}")
     by_year = dict(annual_counts)
     if method == "arithmetic":
-        changes = []
-        skipped = 0
-        for year in range(base_year + 1, end_year + 1):
-            prev = by_year.get(year - 1, 0)
-            cur = by_year.get(year, 0)
-            if prev == 0:
-                skipped += 1
-                continue
-            changes.append((cur - prev) / prev)
+        changes = [
+            (by_year.get(y + 1, 0) - prev) / prev
+            for y, prev in sorted(by_year.items())
+            if prev and base_year <= y < end_year
+        ]
         if not changes:
             raise DataError("every year-over-year denominator is zero")
         value = 100.0 * sum(changes) / len(changes)
+        skipped = end_year - base_year - len(changes)
         return AagrResult(base_year, end_year, "arithmetic", value, skipped_years=skipped)
     if method == "compound":
         v_base = by_year.get(base_year, 0)

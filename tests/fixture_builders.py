@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from reference import series_from_counts
 from slumber.ingest import write_dataset
 from slumber.model import (
     CitationContextRecord,
@@ -58,7 +59,7 @@ def delayed_series(pid: str, i: int) -> CitationSeries:
     t_m = WINDOW_END - pub_year
     start = t_m - 6 - (i % 15)
     counts = [0] * start + list(range(1, t_m - start + 2))
-    return CitationSeries.from_counts(pid, pub_year, _scale(counts, 200))
+    return series_from_counts(pid, pub_year, _scale(counts, 200))
 
 
 def instant_series(pid: str, i: int) -> CitationSeries:
@@ -67,7 +68,7 @@ def instant_series(pid: str, i: int) -> CitationSeries:
     t_m = WINDOW_END - pub_year
     peak = 2 + (i % 8)
     counts = [max(peak - t, 0) for t in range(t_m + 1)]
-    return CitationSeries.from_counts(pid, pub_year, _scale(counts, 200))
+    return series_from_counts(pid, pub_year, _scale(counts, 200))
 
 
 def _fields(i: int, biology_cut: int) -> tuple[FieldOfStudy, ...]:

@@ -11,7 +11,7 @@ import random
 import re
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from slumber.cohort import DR, IR, NONE, CohortAssignment
 from slumber.curve import AWAKENING, FALLING, FLAT
@@ -19,6 +19,7 @@ from slumber.errors import DataError, MalformedRowError
 from slumber.ingest import CITATION_COLUMNS, _shown
 from slumber.interact import normalize_ipc
 from slumber.model import CitationSeries, ConcordanceEntry, CurveProfile, PaperRecord
+from slumber.stats import AagrResult
 from slumber.synth import DELAYED, INSTANT, LINEAR, NOISE
 from slumber.tables import read_rows
 
@@ -35,6 +36,21 @@ def int_cell(text: str, name: str) -> int:
         except ValueError:
             pass
     raise ValueError(f"{name} {_shown(text)} is not an integer")
+
+
+def series_from_counts(paper_id: str, base_year: int, counts: Sequence[int]) -> CitationSeries:
+    """The series whose count t years after publication is counts[t].
+
+    A negative count is kept among the stored values, so construction
+    rejects it.
+    """
+    return CitationSeries(
+        paper_id,
+        base_year,
+        len(counts) - 1,
+        tuple(t for t, c in enumerate(counts) if c),
+        tuple(c for c in counts if c),
+    )
 
 
 def dense_counts(series: CitationSeries) -> tuple[int, ...]:
@@ -81,6 +97,41 @@ def profile_dense(series: CitationSeries) -> CurveProfile:
     )
 
 
+def aagr_dense(
+    annual_counts: Iterable[tuple[int, int]], base_year: int, end_year: int, method: str = "arithmetic"
+) -> AagrResult:
+    """stats.aagr by a step through every year of (base_year, end_year].
+
+    The arithmetic mean takes each step's change over a non-zero previous
+    count, in year order, and counts the other steps as skipped.
+    """
+    if end_year <= base_year:
+        raise DataError(f"end year {end_year} must exceed base year {base_year}")
+    by_year = dict(annual_counts)
+    if method == "arithmetic":
+        changes = []
+        skipped = 0
+        for year in range(base_year + 1, end_year + 1):
+            prev = by_year.get(year - 1, 0)
+            cur = by_year.get(year, 0)
+            if prev == 0:
+                skipped += 1
+                continue
+            changes.append((cur - prev) / prev)
+        if not changes:
+            raise DataError("every year-over-year denominator is zero")
+        value = 100.0 * sum(changes) / len(changes)
+        return AagrResult(base_year, end_year, "arithmetic", value, skipped_years=skipped)
+    if method == "compound":
+        v_base = by_year.get(base_year, 0)
+        v_end = by_year.get(end_year, 0)
+        if v_base == 0:
+            raise DataError(f"count in base year {base_year} is zero; compound growth undefined")
+        value = 100.0 * ((v_end / v_base) ** (1.0 / (end_year - base_year)) - 1.0)
+        return AagrResult(base_year, end_year, "compound", value)
+    raise DataError(f"unknown growth method {method!r}")
+
+
 def wipo_field_for(code: str, concordance: Sequence[ConcordanceEntry]) -> ConcordanceEntry | None:
     """interact.IpcIndex.lookup by a scan over every concordance entry.
 
@@ -107,7 +158,7 @@ def read_citations_dense(
 
     Every count is written to its year's slot, a second list marks the
     years a row has set, and each list goes through the checked
-    CitationSeries.from_counts at the end. A bad row raises at once, at its
+    series_from_counts at the end. A bad row raises at once, at its
     own line, so a repeated (paper, year) is reported at its second row.
     """
     slots: dict[str, tuple[int, list[int], bytearray]] = {}
@@ -138,7 +189,7 @@ def read_citations_dense(
         seen[t] = 1
         counts[t] = count
     return {
-        pid: CitationSeries.from_counts(pid, base, counts)
+        pid: series_from_counts(pid, base, counts)
         for pid, (base, counts, _) in slots.items()
     }
 
@@ -210,7 +261,7 @@ def synth_series_dense(
     """synth._series by a dense list over every year of the window.
 
     It draws from rng exactly what synth does, in the same order, and the
-    list goes through the checked CitationSeries.from_counts at the end.
+    list goes through the checked series_from_counts at the end.
     """
     counts = scale_to_floor_dense(DENSE_SHAPE_BUILDERS[shape](rng, t_m), floor)
-    return CitationSeries.from_counts(paper_id, pub_year, counts)
+    return series_from_counts(paper_id, pub_year, counts)

@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from reference import series_from_counts
 from slumber import cli, curve, synth
 from slumber.cohort import DR, IR, select_cohorts
 from slumber.interact import interaction_matrix
@@ -43,7 +44,7 @@ def report(num: int, label: str, ok: bool, extra: str = "") -> None:
 
 
 def make_series(counts, pid="p", base_year=1970) -> CitationSeries:
-    return CitationSeries.from_counts(pid, base_year, counts)
+    return series_from_counts(pid, base_year, counts)
 
 
 def seeded_series(seed: int, n: int) -> list[list[int]]:
@@ -216,7 +217,7 @@ def test_c07_cohort_sizing():
         for i in range(5)
     }
     series = {
-        pid: CitationSeries.from_counts(pid, 2000, (0, i, 5 - i, 0, 10)) for i, pid in enumerate(papers)
+        pid: series_from_counts(pid, 2000, (0, i, 5 - i, 0, 10)) for i, pid in enumerate(papers)
     }
     tiny = Dataset(
         papers=papers, series=series, patents={}, links=(), concordance=(),
@@ -339,7 +340,7 @@ def test_c10_interaction_weight_conservation():
                 FieldOfStudy(n, 0) for n in rng.sample(field_pool, rng.randint(0, 3))
             )
             papers[pid] = PaperRecord(paper_id=pid, pub_year=1980, fields_of_study=fields)
-            series[pid] = CitationSeries.from_counts(pid, 1980, (1, 1, 1))
+            series[pid] = series_from_counts(pid, 1980, (1, 1, 1))
             for j in range(rng.randint(0, 2)):
                 fid = f"f{i}_{j}"
                 families[fid] = PatentFamilyRecord(

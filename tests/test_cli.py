@@ -409,22 +409,46 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
     assert "30 papers" in stdout
 
 
+# The "<lambda>" ids are the ones pytest made when the messages did not
+# name their file yet; they are kept so each case keeps its name.
 @pytest.mark.parametrize(
     "name, corrupt, where",
     [
-        ("papers.csv", lambda b: b.replace(b"Synthetic", b"Synth\xfftic", 1), "line 2: not valid UTF-8"),
-        ("citations.csv", lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n", "unreadable row"),
-        ("contexts.jsonl", lambda b: b.replace(b"measurements", b"m\xe9asurements", 1), "line 1: not valid UTF-8"),
-        ("contexts.jsonl", lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1), "line 1: year inf"),
-        (
+        pytest.param(
+            "papers.csv",
+            lambda b: b.replace(b"Synthetic", b"Synth\xfftic", 1),
+            "papers.csv line 2: not valid UTF-8",
+            id="papers.csv-<lambda>-line 2: not valid UTF-8",
+        ),
+        pytest.param(
+            "citations.csv",
+            lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n",
+            "citations.csv line 1026: unreadable row",
+            id="citations.csv-<lambda>-unreadable row",
+        ),
+        pytest.param(
+            "contexts.jsonl",
+            lambda b: b.replace(b"measurements", b"m\xe9asurements", 1),
+            "contexts.jsonl line 1: not valid UTF-8",
+            id="contexts.jsonl-<lambda>-line 1: not valid UTF-8",
+        ),
+        pytest.param(
+            "contexts.jsonl",
+            lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1),
+            "contexts.jsonl line 1: year inf",
+            id="contexts.jsonl-<lambda>-line 1: year inf",
+        ),
+        pytest.param(
             "contexts.jsonl",
             lambda b: b.replace(b'"year": 1989', b'"year": 1' + b"0" * 5000, 1),
-            "line 1: invalid JSON: number too long",
+            "contexts.jsonl line 1: invalid JSON: number too long",
+            id="contexts.jsonl-<lambda>-line 1: invalid JSON: number too long",
         ),
-        (
+        pytest.param(
             "contexts.jsonl",
             lambda b: b"[" * 200_000 + b"]" * 200_000 + b"\n" + b,
-            "line 1: invalid JSON: maximum recursion depth exceeded",
+            "contexts.jsonl line 1: invalid JSON: maximum recursion depth exceeded",
+            id="contexts.jsonl-<lambda>-line 1: invalid JSON: maximum recursion depth exceeded",
         ),
         # A `where` that starts with "error: " is the whole final stderr line.
         # data/demo's papers.csv has 61 lines and patents.csv 97, so a repeated
@@ -432,54 +456,62 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
         pytest.param(
             "papers.csv",
             lambda b: b + b.splitlines(keepends=True)[1],
-            "error: line 62: duplicate id: 'p00000'",
+            "error: papers.csv line 62: duplicate id: 'p00000'",
             id="papers.csv-duplicate-id",
         ),
         # A 5,000-digit cell is echoed as its first 40 characters and its length.
-        (
+        pytest.param(
             "papers.csv",
             lambda b: b.replace(b",1977,", b"," + b"1" * 5000 + b",", 1),
-            "error: line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
+            "error: papers.csv line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
+            id="papers.csv-<lambda>-error: line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
         ),
-        ("citations.csv", lambda b: b.replace(b",count", b",cnt", 1), "error: missing required column: 'count'"),
+        pytest.param(
+            "citations.csv",
+            lambda b: b.replace(b",count", b",cnt", 1),
+            "error: citations.csv: missing required column: 'count'",
+            id="citations.csv-<lambda>-error: missing required column: 'count'",
+        ),
         # The row appended after data/demo's 1,025 lines is line 1026.
         pytest.param(
             "citations.csv",
             lambda b: b + b"p00000,2100,1\n",
-            "error: line 1026: citation year 2100 for paper 'p00000' outside the observation window",
+            "error: citations.csv line 1026: citation year 2100 for paper 'p00000' outside the observation window",
             id="citations.csv-year-outside-window",
         ),
         pytest.param(
             "patents.csv",
             lambda b: b + b.splitlines(keepends=True)[1],
-            "error: line 98: duplicate id: 'f00000'",
+            "error: patents.csv line 98: duplicate id: 'f00000'",
             id="patents.csv-duplicate-id",
         ),
         # A 5,000-character id is echoed as its first 40 characters and its length.
         pytest.param(
             "citations.csv",
             lambda b: b + b"q" * 5000 + b",1990,1\n",
-            "error: line 1026: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
+            "error: citations.csv line 1026: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
             id="citations.csv-long-unknown-paper",
         ),
         pytest.param(
             "papers.csv",
             lambda b: b + (b"q" * 5000 + b",1990,,,,\n") * 2,
-            "error: line 63: duplicate id: '" + "q" * 40 + "'… (5000 characters)",
+            "error: papers.csv line 63: duplicate id: '" + "q" * 40 + "'… (5000 characters)",
             id="papers.csv-long-duplicate-id",
         ),
         # Python 3.10's csv module refuses a NUL byte and later versions read it;
         # every version refuses it here.
-        (
+        pytest.param(
             "papers.csv",
             lambda b: b.replace(b"Synthetic", b"Synth\x00etic", 1),
-            "error: line 2: unreadable row: line contains NUL",
+            "error: papers.csv line 2: unreadable row: line contains NUL",
+            id="papers.csv-<lambda>-error: line 2: unreadable row: line contains NUL",
         ),
         # Past the first 64 KiB that the NUL scan reads: 1,025 lines, then blank ones.
-        (
+        pytest.param(
             "citations.csv",
             lambda b: b + b"\n" * 70_000 + b"p00000,\x001990,1\n",
-            "error: line 71026: unreadable row: line contains NUL",
+            "error: citations.csv line 71026: unreadable row: line contains NUL",
+            id="citations.csv-<lambda>-error: line 71026: unreadable row: line contains NUL",
         ),
     ],
 )
@@ -544,9 +576,9 @@ def test_integer_cells_are_ascii_digits_only(tmp_path, demo_dir, capsys, name, c
     assert code == 1
     if column == "filing_years" and not form:
         # The empty cell lists no filing year; empty entries are skipped.
-        assert err.splitlines()[-1] == "error: line 2: filing_years must be non-empty"
+        assert err.splitlines()[-1] == "error: patents.csv line 2: filing_years must be non-empty"
     else:
-        assert err.splitlines()[-1] == f"error: line 2: {label} {form!r} is not an integer"
+        assert err.splitlines()[-1] == f"error: {name} line 2: {label} {form!r} is not an integer"
 
 
 @pytest.mark.parametrize(
@@ -568,6 +600,29 @@ def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, li
     )
     assert code == 1
     assert err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("command", ["profile", "aagr", "validate", "cohort", "lag-trend"])
+@pytest.mark.parametrize(
+    "settings, line",
+    [
+        ("fraction = 7\n", "error: cohort fraction 7.0 outside (0, 0.5]"),
+        ("fraction = 0\n", "error: cohort fraction 0.0 outside (0, 0.5]"),
+        ("fraction = nan\n", "error: cohort fraction nan outside (0, 0.5]"),
+        ("window_width = 0\n", "error: window width 0 must be >= 1"),
+        ("min_total_citations = 0\n", "error: minimum citation total must be at least 1"),
+    ],
+)
+def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command, settings, line):
+    """Every command checks the whole config first: a missing dataset would exit 2."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(settings)
+    out = tmp_path / "out"
+    missing = tmp_path / "missing"
+    code, _, err = run(capsys, command, "--dataset", str(missing), "--out", str(out), "--config", str(cfg))
+    assert code == 1
+    assert err.splitlines()[-1] == line
+    assert not out.exists()
 
 
 def test_missing_dataset_dir_exits_2(tmp_path, capsys):

@@ -12,13 +12,13 @@ import pytest
 import reference
 from slumber import cohort, curve, interact, patent
 from slumber.errors import DataError
-from slumber.model import CitationSeries, CurveProfile, Dataset, PaperRecord
+from slumber.model import CurveProfile, Dataset, PaperRecord
 
 
 def make_ds(entries: dict[str, tuple[int, tuple[int, ...]]], window_end: int = 2004) -> Dataset:
     """entries: paper id -> (pub_year, citation counts)."""
     papers = {pid: PaperRecord(paper_id=pid, pub_year=py) for pid, (py, _) in entries.items()}
-    series = {pid: CitationSeries.from_counts(pid, py, counts) for pid, (py, counts) in entries.items()}
+    series = {pid: reference.series_from_counts(pid, py, counts) for pid, (py, counts) in entries.items()}
     return Dataset(
         papers=papers,
         series=series,

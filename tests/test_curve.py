@@ -17,7 +17,7 @@ from slumber.model import CitationSeries, CurveProfile
 
 
 def series(counts, pid="p", base_year=1970) -> CitationSeries:
-    return CitationSeries.from_counts(pid, base_year, counts)
+    return reference.series_from_counts(pid, base_year, counts)
 
 
 def oracle_bcp(counts) -> Fraction:

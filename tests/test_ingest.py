@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import shutil
 from datetime import date
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -14,7 +15,6 @@ from slumber import ingest
 from slumber.errors import DataError, MalformedRowError
 from slumber.model import (
     CitationContextRecord,
-    CitationSeries,
     ConcordanceEntry,
     Dataset,
     FieldOfStudy,
@@ -33,7 +33,7 @@ def tiny_dataset(**over) -> Dataset:
     )
     base = dict(
         papers={"p1": paper},
-        series={"p1": CitationSeries.from_counts("p1", 2000, (1, 2, 3))},
+        series={"p1": reference.series_from_counts("p1", 2000, (1, 2, 3))},
         patents={"f1": PatentFamilyRecord("f1", 2005, (2005,), 3, ("A61B5/00",))},
         links=(PatentCitationLink("p1", "f1"),),
         concordance=(ConcordanceEntry("A61B", 13, "Medical technology", "Instruments"),),
@@ -181,7 +181,7 @@ INT_CELL_TEXTS = st.one_of(
 @example(["-0", "007", "-12", "1" * 4300, "1" * 4301, "1990\x00"])
 def test_int_cells_match_the_reference_parser(texts):
     """Accepted and rejected alike; a repeated text gives the identical int."""
-    cells = ingest._IntCells("year")
+    cells = ingest._CellMemo(partial(ingest._strict_int, "year"))
     first: dict[str, int] = {}
     for text in texts + texts:
         try:
@@ -196,6 +196,25 @@ def test_int_cells_match_the_reference_parser(texts):
         assert first.setdefault(text, got) is got
 
 
+def test_cell_memo_stops_keeping_at_its_cap():
+    """Past the cap, a new text is parsed on each lookup, with the same values and errors."""
+    texts = [str(i) for i in range(ingest._MEMO_CAP + 500)]
+    texts[10::97] = [f"{i}x" for i in range(len(texts[10::97]))]  # rejected, never kept
+    cells = ingest._CellMemo(partial(ingest._strict_int, "count"))
+    for text in texts + texts[::-1]:
+        try:
+            want = reference.int_cell(text, "count")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cells[text]
+            assert str(got.value) == str(exc)
+            continue
+        assert cells[text] == want
+    assert len(cells) == ingest._MEMO_CAP
+    kept = [t for t in texts if not t.endswith("x")][: ingest._MEMO_CAP]
+    assert list(cells) == kept
+
+
 def test_duplicate_paper_id(tmp_path):
     path = tmp_path / "papers.csv"
     path.write_text(
@@ -206,7 +225,7 @@ def test_duplicate_paper_id(tmp_path):
 
 
 def test_citations_written_sparse(tmp_path):
-    series = [CitationSeries.from_counts("p1", 2000, (0, 3, 0, 2))]
+    series = [reference.series_from_counts("p1", 2000, (0, 3, 0, 2))]
     path = tmp_path / "citations.csv"
     ingest.write_citations(series, path)
     lines = path.read_text().splitlines()
@@ -244,7 +263,7 @@ def citation_files(draw, duplicate: bool = False):
         if pub_year <= window_end:
             n = window_end - pub_year + 1
             counts = draw(st.lists(st.sampled_from((0, 0, 1, 7, 250)), min_size=n, max_size=n))
-            series[pid] = CitationSeries.from_counts(pid, pub_year, counts)
+            series[pid] = reference.series_from_counts(pid, pub_year, counts)
             rows += [
                 (pid, pub_year + t, count)
                 for t, count in enumerate(counts)
@@ -571,6 +590,48 @@ def test_oversized_cell_names_its_line(tmp_path):
         ingest.read_citations(path, PAPERS_1990, 2015)
 
 
+@pytest.mark.parametrize(
+    "name, corrupt, message, line_no",
+    [
+        (
+            "citations.csv",
+            lambda t: t + "p00000,abc,1\n",
+            "citations.csv line 1026: year 'abc' is not an integer",
+            1026,
+        ),
+        (
+            "papers.csv",
+            lambda t: t.replace("title", "name", 1),
+            "papers.csv: missing required column: 'title'",
+            None,
+        ),
+        (
+            "patents.csv",
+            lambda t: t + "f\0,1990,1990,0,\n",
+            "patents.csv line 98: unreadable row: line contains NUL",
+            98,
+        ),
+        ("links.csv", lambda t: t + "p00000,\n", "links.csv line 98: link row has an empty id", 98),
+        (
+            "concordance.tsv",
+            lambda t: t + "A99\t36\tx\ty\n",
+            "concordance.tsv line 12: wipo_field_id 36 outside 1..35",
+            12,
+        ),
+        ("contexts.jsonl", lambda t: t + "[]\n", "contexts.jsonl line 17: line is not a JSON object", 17),
+    ],
+)
+def test_load_dataset_names_the_file(tmp_path, demo_dir, name, corrupt, message, line_no):
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    path = ds_copy / name
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        ingest.load_dataset(ds_copy, 2015)
+    assert str(exc.value) == message
+    assert getattr(exc.value, "line_no", None) == line_no
+
+
 def test_dataset_write_load_round_trip(tmp_path, table1):
     out = tmp_path / "ds"
     ingest.write_dataset(table1, out)
@@ -624,7 +685,7 @@ def test_validator_series_warnings():
     late = PaperRecord(paper_id="p2", pub_year=2010)
     ds = tiny_dataset(
         papers={"p1": quiet, "p2": late},
-        series={"p1": CitationSeries.from_counts("p1", 2000, (0, 0, 0))},
+        series={"p1": reference.series_from_counts("p1", 2000, (0, 0, 0))},
         links=(),
     )
     messages = {w.entity_id: w.message for w in ingest.validate_dataset(ds).warnings()}

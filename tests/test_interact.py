@@ -11,7 +11,6 @@ import reference
 from fixture_builders import DR_BIOLOGY, IR_BIOLOGY
 from slumber import ingest, interact
 from slumber.model import (
-    CitationSeries,
     ConcordanceEntry,
     Dataset,
     FieldOfStudy,
@@ -44,7 +43,7 @@ def build_ds(paper_fields, families, links) -> Dataset:
     }
     return Dataset(
         papers=papers,
-        series={pid: CitationSeries.from_counts(pid, 1980, (1, 1, 1)) for pid in papers},
+        series={pid: reference.series_from_counts(pid, 1980, (1, 1, 1)) for pid in papers},
         patents={f.family_id: f for f in families},
         links=tuple(links),
         concordance=SAMPLE_CONCORDANCE,

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from fixture_builders import two_family_paper
+from reference import series_from_counts
 from slumber import patent
 from slumber.errors import DataError
 from slumber.model import (
-    CitationSeries,
     Dataset,
     PaperRecord,
     PatentCitationLink,
@@ -18,7 +18,7 @@ from slumber.model import (
 
 def link_ds(papers, patents, links, series=()) -> Dataset:
     """Each paper gets a flat three-year series unless `series` holds its own."""
-    by_id = {p.paper_id: CitationSeries.from_counts(p.paper_id, p.pub_year, (1, 1, 1)) for p in papers}
+    by_id = {p.paper_id: series_from_counts(p.paper_id, p.pub_year, (1, 1, 1)) for p in papers}
     by_id.update((s.paper_id, s) for s in series)
     return Dataset(
         papers={p.paper_id: p for p in papers},
@@ -151,7 +151,7 @@ def test_compute_indicators_over_dataset():
     ]
     fam = PatentFamilyRecord("f1", 1992, (1992,), 4, ())
     # Cited yearly through 1990, then never again: the curve turns in 1990.
-    fading = CitationSeries.from_counts("p1", 1980, (5,) * 11 + (0,) * 10)
+    fading = series_from_counts("p1", 1980, (5,) * 11 + (0,) * 10)
     ds = link_ds(papers, [fam], [PatentCitationLink("p1", "f1")], [fading])
     assert ds.profiles["p1"].turning_year == 1990
     got = patent.compute_indicators(ds, ["p1", "p2"])

@@ -7,7 +7,9 @@ import random
 import statistics
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+import reference
 from slumber.errors import DataError, DegeneratePoolError
 from slumber.stats import (
     TrendWindow,
@@ -255,3 +257,47 @@ def test_aagr_error_paths():
         aagr([(2000, 1)], 2000, 2000)
     with pytest.raises(DataError, match="unknown growth method 'geometric'"):
         aagr([(2000, 1), (2001, 2)], 2000, 2001, "geometric")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the text of the DataError it raised."""
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# A count per year, zero years and negative counts included.
+_COUNTS = st.sampled_from((0, 0, 0, -3, 1, 2, 5, 40))
+# Unsorted (year, count) pairs, some repeating a year and some outside the window.
+_PAIRS = st.lists(st.tuples(st.integers(1990, 2025), _COUNTS), max_size=30)
+# A count for every year of a run, in any order, so runs of zero years sit
+# between cited ones.
+_RUNS = st.builds(
+    lambda start, counts: [(start + i, c) for i, c in enumerate(counts)],
+    st.integers(1990, 2012),
+    st.lists(_COUNTS, max_size=20),
+).flatmap(st.permutations)
+
+
+@example([(2000, 5), (2001, 0), (2002, 0), (2003, 4)], 2000, 3, "arithmetic")  # zero run
+@example([(2009, 7)], 2009, 1, "arithmetic")  # turning year one step before the end
+@example([(2000, 3)], 2000, 10, "arithmetic")  # a single cited year at the base
+@example([(2003, 2), (2001, 4), (2002, 8), (2001, 0)], 2000, 3, "arithmetic")  # last repeat wins
+@example([(2003, 1), (2002, 3), (2001, 1), (2000, 7)], 2000, 3, "arithmetic")  # summed in year order
+@example([(2000, -2), (2001, 3), (2002, -1)], 2000, 2, "arithmetic")  # negative counts
+@example([(1999, 4), (2000, 0), (2003, 6), (2004, 9)], 2000, 3, "arithmetic")  # outside years
+@example([(2010, 5)], 2010, 0, "arithmetic")  # turning year at the window end
+@example([(2000, 0), (2001, 0)], 2000, 1, "arithmetic")  # every denominator zero
+@example([(2001, 5)], 2000, 1, "compound")  # zero base
+@example([(2000, 1), (2001, 2)], 2000, 1, "geometric")  # unknown method
+@example([(2000, 1)], 2000, -2, "compound")  # end before base
+@given(
+    st.one_of(_PAIRS, _RUNS),
+    st.integers(1995, 2012),
+    st.integers(-2, 14),
+    st.sampled_from(("arithmetic", "compound", "geometric")),
+)
+def test_aagr_matches_dense_reference(counts, base_year, span, method):
+    args = (counts, base_year, base_year + span, method)
+    assert _outcome(aagr, *args) == _outcome(reference.aagr_dense, *args)
