@@ -20,6 +20,7 @@ import argparse
 import gc
 import logging
 import sys
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from . import ingest, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
-from .errors import ConfigError, DataError, DegeneratePoolError, SlumberError
+from .errors import ConfigError, DataError, SlumberError
 from .interact import field_distribution, interaction_matrix
 from .model import Dataset, ValidationIssue, ValidationReport
 from .patent import (
@@ -38,7 +39,7 @@ from .patent import (
     compute_indicators,
     lag_trend_points,
 )
-from .stats import aagr, moving_window_mean, proportion_ci, summary_stats, two_proportion_test
+from .stats import aagr, moving_window_mean, summary_stats, two_proportion_test
 from .tables import write_json_lines, write_rows
 
 log = logging.getLogger("slumber")
@@ -245,19 +246,23 @@ def cmd_table1(run: Run) -> None:
     instead of a number.
     """
     dr, ir = run.cohort_indicators
+    if not ir:
+        raise DataError(
+            f"IR cohort is empty: {run.cohorts.eligible_count} eligible papers"
+            f" at fraction {run.config.fraction} leave none after DR"
+        )
     n1, n2 = len(dr), len(ir)
     rows = []
     for name, predicate in BINARY_INDICATORS:
         k1 = sum(1 for i in dr if predicate(i))
         k2 = sum(1 for i in ir if predicate(i))
-        try:
-            res = two_proportion_test(k1, n1, k2, n2)
+        res = two_proportion_test(k1, n1, k2, n2)
+        if res.z is None:
+            ratio, z, p = "", "", DEGENERATE_LABEL
+        else:
             ratio = "" if res.rate_ratio is None else _fmt(res.rate_ratio)
             z, p = _fmt(res.z), _fmt(res.p_two_sided)
-            a, b = res.group_a, res.group_b
-        except DegeneratePoolError:
-            ratio, z, p = "", "", DEGENERATE_LABEL
-            a, b = proportion_ci(k1, n1), proportion_ci(k2, n2)
+        a, b = res.group_a, res.group_b
         rows.append((name, DR, k1, n1 - k1, _fmt(a.rate), _fmt(a.ci_low), _fmt(a.ci_high), ratio, z, p))
         rows.append((name, IR, k2, n2 - k2, _fmt(b.rate), _fmt(b.ci_low), _fmt(b.ci_high), "", "", ""))
     columns = ("indicator", "group", "yes", "no", "rate", "ci_low", "ci_high", "rate_ratio", "z", "p")
@@ -307,8 +312,12 @@ def cmd_aagr(run: Run) -> None:
     dataset, method = run.dataset, run.config.aagr_method
     rows = []
     for pid, prof in dataset.profiles.items():
+        series = dataset.series[pid]
+        # Only the years from the turning year on enter the growth rate.
+        start = bisect_left(series.offsets, prof.turning_t)
+        counts = zip([series.base_year + t for t in series.offsets[start:]], series.values[start:])
         try:
-            res = aagr(dataset.series[pid].year_counts(), prof.turning_year, dataset.window_end, method)
+            res = aagr(counts, prof.turning_year, dataset.window_end, method)
         except DataError as exc:
             log.warning("%s: %s; skipped", pid, exc)
             continue

@@ -24,12 +24,5 @@ class MalformedRowError(DataError):
         super().__init__(f"{file} line {line_no}: {reason}".lstrip())
 
 
-class DegeneratePoolError(DataError):
-    """The pooled rate is 0 or 1, so the two-proportion z test is undefined."""
-
-    def __init__(self) -> None:
-        super().__init__("pooled rate is 0 or 1; z statistic undefined")
-
-
 class ConfigError(SlumberError):
     """Bad run configuration: a config file's contents or a missing flag."""

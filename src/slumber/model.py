@@ -19,6 +19,9 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .interact import IpcIndex
 
+# The earliest publication year a paper record accepts.
+MIN_PUB_YEAR = 1800
+
 
 @dataclass(frozen=True, slots=True)
 class FieldOfStudy:
@@ -46,8 +49,8 @@ class PaperRecord:
             raise ValueError("paper_id must be non-empty")
         # No upper bound: a paper after the dataset's window end is a
         # validation warning, not an unreadable record.
-        if self.pub_year < 1800:
-            raise ValueError(f"pub_year {self.pub_year} is before 1800")
+        if self.pub_year < MIN_PUB_YEAR:
+            raise ValueError(f"pub_year {self.pub_year} is before {MIN_PUB_YEAR}")
 
     def top_level_fields(self) -> tuple[str, ...]:
         """Distinct level-0 field names, sorted for deterministic iteration."""

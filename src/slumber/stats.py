@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .errors import DataError, DegeneratePoolError
+from .errors import DataError
 
 _NORMAL = statistics.NormalDist()
 
@@ -34,8 +34,8 @@ class ComparisonResult:
     group_a: ProportionSummary
     group_b: ProportionSummary
     rate_ratio: float | None
-    z: float
-    p_two_sided: float
+    z: float | None  # None, as is p_two_sided, when the pooled rate is 0 or 1
+    p_two_sided: float | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,17 +76,18 @@ def two_proportion_test(k1: int, n1: int, k2: int, n2: int) -> ComparisonResult:
     """Pooled z-test comparing k1/n1 against k2/n2 (two-sided).
 
     The rate ratio is group A relative to group B, or None when group B has
-    zero events.
+    zero events. z and p are None when the pooled rate is 0 or 1, where the
+    test is undefined.
     """
     a = proportion_ci(k1, n1)
     b = proportion_ci(k2, n2)
-    pooled = (k1 + k2) / (n1 + n2)
-    if pooled <= 0.0 or pooled >= 1.0:
-        raise DegeneratePoolError()
-    se = (pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)) ** 0.5
-    z = (a.rate - b.rate) / se
-    p = 2.0 * (1.0 - _NORMAL.cdf(abs(z)))
     ratio = (a.rate / b.rate) if k2 > 0 else None
+    z = p = None
+    if 0 < k1 + k2 < n1 + n2:
+        pooled = (k1 + k2) / (n1 + n2)
+        se = (pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)) ** 0.5
+        z = (a.rate - b.rate) / se
+        p = 2.0 * (1.0 - _NORMAL.cdf(abs(z)))
     return ComparisonResult(group_a=a, group_b=b, rate_ratio=ratio, z=z, p_two_sided=p)
 
 

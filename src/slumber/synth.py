@@ -26,6 +26,7 @@ from . import curve
 from .errors import ConfigError
 from .patent import EARLIER, LATER, SAME
 from .model import (
+    MIN_PUB_YEAR,
     CitationContextRecord,
     CitationSeries,
     ConcordanceEntry,
@@ -135,10 +136,11 @@ class SynthSpec:
             raise ConfigError("n_papers must be at least 1")
         shares = (self.share_delayed, self.share_instant, self.share_linear, self.share_noise)
         timing = (self.timing_earlier, self.timing_same, self.timing_later)
+        # Each comparison is written so that NaN fails it.
         for name, values in (("shape shares", shares), ("timing targets", timing)):
-            if any(v < 0 for v in values):
-                raise ConfigError(f"{name} must be non-negative")
-            if abs(sum(values) - 1.0) > 1e-9:
+            if not all(v >= 0 for v in values):
+                raise ConfigError(f"{name} must be non-negative numbers")
+            if not abs(sum(values) - 1.0) <= 1e-9:
                 raise ConfigError(f"{name} must sum to 1, got {sum(values)!r}")
         if not 0.0 <= self.link_density <= 1.0:
             raise ConfigError(f"link density {self.link_density} outside [0, 1]")
@@ -146,6 +148,8 @@ class SynthSpec:
             raise ConfigError(
                 f"need pub_from <= pub_to < window_end, got {self.pub_from}, {self.pub_to}, {self.window_end}"
             )
+        if self.pub_from < MIN_PUB_YEAR:
+            raise ConfigError(f"pub_from {self.pub_from} is before {MIN_PUB_YEAR}")
         if self.min_total_citations < 1:
             raise ConfigError("min_total_citations must be at least 1")
 

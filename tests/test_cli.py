@@ -129,6 +129,20 @@ def test_table1_degenerate_pool_keeps_rates_and_labels_p(tmp_path, capsys):
     )
 
 
+def test_table1_with_an_empty_ir_cohort_exits_1(tmp_path, demo_dir, capsys):
+    # One eligible paper: DR takes it and IR is left empty.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fraction = 0.5\nmin_total_citations = 1\npub_from = 1971\npub_to = 1971\n")
+    argv = ("--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg))
+    assert run(capsys, "cohort", *argv)[0] == 0
+    code, _, err = run(capsys, "table1", *argv)
+    assert code == 1
+    assert err.splitlines()[-1] == (
+        "error: IR cohort is empty: 1 eligible papers at fraction 0.5 leave none after DR"
+    )
+    assert not (tmp_path / "out" / "comparison.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["table1", "lag-trend", "interactions"])
 def test_cohort_commands_profile_each_usable_paper_once(
     command, tmp_path, table1_dir, half_config, capsys, monkeypatch
@@ -264,6 +278,28 @@ def test_synth_then_validate(tmp_path, capsys):
     code, stdout, _ = run(capsys, "validate", "--dataset", str(ds_dir))
     assert code == 0
     assert "0 errors, 0 warnings" in stdout
+
+
+@pytest.mark.parametrize(
+    "settings, line",
+    [
+        ("share_noise = nan\n", "error: shape shares must be non-negative numbers"),
+        ("share_delayed = nan\n", "error: shape shares must be non-negative numbers"),
+        ("timing_later = nan\n", "error: timing targets must be non-negative numbers"),
+        ("share_noise = inf\n", "error: shape shares must sum to 1, got inf"),
+        ("link_density = nan\n", "error: link density nan outside [0, 1]"),
+        ("pub_from = 1700\npub_to = 1750\n", "error: pub_from 1700 is before 1800"),
+    ],
+)
+def test_synth_refuses_a_spec_it_cannot_build(tmp_path, capsys, settings, line):
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(settings)
+    out = tmp_path / "ds"
+    code, _, err = run(capsys, "synth", "--out", str(out), "--config", str(cfg))
+    assert code == 1
+    assert err.splitlines()[-1] == line
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_skipped_paper_is_logged_once(tmp_path, demo_dir, caplog):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import reference
-from slumber.errors import DataError, DegeneratePoolError
+from slumber.errors import DataError
 from slumber.stats import (
     TrendWindow,
     aagr,
@@ -107,11 +107,11 @@ def test_p_shrinks_as_groups_separate():
         last = p
 
 
-def test_degenerate_pools_rejected():
-    with pytest.raises(DegeneratePoolError):
-        two_proportion_test(0, 10, 0, 10)
-    with pytest.raises(DegeneratePoolError):
-        two_proportion_test(10, 10, 10, 10)
+@pytest.mark.parametrize("k", [0, 10])
+def test_degenerate_pool_has_no_test_but_keeps_both_intervals(k):
+    r = two_proportion_test(k, 10, k, 10)
+    assert r.z is None and r.p_two_sided is None
+    assert r.group_a == r.group_b == proportion_ci(k, 10)
 
 
 def test_ratio_none_when_baseline_empty():
