@@ -65,7 +65,8 @@ class RunConfig:
                 f"need pub_from <= pub_to < window_end, got {self.pub_from}, {self.pub_to}, {self.window_end}"
             )
         if self.aagr_method not in ("arithmetic", "compound"):
-            raise ConfigError(f"aagr_method must be arithmetic or compound, not {self.aagr_method!r}")
+            method = ingest._shown(self.aagr_method)
+            raise ConfigError(f"aagr_method must be arithmetic or compound, not {method}")
         if not self.terms:
             raise ConfigError("terms must name at least one word")
         if not 0.0 < self.fraction <= 0.5:
@@ -88,16 +89,17 @@ def _coerce(key: str, raw: str):
         return kind(raw)
     except ValueError:
         if kind is int:
-            raise ConfigError(f"config key {key!r} takes an integer, not {raw!r}") from None
-        raise ConfigError(f"config key {key!r} has non-numeric value {raw!r}") from None
+            raise ConfigError(f"config key {key!r} takes an integer, not {ingest._shown(raw)}") from None
+        raise ConfigError(f"config key {key!r} has non-numeric value {ingest._shown(raw)}") from None
 
 
 def load_config(cls, path: Path | None):
     """A RunConfig or SynthSpec from a file of key=value lines, or the defaults without one.
 
-    Blank lines and # comments are ignored. One file may serve both classes,
-    so every key is checked and coerced, also the keys that only the other
-    class takes, and then `cls` keeps its own.
+    Blank lines and # comments are ignored; a key given twice is an error,
+    and a rejected text is echoed cut short, like a rejected data cell. One
+    file may serve both classes, so every key is checked and coerced, also
+    the keys that only the other class takes, and then `cls` keeps its own.
     """
     try:
         lines = path.read_text(encoding="utf-8").splitlines() if path else []
@@ -110,11 +112,14 @@ def load_config(cls, path: Path | None):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-        pairs[key.strip()] = value.strip()
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {ingest._shown(stripped)}")
+        key = key.strip()
+        if key in pairs:
+            raise ConfigError(f"{path}:{line_no}: config key {ingest._shown(key)} given twice")
+        pairs[key] = value.strip()
     for key in pairs:
         if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {ingest._shown(key)}")
     typed = {k: _coerce(k, v) for k, v in pairs.items()}
     return cls(**{f.name: typed[f.name] for f in fields(cls) if f.name in typed})
 

@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from bisect import bisect_left
 from functools import partial
+from itertools import compress
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 from .errors import DataError, MalformedRowError
 from .interact import normalize_ipc
@@ -171,30 +173,26 @@ def read_citations(
 ) -> dict[str, CitationSeries]:
     """Per-paper series over [pub_year, window_end]; missing years are 0.
 
-    One pass over the sparse rows appends each row's year offset and count
-    to its paper's two lists, so memory follows the rows, not the window
-    years. A paper whose rows arrive out of year order or include a count
-    of 0 is marked irregular; files written by write_citations are sorted
-    and hold no zero rows, so none of their papers is. After the pass only
-    the irregular papers are sorted and cleared of their zero rows. Each
-    series is then built once from its two lists.
+    One pass over the sparse rows keeps each paper's year offsets in
+    ascending order, with their counts, so memory follows the rows, not the
+    window years. A row past its paper's last offset is appended; an earlier
+    one is inserted in place, so files in any row order are read the same.
+    Zero-count rows are dropped after the pass, and each series is then
+    built once from its two lists.
 
     Papers published after window_end have no observation window and get
     no series (the validator flags them); a paper with no rows gets the
     empty series. A row for an unknown paper, outside its paper's window,
-    or repeating a (paper, year) pair, even with count 0, is an error. A
-    row that repeats its paper's previous year is reported at once, with
-    its line number like the other row errors; any other repeat is found as
-    two equal neighbours after the sort, so only then is the file read
-    again, to report the repeating row's line.
+    or repeating a (paper, year) pair, even with count 0, is an error,
+    reported in the row pass at its own line like every other row error.
     """
-    # Per paper: base year, then each row's year offset and count, in file order.
+    # Per paper: base year, then its rows' year offsets, ascending, and counts.
     slots: dict[str, tuple[int, list[int], list[int]]] = {
         pid: (paper.pub_year, [], [])
         for pid, paper in papers.items()
         if paper.pub_year <= window_end
     }
-    irregular: set[str] = set()
+    zeroed: set[str] = set()  # papers with a zero-count row
     years, counts = _CellMemo(partial(_strict_int, "year")), _CellMemo(partial(_strict_int, "count"))
     for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
         try:
@@ -214,40 +212,26 @@ def read_citations(
         base, offsets, values = slot
         t = year - base
         if offsets and t <= offsets[-1]:
-            if t == offsets[-1]:
+            i = bisect_left(offsets, t)
+            if offsets[i] == t:
                 raise MalformedRowError(
                     line_no, f"duplicate citation row for paper {_shown(pid)}, year {year}"
                 )
-            irregular.add(pid)
-        elif not count:
-            irregular.add(pid)
-        offsets.append(t)
-        values.append(count)
-    for pid in sorted(irregular):
-        base, offsets, values = slots[pid]
-        rows = sorted(zip(offsets, values))
-        for (t, _), (next_t, _) in zip(rows, rows[1:]):
-            if t == next_t:
-                _raise_repeat(path, pid, base + t)
-        offsets[:] = [t for t, count in rows if count]
-        values[:] = [count for _, count in rows if count]
+            offsets.insert(i, t)
+            values.insert(i, count)
+        else:
+            offsets.append(t)
+            values.append(count)
+        if not count:
+            zeroed.add(pid)
+    for pid in zeroed:
+        _, offsets, values = slots[pid]
+        offsets[:] = compress(offsets, values)
+        values[:] = filter(None, values)
     return {
         pid: CitationSeries(pid, base, window_end - base, tuple(offsets), tuple(values))
         for pid, (base, offsets, values) in slots.items()
     }
-
-
-def _raise_repeat(path: Path, pid: str, year: int) -> NoReturn:
-    """Raise the error for a repeated citations.csv (paper, year), at its second row."""
-    message = f"duplicate citation row for paper {_shown(pid)}, year {year}"
-    seen = False
-    for line_no, (row_pid, row_year, _) in read_rows(path, CITATION_COLUMNS):
-        # The first read has checked every year cell.
-        if row_pid == pid and int(row_year) == year:
-            if seen:
-                raise MalformedRowError(line_no, message)
-            seen = True
-    raise DataError(message)  # the file changed after the first read
 
 
 def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:

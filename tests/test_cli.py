@@ -698,6 +698,44 @@ def test_unknown_config_key_exits_1(tmp_path, demo_dir, capsys):
     assert "fractoin" in err
 
 
+def test_repeated_config_key_exits_1(tmp_path, demo_dir, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fraction=0.5\n# a comment\nfraction=0.01\n")
+    code, _, err = run(
+        capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
+    )
+    assert code == 1
+    assert err.splitlines() == [f"error: {cfg}:3: config key 'fraction' given twice"]
+
+
+LONG = "x" * 5000
+LONG_SHOWN = "'" + "x" * 40 + "'… (5000 characters)"
+
+
+@pytest.mark.parametrize(
+    "settings, line",
+    [
+        pytest.param(f"{LONG}=1\n", f"unknown config key {LONG_SHOWN}", id="unknown-key"),
+        pytest.param(f"{LONG}=1\n{LONG}=2\n", "{cfg}:2: config key " + LONG_SHOWN + " given twice", id="repeat"),
+        pytest.param(f"{LONG}\n", "{cfg}:1: expected key=value, got " + LONG_SHOWN, id="no-equals"),
+        pytest.param(f"pub_from={LONG}\n", f"config key 'pub_from' takes an integer, not {LONG_SHOWN}", id="int"),
+        pytest.param(f"fraction={LONG}\n", f"config key 'fraction' has non-numeric value {LONG_SHOWN}", id="float"),
+        pytest.param(
+            f"aagr_method={LONG}\n", f"aagr_method must be arithmetic or compound, not {LONG_SHOWN}", id="aagr"
+        ),
+    ],
+)
+def test_long_config_text_is_cut_short(tmp_path, demo_dir, capsys, settings, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(settings)
+    code, _, err = run(
+        capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
+    )
+    assert code == 1
+    assert err.splitlines()[-1] == "error: " + line.format(cfg=cfg)
+    assert all(len(text.encode("utf-8")) < 200 for text in err.splitlines())
+
+
 def test_config_file_not_utf8_exits_1(tmp_path, demo_dir, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"fraction = 0.5\n# r\xe9sum\xe9\n")

@@ -307,6 +307,14 @@ def read_or_error(read, path, papers, window_end):
         "paper_id,year,count\np0,2001,0\np0,2003,4\np0,2002,1\np0,2001,0\n",
     )
 )
+@example(
+    (
+        {"p0": PaperRecord(paper_id="p0", pub_year=2000)},
+        {},
+        2005,
+        "paper_id,year,count\np0,2001,1\np0,2002,1\np0,2001,1\np0,2003,x\n",
+    )
+)
 def test_read_citations_matches_dense_reference(tmp_path, case):
     """The sparse reader gives the dense reference's series, or its error message."""
     papers, _, window_end, text = case
@@ -414,15 +422,33 @@ def test_read_citations_duplicate_row(tmp_path, second):
         pytest.param("p1,1999,1\np2,1999,1\np1,2000,1\np1,1999,3\np2,2000,1\n", 5, id="other-paper"),
     ],
 )
-def test_read_citations_duplicate_found_after_the_sort_names_the_second_row(tmp_path, rows, line_no):
-    # The repeat is not next to its twin in the file, so only the sort finds
-    # it; the file is then read again for the repeating row's line.
+def test_read_citations_non_adjacent_duplicate_names_the_second_row(tmp_path, rows, line_no):
     path = write_citation_text(tmp_path, "paper_id,year,count\n" + rows)
     papers = {**PAPERS_1990, "p2": PaperRecord(paper_id="p2", pub_year=1990)}
     message = f"^line {line_no}: duplicate citation row for paper 'p1', year 1999$"
     with pytest.raises(MalformedRowError, match=message) as exc:
         ingest.read_citations(path, papers, 2015)
     assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param("p1,1999,1\np1,2001,0\np1,2000,2\n", id="out-of-order"),
+        pytest.param("p1,1999,1\np1,2000,1\np1,1999,1\n", id="non-adjacent-repeat"),
+    ],
+)
+def test_read_citations_reads_the_file_once(tmp_path, monkeypatch, rows):
+    calls = []
+
+    def counted_read_rows(*args, **kwargs):
+        calls.append(args)
+        return read_rows(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "read_rows", counted_read_rows)
+    path = write_citation_text(tmp_path, "paper_id,year,count\n" + rows)
+    read_or_error(ingest.read_citations, path, PAPERS_1990, 2015)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
