@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import sys
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -41,8 +40,6 @@ from .patent import (
 )
 from .stats import aagr, moving_window_mean, summary_stats, two_proportion_test
 from .tables import write_json_lines, write_rows
-
-log = logging.getLogger("slumber")
 
 # The p cell of a Table-1 row whose pooled rate makes the z test undefined.
 DEGENERATE_LABEL = "DegeneratePool"
@@ -96,13 +93,14 @@ def _coerce(key: str, raw: str):
 def load_config(cls, path: Path | None):
     """A RunConfig or SynthSpec from a file of key=value lines, or the defaults without one.
 
-    Blank lines and # comments are ignored; a key given twice is an error,
-    and a rejected text is echoed cut short, like a rejected data cell. One
-    file may serve both classes, so every key is checked and coerced, also
-    the keys that only the other class takes, and then `cls` keeps its own.
+    A leading byte-order mark is skipped. Blank lines and # comments are
+    ignored; a key given twice is an error, and a rejected text is echoed
+    cut short, like a rejected data cell. One file may serve both classes,
+    so every key is checked and coerced, also the keys that only the other
+    class takes, and then `cls` keeps its own.
     """
     try:
-        lines = path.read_text(encoding="utf-8").splitlines() if path else []
+        lines = path.read_text(encoding="utf-8-sig").splitlines() if path else []
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc.reason}") from None
     pairs: dict[str, str] = {}
@@ -137,12 +135,18 @@ def _load_and_validate(args) -> tuple[RunConfig, Dataset, ValidationReport]:
     return config, dataset, ingest.validate_dataset(dataset)
 
 
+def _id_text(entity: str) -> str:
+    """An id at the head of a line: whole, or cut short like a rejected value when too long."""
+    return ingest._shown(entity) if len(entity) > ingest._SHOWN_CHARS else entity
+
+
 def _issue_text(issue: ValidationIssue) -> str:
-    """`entity: message`; an entity id too long to echo whole is cut short like a rejected value."""
-    entity = issue.entity_id
-    if len(entity) > ingest._SHOWN_CHARS:
-        entity = ingest._shown(entity)
-    return f"{entity}: {issue.message}"
+    return f"{_id_text(issue.entity_id)}: {issue.message}"
+
+
+def _warn(message: str) -> None:
+    """Print a warning line to the current stderr, as the error lines are printed."""
+    print(f"WARNING slumber: {message}", file=sys.stderr)
 
 
 class Run:
@@ -158,7 +162,7 @@ class Run:
     def __init__(self, args) -> None:
         self.config, self.dataset, report = _load_and_validate(args)
         for issue in report.warnings():
-            log.warning("%s", _issue_text(issue))
+            _warn(_issue_text(issue))
         if report.has_errors():
             for issue in report.errors():
                 print(f"error {_issue_text(issue)}")
@@ -324,7 +328,7 @@ def cmd_aagr(run: Run) -> None:
         try:
             res = aagr(counts, prof.turning_year, dataset.window_end, method)
         except DataError as exc:
-            log.warning("%s: %s; skipped", pid, exc)
+            _warn(f"{_id_text(pid)}: {exc}; skipped")
             continue
         growth = _fmt(res.value_percent)
         rows.append((pid, res.base_year, res.end_year, res.method, growth, res.skipped_years))
@@ -335,10 +339,10 @@ def cmd_aagr(run: Run) -> None:
 def cmd_flag_contexts(run: Run) -> None:
     contexts = run.dataset.contexts
     if contexts is None:
-        log.warning("dataset has no contexts file; writing an empty report")
+        _warn("dataset has no contexts file; writing an empty report")
         contexts = ()
     flagged = ingest.flag_contexts(contexts, run.config.terms)
-    records = ({**asdict(rec), "matched_terms": list(terms)} for rec, terms in flagged)
+    records = ({**ingest.context_object(rec), "matched_terms": list(terms)} for rec, terms in flagged)
     run.write("flagged_contexts.jsonl", write_json_lines, records)
 
 
@@ -397,8 +401,6 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        log_format = "%(levelname)s %(name)s: %(message)s"
-        logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format=log_format)
         if args.command in ("synth", "validate"):
             return args.func(args)
         args.func(Run(args))

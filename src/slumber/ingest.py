@@ -10,14 +10,15 @@ builds each one straight from its paper's rows, with no list over the
 window's years, and write_citations writes just the cited years.
 
 Multi-valued cells (fields_of_study as name@level pairs, filing_years,
-ipc_codes) pack with ';'. Writers emit sorted rows, so rewriting an
-unchanged dataset is byte-identical.
+ipc_codes) pack with ';', which the records refuse inside a field name or
+an IPC code. Writers emit sorted rows, so rewriting an unchanged dataset is
+byte-identical.
 
 An integer cell, or a fields_of_study level, is ASCII '-?[0-9]+' and
 nothing else: no sign '+', no spaces, no '_', no non-ASCII digits. Each
-integer and fields_of_study column memoizes its first _MEMO_CAP distinct
-cells for one file read: each is parsed once, and its repeats are one dict
-lookup sharing one value. Later new cells are parsed at every lookup.
+integer and fields_of_study column parses through a tables._CellMemo, the
+memo IpcIndex keeps its lookups in, for one file read: each of its first
+_MEMO_CAP distinct cells is parsed once, and a repeat is one dict lookup.
 
 Malformed content raises DataError (exit code 1), which load_dataset
 prefixes with its file's name; missing or unreadable files raise OSError (2).
@@ -30,12 +31,10 @@ import re
 from bisect import bisect_left
 from functools import partial
 from itertools import compress
-from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 from .errors import DataError, MalformedRowError
-from .interact import normalize_ipc
 from .model import (
     CitationContextRecord,
     CitationSeries,
@@ -48,7 +47,7 @@ from .model import (
     ValidationIssue,
     ValidationReport,
 )
-from .tables import read_json_lines, read_rows, write_json_lines, write_rows
+from .tables import _CellMemo, read_json_lines, read_rows, write_json_lines, write_rows
 
 PAPERS_FILE = "papers.csv"
 CITATIONS_FILE = "citations.csv"
@@ -105,30 +104,6 @@ def _strict_int(name: str, text: str) -> int:
             # differs between versions.
             pass
     raise ValueError(f"{name} {_shown(text)} is not an integer")
-
-
-# The most distinct cells a _CellMemo keeps.
-_MEMO_CAP = 4096
-
-
-class _CellMemo(dict):
-    """One column's cells during one file read: cells[text] is parse(text).
-
-    A text's first lookup keeps its value while fewer than _MEMO_CAP are
-    kept; a rejected text raises parse's ValueError and is not kept.
-    """
-
-    __slots__ = ("parse",)
-
-    def __init__(self, parse: Callable[[str], object]):
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str):
-        value = self.parse(text)
-        if len(self) < _MEMO_CAP:
-            self[text] = value
-        return value
 
 
 def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
@@ -260,9 +235,10 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
 def parse_links(path: Path) -> tuple[PatentCitationLink, ...]:
     links = []
     for line_no, (pid, fid) in read_rows(path, LINK_COLUMNS):
-        if not pid or not fid:
-            raise MalformedRowError(line_no, "link row has an empty id")
-        links.append(PatentCitationLink(paper_id=pid, family_id=fid))
+        try:
+            links.append(PatentCitationLink(paper_id=pid, family_id=fid))
+        except ValueError as exc:
+            raise MalformedRowError(line_no, str(exc)) from None
     return tuple(links)
 
 
@@ -389,11 +365,13 @@ def write_concordance(entries: Iterable[ConcordanceEntry], path: Path) -> None:
     write_rows(path, CONCORDANCE_COLUMNS, rows, CONCORDANCE_DELIMITER)
 
 
+def context_object(rec: CitationContextRecord) -> dict[str, object]:
+    """A context record's JSON object: one key per field, where asdict would deep-copy each."""
+    return {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+
+
 def write_contexts(contexts: Iterable[CitationContextRecord], path: Path) -> None:
-    # A flat dict per record; dataclasses.asdict would deep-copy each field.
-    keys = tuple(f.name for f in dataclasses.fields(CitationContextRecord))
-    fields_of = attrgetter(*keys)
-    write_json_lines(path, (dict(zip(keys, fields_of(rec))) for rec in contexts))
+    write_json_lines(path, map(context_object, contexts))
 
 
 def write_dataset(dataset: Dataset, directory: str | Path) -> None:
@@ -439,21 +417,14 @@ def validate_dataset(dataset: Dataset) -> ValidationReport:
             warn(link.paper_id, f"duplicate link to family {_shown(link.family_id)}")
         seen_pairs.add(pair)
 
-    # Keyed like IpcIndex, so prefixes that differ only in case or
-    # whitespace count as the same prefix.
-    by_prefix: dict[str, int] = {}
-    for entry in dataset.concordance:
-        key = normalize_ipc(entry.ipc_prefix)
-        prior = by_prefix.get(key)
-        if prior is None:
-            by_prefix[key] = entry.wipo_field_id
-        elif prior != entry.wipo_field_id:
-            message = f"prefix {_shown(entry.ipc_prefix)} maps to fields {prior} and {entry.wipo_field_id}"
-            err(entry.ipc_prefix, message)
-        else:
-            warn(entry.ipc_prefix, f"prefix {_shown(entry.ipc_prefix)} listed twice")
-
     index = dataset.ipc_index
+    for first, entry in index.repeats:
+        prefix, field_id = entry.ipc_prefix, entry.wipo_field_id
+        if first.wipo_field_id != field_id:
+            err(prefix, f"prefix {_shown(prefix)} maps to fields {first.wipo_field_id} and {field_id}")
+        else:
+            warn(prefix, f"prefix {_shown(prefix)} listed twice")
+
     unmapped = set()
     for fid in sorted(dataset.patents):
         family = dataset.patents[fid]

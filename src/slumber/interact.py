@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Iterable
 
 from .model import ConcordanceEntry, Dataset
 from .patent import earliest_family
+from .tables import _CellMemo
 
 UNCLASSIFIED = "unclassified"
-
-_UNSEEN = object()  # IpcIndex.lookup's mark for a code not looked up yet
 
 
 def normalize_ipc(code: str) -> str:
@@ -35,38 +36,39 @@ class IpcIndex:
     field id is kept, and of those the first in concordance order. A lookup
     probes the code's own prefix at each distinct prefix length, longest
     first, so it costs O(number of lengths) rather than O(number of entries).
-    Each distinct code is looked up once: the answer, None included, is kept
-    per raw code, and a repeat is one dict lookup. The tests pin it to a scan
-    over every entry, which they keep in tests/reference.py.
+    Answers, None included, are kept per raw code in a bounded _CellMemo.
+    The tests pin lookups to a scan over every entry, which they keep in
+    tests/reference.py. `repeats` pairs each entry whose normalized prefix
+    an earlier one has with that first entry: (first, entry), in order.
     """
 
-    __slots__ = ("_by_prefix", "_lengths", "_by_code")
+    __slots__ = ("_by_code", "repeats")
 
     def __init__(self, concordance: Iterable[ConcordanceEntry]):
-        by_prefix: dict[str, ConcordanceEntry] = {}
+        groups: dict[str, list[ConcordanceEntry]] = {}  # entries by normalized prefix
+        repeats = []
         for entry in concordance:
-            prefix = normalize_ipc(entry.ipc_prefix)
-            kept = by_prefix.get(prefix)
-            if kept is None or entry.wipo_field_id < kept.wipo_field_id:
-                by_prefix[prefix] = entry
-        self._by_prefix = by_prefix
-        self._lengths = sorted({len(p) for p in by_prefix}, reverse=True)
-        self._by_code: dict[str, ConcordanceEntry | None] = {}
+            group = groups.setdefault(normalize_ipc(entry.ipc_prefix), [])
+            if group:
+                repeats.append((group[0], entry))
+            group.append(entry)
+        by_prefix = {prefix: min(group, key=attrgetter("wipo_field_id")) for prefix, group in groups.items()}
+        lengths = sorted({len(p) for p in by_prefix}, reverse=True)
+        # Not a bound method: commands pause the cycle collector, so the index holds no cycle.
+        self._by_code = _CellMemo(partial(_longest_prefix, by_prefix, lengths))
+        self.repeats: tuple[tuple[ConcordanceEntry, ConcordanceEntry], ...] = tuple(repeats)
 
     def lookup(self, code: str) -> ConcordanceEntry | None:
-        entry = self._by_code.get(code, _UNSEEN)
-        if entry is _UNSEEN:
-            entry = self._by_code[code] = self._longest_prefix(code)
-        return entry
+        return self._by_code[code]
 
-    def _longest_prefix(self, code: str) -> ConcordanceEntry | None:
-        norm = normalize_ipc(code)
-        by_prefix = self._by_prefix
-        for n in self._lengths:
-            entry = by_prefix.get(norm[:n])
-            if entry is not None:
-                return entry
-        return None
+
+def _longest_prefix(by_prefix: dict, lengths: list[int], code: str) -> ConcordanceEntry | None:
+    norm = normalize_ipc(code)
+    for n in lengths:
+        entry = by_prefix.get(norm[:n])
+        if entry is not None:
+            return entry
+    return None
 
 
 @dataclass(frozen=True, slots=True)

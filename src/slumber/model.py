@@ -31,6 +31,8 @@ class FieldOfStudy:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("field of study name must be non-empty")
+        if ";" in self.name:
+            raise ValueError("field of study name must not contain ';'")
         if not 0 <= self.level <= 5:
             raise ValueError(f"field of study level {self.level} outside 0..5")
 
@@ -72,12 +74,18 @@ class PatentFamilyRecord:
             raise ValueError("filing_years must be non-empty")
         if self.forward_citation_count < 0:
             raise ValueError("forward_citation_count must be non-negative")
+        if "" in self.ipc_codes or ";" in "".join(self.ipc_codes):
+            raise ValueError("each IPC code must be non-empty and must not contain ';'")
 
 
 @dataclass(frozen=True, slots=True)
 class PatentCitationLink:
     paper_id: str
     family_id: str
+
+    def __post_init__(self) -> None:
+        if not self.paper_id or not self.family_id:
+            raise ValueError("link row has an empty id")
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,6 +9,8 @@ or drop values. A file holding a NUL character is refused.
 
 JSON-lines files hold one object per line; blank lines are skipped on
 reading, and writing sorts the keys and keeps non-ASCII characters as they are.
+Readers of both skip a leading UTF-8 byte-order mark, which spreadsheet and
+editor exports may write; writers write none.
 """
 
 from __future__ import annotations
@@ -17,9 +19,32 @@ import csv
 import json
 import operator
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError, MalformedRowError
+
+# The most distinct texts a _CellMemo keeps.
+_MEMO_CAP = 4096
+
+
+class _CellMemo(dict):
+    """Memoized parse: cells[text] is parse(text).
+
+    A text's first lookup keeps its value while fewer than _MEMO_CAP are
+    kept; a text that parse rejects raises parse's ValueError and is not kept.
+    """
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse: Callable[[str], object]):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self.parse(text)
+        if len(self) < _MEMO_CAP:
+            self[text] = value
+        return value
 
 
 def read_rows(
@@ -27,7 +52,7 @@ def read_rows(
 ) -> Iterator[tuple[int, Sequence[str]]]:
     """Yield (line_no, cells) per row, cells holding `columns` (two or more) in that order."""
     _refuse_nul(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         # One try around the whole loop keeps the per-row path free of it.
         try:
@@ -83,7 +108,7 @@ def write_rows(
 
 def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_no, object) per non-blank line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -122,7 +147,7 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRowError:
 
 
 def write_json_lines(path: Path, objects: Iterable[dict]) -> None:
-    """One JSON object per line, e.g. `dataclasses.asdict` of each record."""
+    """One JSON object per line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for obj in objects:
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")

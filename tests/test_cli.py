@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import gc
+import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -302,19 +305,33 @@ def test_synth_refuses_a_spec_it_cannot_build(tmp_path, capsys, settings, line):
     assert not out.exists()
 
 
-def test_skipped_paper_is_logged_once(tmp_path, demo_dir, caplog):
+def test_skipped_paper_is_logged_once(tmp_path, demo_dir, capsys):
     dataset = ingest.load_dataset(demo_dir, 2015)
     silent = dataset.series["p00001"]
     dataset.series["p00001"] = replace(silent, offsets=(), values=())
     ds_dir = tmp_path / "ds"
     ingest.write_dataset(dataset, ds_dir)
     out = tmp_path / "out"
-    with caplog.at_level("WARNING", logger="slumber"):
-        code = cli.main(["profile", "--dataset", str(ds_dir), "--out", str(out)])
+    code, _, err = run(capsys, "profile", "--dataset", str(ds_dir), "--out", str(out))
     assert code == 0
-    named = [r.getMessage() for r in caplog.records if "p00001" in r.getMessage()]
-    assert named == ["p00001: no citations inside the observation window"]
+    named = [line for line in err.splitlines() if "p00001" in line]
+    assert named == ["WARNING slumber: p00001: no citations inside the observation window"]
     assert "p00001" not in {r["paper_id"] for r in read_rows(out / "profiles.csv")}
+
+
+def test_leading_byte_order_marks_are_skipped(tmp_path, demo_dir, capsys):
+    """Files saved with a UTF-8 byte-order mark read as the same files without one."""
+    ds_copy = tmp_path / "ds"
+    ds_copy.mkdir()
+    for path in sorted(demo_dir.iterdir()):
+        (ds_copy / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbffraction=0.5\n")
+    for args in ((), ("--config", str(cfg))):
+        code, expected, _ = run(capsys, "validate", "--dataset", str(demo_dir), *args)
+        assert code == 0
+        assert run(capsys, "validate", "--dataset", str(ds_copy), *args) == (0, expected, "")
+    assert cli.load_config(cli.RunConfig, cfg).fraction == 0.5
 
 
 def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
@@ -373,7 +390,7 @@ def test_analysis_command_refuses_cross_file_errors_before_writing(tmp_path, dem
     assert not out.exists()
 
 
-def test_long_ids_in_validation_issues_are_cut_short(tmp_path, demo_dir, capsys, caplog):
+def test_long_ids_in_validation_issues_are_cut_short(tmp_path, demo_dir, capsys):
     """A 5,000-character id is echoed cut short, both as the entity and in the message."""
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
@@ -390,13 +407,45 @@ def test_long_ids_in_validation_issues_are_cut_short(tmp_path, demo_dir, capsys,
     assert f"error {shown}: link references unknown paper {shown}" in lines
     assert f"warning {shown}: context cites unknown paper {shown}" in lines
     assert all(len(line.encode("utf-8")) < 200 for line in lines + err.splitlines())
-    # An analysis command logs the warnings and prints the errors the same way.
+    # An analysis command warns on stderr and prints the errors the same way.
     code, stdout, err = run(capsys, "profile", "--dataset", str(ds_copy), "--out", str(tmp_path / "out"))
     assert code == 1
     assert f"error {shown}: link references unknown paper {shown}" in stdout.splitlines()
-    assert f"{shown}: context cites unknown paper {shown}" in caplog.messages
-    printed = stdout.splitlines() + err.splitlines() + caplog.messages
-    assert all(len(line.encode("utf-8")) < 200 for line in printed)
+    assert f"WARNING slumber: {shown}: context cites unknown paper {shown}" in err.splitlines()
+    assert all(len(line.encode("utf-8")) < 200 for line in stdout.splitlines() + err.splitlines())
+    # aagr skips a paper whose only citations fall in the window's last year.
+    ds_copy = tmp_path / "ds_aagr"
+    shutil.copytree(demo_dir, ds_copy)
+    with open(ds_copy / "papers.csv", "a", newline="") as fh:
+        fh.write(f"{long_id},2013,,,,\n")
+    with open(ds_copy / "citations.csv", "a", newline="") as fh:
+        fh.write(f"{long_id},2015,5\n")
+    code, stdout, err = run(capsys, "aagr", "--dataset", str(ds_copy), "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert f"WARNING slumber: {shown}: every year-over-year denominator is zero; skipped" in err.splitlines()
+    assert all(len(line.encode("utf-8")) < 200 for line in stdout.splitlines() + err.splitlines())
+
+
+def test_each_call_warns_on_its_own_stderr(tmp_path, demo_dir):
+    """main writes each warning to the sys.stderr of its own call and leaves logging as it was."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    context = {"cited_paper_id": "ghost", "citing_id": "x", "sentence": "s", "year": 1990}
+    with open(ds_copy / "contexts.jsonl", "a") as fh:
+        fh.write(json.dumps(context) + "\n")
+    warning = "WARNING slumber: ghost: context cites unknown paper 'ghost'"
+    handlers = list(logging.getLogger().handlers)
+    streams = []
+    for call in range(2):
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            code = cli.main(["profile", "--dataset", str(ds_copy), "--out", str(tmp_path / f"out{call}")])
+        assert code == 0
+        streams.append(stream.getvalue().splitlines())
+    assert streams[0] == streams[1]
+    assert warning in streams[0]
+    assert all(line.startswith("WARNING slumber: ") for line in streams[0])
+    assert logging.getLogger().handlers == handlers
 
 
 @pytest.mark.parametrize("command", ["cohort", "table1", "lag-trend", "interactions"])

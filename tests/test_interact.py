@@ -83,6 +83,21 @@ def test_unmapped_code():
     assert interact.IpcIndex(SAMPLE_CONCORDANCE).lookup("Z99Z9/99") is None
 
 
+def test_a_code_looked_up_twice_is_probed_once(monkeypatch):
+    probes = []
+    probe = interact._longest_prefix
+
+    def counting(by_prefix, lengths, code):
+        probes.append(code)
+        return probe(by_prefix, lengths, code)
+
+    monkeypatch.setattr(interact, "_longest_prefix", counting)
+    index = interact.IpcIndex(SAMPLE_CONCORDANCE)
+    assert index.lookup("G01N33/48") is index.lookup("G01N33/48")
+    assert index.lookup("Z99Z9/99") is index.lookup("Z99Z9/99") is None
+    assert probes == ["G01N33/48", "Z99Z9/99"]
+
+
 PREFIX_POOL = ("A", "A6", "A61", "A61B", "A61B5", "A61B5/0", "G01N", "G01N33", "C12N", "")
 CODE_POOL = ("A61B5/00", "A61B6/00", "A62C3/00", "G01N33/48", "G01N27/00", "C12N15/09", "Z99Z9/99", "B01D1/00")
 

@@ -56,6 +56,23 @@ def test_from_counts_rejects_negative_and_empty_counts():
         reference.series_from_counts("p", 2000, ())
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: model.FieldOfStudy("arts; humanities", 0), "field of study name must not contain ';'"),
+        (lambda: model.PatentFamilyRecord("f", 2000, (2000,), 0, ("A61K;31/00",)), "IPC code"),
+        (lambda: model.PatentFamilyRecord("f", 2000, (2000,), 0, ("A61K", "")), "IPC code"),
+        (lambda: model.PatentCitationLink("", "f"), "empty id"),
+        (lambda: model.PatentCitationLink("p", ""), "empty id"),
+    ],
+    ids=["field-semicolon", "ipc-semicolon", "ipc-empty", "link-paper", "link-family"],
+)
+def test_records_refuse_what_the_files_cannot_hold(build, message):
+    """A ';' packs several values into one cell; an empty code is dropped on reading, an empty id refused."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 _SUMMARY = stats.ProportionSummary(0.5, 0.25, 0.75)
 SLOTTED_RECORDS = [
     model.FieldOfStudy("Biology", 0),
