@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import ingest, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
-from .errors import ConfigError, DataError, SlumberError
+from .errors import _SHOWN_CHARS, ConfigError, DataError, SlumberError, _shown
 from .interact import field_distribution, interaction_matrix
 from .model import Dataset, ValidationIssue, ValidationReport
 from .patent import (
@@ -62,7 +62,7 @@ class RunConfig:
                 f"need pub_from <= pub_to < window_end, got {self.pub_from}, {self.pub_to}, {self.window_end}"
             )
         if self.aagr_method not in ("arithmetic", "compound"):
-            method = ingest._shown(self.aagr_method)
+            method = _shown(self.aagr_method)
             raise ConfigError(f"aagr_method must be arithmetic or compound, not {method}")
         if not self.terms:
             raise ConfigError("terms must name at least one word")
@@ -83,11 +83,12 @@ def _coerce(key: str, raw: str):
     if kind is tuple:
         return tuple(t.strip() for t in raw.split(",") if t.strip())
     try:
-        return kind(raw)
+        # An integer key takes an integer cell's grammar: ASCII '-?[0-9]+'.
+        return ingest._strict_int(key, raw) if kind is int else kind(raw)
     except ValueError:
         if kind is int:
-            raise ConfigError(f"config key {key!r} takes an integer, not {ingest._shown(raw)}") from None
-        raise ConfigError(f"config key {key!r} has non-numeric value {ingest._shown(raw)}") from None
+            raise ConfigError(f"config key {key!r} takes an integer, not {_shown(raw)}") from None
+        raise ConfigError(f"config key {key!r} has non-numeric value {_shown(raw)}") from None
 
 
 def load_config(cls, path: Path | None):
@@ -110,14 +111,14 @@ def load_config(cls, path: Path | None):
             continue
         key, sep, value = stripped.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {ingest._shown(stripped)}")
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {_shown(stripped)}")
         key = key.strip()
         if key in pairs:
-            raise ConfigError(f"{path}:{line_no}: config key {ingest._shown(key)} given twice")
+            raise ConfigError(f"{path}:{line_no}: config key {_shown(key)} given twice")
         pairs[key] = value.strip()
     for key in pairs:
         if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown config key {ingest._shown(key)}")
+            raise ConfigError(f"unknown config key {_shown(key)}")
     typed = {k: _coerce(k, v) for k, v in pairs.items()}
     return cls(**{f.name: typed[f.name] for f in fields(cls) if f.name in typed})
 
@@ -137,7 +138,7 @@ def _load_and_validate(args) -> tuple[RunConfig, Dataset, ValidationReport]:
 
 def _id_text(entity: str) -> str:
     """An id at the head of a line: whole, or cut short like a rejected value when too long."""
-    return ingest._shown(entity) if len(entity) > ingest._SHOWN_CHARS else entity
+    return _shown(entity) if len(entity) > _SHOWN_CHARS else entity
 
 
 def _issue_text(issue: ValidationIssue) -> str:

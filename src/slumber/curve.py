@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import DataError
+from .errors import DataError, _shown
 from .model import CitationSeries, CurveProfile
 
 AWAKENING = "awakening"
@@ -64,7 +64,7 @@ def profile(series: CitationSeries) -> CurveProfile:
     """
     total = series.total
     if total == 0:
-        raise DataError(f"paper {series.paper_id!r} has no citations; curve is undefined")
+        raise DataError(f"paper {_shown(series.paper_id)} has no citations; curve is undefined")
     t_m = series.t_m
     if t_m < 1:
         raise DataError("curve spans a single year; reference line undefined")

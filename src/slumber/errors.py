@@ -3,6 +3,7 @@
 Everything raised on bad *data* is a DataError, whose message is its only
 content, so the CLI can map it to exit code 1; genuine I/O failures
 (unreadable files, full disks) surface as OSError and map to exit code 2.
+A value echoed in any message is cut short by _shown.
 """
 
 from __future__ import annotations
@@ -16,13 +17,23 @@ class DataError(SlumberError):
     """Input data violates a documented contract."""
 
 
-class MalformedRowError(DataError):
-    """A bad row: 'FILE line N: reason', or 'line N: reason' when the file is not named."""
-
-    def __init__(self, line_no: int, reason: str, file: str = ""):
-        self.line_no, self.reason = line_no, reason
-        super().__init__(f"{file} line {line_no}: {reason}".lstrip())
-
-
 class ConfigError(SlumberError):
     """Bad run configuration: a config file's contents or a missing flag."""
+
+
+# A rejected value is echoed in its error message up to this many characters.
+_SHOWN_CHARS = 40
+
+
+def _shown(value: object) -> str:
+    """The repr of a rejected value for an error message, cut short when long.
+
+    Past _SHOWN_CHARS characters (of a string, or of any other value's repr)
+    it shows the first _SHOWN_CHARS, then '…' and the full length.
+    """
+    is_str = isinstance(value, str)
+    text = value if is_str else repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return repr(value)
+    head = text[:_SHOWN_CHARS]
+    return f"{repr(head) if is_str else head}… ({len(text)} characters)"

@@ -20,8 +20,10 @@ integer and fields_of_study column parses through a tables._CellMemo, the
 memo IpcIndex keeps its lookups in, for one file read: each of its first
 _MEMO_CAP distinct cells is parsed once, and a repeat is one dict lookup.
 
-Malformed content raises DataError (exit code 1), which load_dataset
-prefixes with its file's name; missing or unreadable files raise OSError (2).
+Each parser reads its file in one tables reader block and raises a plain
+ValueError for a bad row, which the reader turns into DataError 'FILE line
+N: reason' (exit code 1); missing or unreadable files raise OSError (2).
+The records refuse the text a CSV cell cannot carry: a carriage return or NUL.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
-from .errors import DataError, MalformedRowError
+from .errors import _shown
 from .model import (
     CitationContextRecord,
     CitationSeries,
@@ -73,24 +75,6 @@ CONCORDANCE_DELIMITER = "\t"
 DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
 
 
-# A rejected value is echoed in its error message up to this many characters.
-_SHOWN_CHARS = 40
-
-
-def _shown(value: object) -> str:
-    """The repr of a rejected value for an error message, cut short when long.
-
-    Past _SHOWN_CHARS characters (of a string, or of any other value's repr)
-    it shows the first _SHOWN_CHARS, then '…' and the full length.
-    """
-    is_str = isinstance(value, str)
-    text = value if is_str else repr(value)
-    if len(text) <= _SHOWN_CHARS:
-        return repr(value)
-    head = text[:_SHOWN_CHARS]
-    return f"{repr(head) if is_str else head}… ({len(text)} characters)"
-
-
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -126,10 +110,10 @@ def format_fields_of_study(fields: Iterable[FieldOfStudy]) -> str:
 def parse_papers(path: Path) -> dict[str, PaperRecord]:
     papers: dict[str, PaperRecord] = {}
     years, fields = _CellMemo(partial(_strict_int, "pub_year")), _CellMemo(parse_fields_of_study)
-    for line_no, (pid, pub_year, title, doi, pmid, cell) in read_rows(path, PAPER_COLUMNS):
-        if pid in papers:
-            raise MalformedRowError(line_no, f"duplicate id: {_shown(pid)}")
-        try:
+    with read_rows(path, PAPER_COLUMNS) as rows:
+        for pid, pub_year, title, doi, pmid, cell in rows:
+            if pid in papers:
+                raise ValueError(f"duplicate id: {_shown(pid)}")
             papers[pid] = PaperRecord(
                 paper_id=pid,
                 pub_year=years[pub_year],
@@ -138,8 +122,6 @@ def parse_papers(path: Path) -> dict[str, PaperRecord]:
                 pmid=pmid or None,
                 fields_of_study=fields[cell],
             )
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
     return papers
 
 
@@ -169,36 +151,31 @@ def read_citations(
     }
     zeroed: set[str] = set()  # papers with a zero-count row
     years, counts = _CellMemo(partial(_strict_int, "year")), _CellMemo(partial(_strict_int, "count"))
-    for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
-        try:
+    with read_rows(path, CITATION_COLUMNS) as rows:
+        for pid, year, count in rows:
             year = years[year]
             count = counts[count]
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
-        if count < 0:
-            raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
-        slot = slots.get(pid)
-        if slot is None and pid not in papers:
-            raise MalformedRowError(line_no, f"citation row references unknown paper {_shown(pid)}")
-        if slot is None or not slot[0] <= year <= window_end:
-            raise MalformedRowError(
-                line_no, f"citation year {year} for paper {_shown(pid)} outside the observation window"
-            )
-        base, offsets, values = slot
-        t = year - base
-        if offsets and t <= offsets[-1]:
-            i = bisect_left(offsets, t)
-            if offsets[i] == t:
-                raise MalformedRowError(
-                    line_no, f"duplicate citation row for paper {_shown(pid)}, year {year}"
-                )
-            offsets.insert(i, t)
-            values.insert(i, count)
-        else:
-            offsets.append(t)
-            values.append(count)
-        if not count:
-            zeroed.add(pid)
+            if count < 0:
+                raise ValueError(f"citation count {count} must be non-negative")
+            slot = slots.get(pid)
+            if slot is None and pid not in papers:
+                raise ValueError(f"citation row references unknown paper {_shown(pid)}")
+            if slot is None or not slot[0] <= year <= window_end:
+                outside = f"citation year {year} for paper {_shown(pid)} outside the observation window"
+                raise ValueError(outside)
+            base, offsets, values = slot
+            t = year - base
+            if offsets and t <= offsets[-1]:
+                i = bisect_left(offsets, t)
+                if offsets[i] == t:
+                    raise ValueError(f"duplicate citation row for paper {_shown(pid)}, year {year}")
+                offsets.insert(i, t)
+                values.insert(i, count)
+            else:
+                offsets.append(t)
+                values.append(count)
+            if not count:
+                zeroed.add(pid)
     for pid in zeroed:
         _, offsets, values = slots[pid]
         offsets[:] = compress(offsets, values)
@@ -214,102 +191,74 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     priorities = _CellMemo(partial(_strict_int, "earliest_priority_year"))
     filings = _CellMemo(partial(_strict_int, "filing_years"))
     forwards = _CellMemo(partial(_strict_int, "forward_citation_count"))
-    for line_no, (fid, priority, filing, forward, ipc) in read_rows(path, PATENT_COLUMNS):
-        if fid in patents:
-            raise MalformedRowError(line_no, f"duplicate id: {_shown(fid)}")
-        codes = tuple(c for c in ipc.split(";") if c)
-        try:
+    with read_rows(path, PATENT_COLUMNS) as rows:
+        for fid, priority, filing, forward, ipc in rows:
+            if fid in patents:
+                raise ValueError(f"duplicate id: {_shown(fid)}")
             years = tuple([filings[y] for y in filing.split(";") if y])
             patents[fid] = PatentFamilyRecord(
                 family_id=fid,
                 earliest_priority_year=priorities[priority],
                 filing_years=years,
                 forward_citation_count=forwards[forward],
-                ipc_codes=codes,
+                ipc_codes=tuple(c for c in ipc.split(";") if c),
             )
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
     return patents
 
 
 def parse_links(path: Path) -> tuple[PatentCitationLink, ...]:
-    links = []
-    for line_no, (pid, fid) in read_rows(path, LINK_COLUMNS):
-        try:
-            links.append(PatentCitationLink(paper_id=pid, family_id=fid))
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
-    return tuple(links)
+    with read_rows(path, LINK_COLUMNS) as rows:
+        return tuple([PatentCitationLink(paper_id=pid, family_id=fid) for pid, fid in rows])
 
 
 def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
-    entries = []
     field_ids = _CellMemo(partial(_strict_int, "wipo_field_id"))
-    rows = read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER)
-    for line_no, (prefix, field_id, field_name, sector) in rows:
-        try:
-            entries.append(
+    with read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER) as rows:
+        return tuple(
+            [
                 ConcordanceEntry(
                     ipc_prefix=prefix,
                     wipo_field_id=field_ids[field_id],
                     wipo_field_name=field_name,
                     sector=sector,
                 )
-            )
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
-    return tuple(entries)
+                for prefix, field_id, field_name, sector in rows
+            ]
+        )
 
 
 def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     records = []
     kinds = get_type_hints(CitationContextRecord)  # each key's type, str or int
-    for line_no, obj in read_json_lines(path):
-        for key in kinds:
-            if key not in obj:
-                raise MalformedRowError(line_no, f"missing key {key!r}")
-        for key, kind in kinds.items():
-            value = obj[key]
-            # The JSON type only: int() would take 1.7 and true as 1 and fail
-            # on 1e400, and str() would take null, numbers and lists.
-            if type(value) is not kind:
-                name = "integer" if kind is int else "string"
-                raise MalformedRowError(line_no, f"{key} {_shown(value)} is not a JSON {name}")
-        try:
+    with read_json_lines(path) as objects:
+        for obj in objects:
+            for key in kinds:
+                if key not in obj:
+                    raise ValueError(f"missing key {key!r}")
+            for key, kind in kinds.items():
+                value = obj[key]
+                # The JSON type only: int() would take 1.7 and true as 1 and
+                # fail on 1e400, and str() would take null, numbers and lists.
+                if type(value) is not kind:
+                    name = "integer" if kind is int else "string"
+                    raise ValueError(f"{key} {_shown(value)} is not a JSON {name}")
             records.append(CitationContextRecord(*(obj[key] for key in kinds)))
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
     return tuple(records)
-
-
-def _read(parse, path: Path, *args):
-    """parse(path, *args); a DataError it raises names the file: 'citations.csv line 3: ...'."""
-    try:
-        return parse(path, *args)
-    except MalformedRowError as exc:
-        raise MalformedRowError(exc.line_no, exc.reason, path.name) from None
-    except DataError as exc:
-        raise DataError(f"{path.name}: {exc}") from None
 
 
 def load_dataset(directory: str | Path, window_end: int) -> Dataset:
     """Read one dataset directory into memory (contexts.jsonl is optional)."""
     root = Path(directory)
-    papers = _read(parse_papers, root / PAPERS_FILE)
-    series = _read(read_citations, root / CITATIONS_FILE, papers, window_end)
-    patents = _read(parse_patents, root / PATENTS_FILE)
-    links = _read(parse_links, root / LINKS_FILE)
-    concordance = _read(parse_concordance, root / CONCORDANCE_FILE)
+    papers = parse_papers(root / PAPERS_FILE)
     contexts_path = root / CONTEXTS_FILE
-    contexts = _read(parse_contexts, contexts_path) if contexts_path.exists() else None
     return Dataset(
         papers=papers,
-        series=series,
-        patents=patents,
-        links=links,
-        concordance=concordance,
+        series=read_citations(root / CITATIONS_FILE, papers, window_end),
+        patents=parse_patents(root / PATENTS_FILE),
+        links=parse_links(root / LINKS_FILE),
+        concordance=parse_concordance(root / CONCORDANCE_FILE),
         window_end=window_end,
-        contexts=contexts,
+        contexts=parse_contexts(contexts_path) if contexts_path.exists() else None,
     )
 
 

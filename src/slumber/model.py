@@ -23,6 +23,19 @@ if TYPE_CHECKING:
 MIN_PUB_YEAR = 1800
 
 
+def _unwritable(text: str) -> bool:
+    """Whether text holds a character a CSV cell cannot carry alike on every Python version.
+
+    Before 3.13 the csv module writes a lone carriage return unquoted, and
+    reading takes it for a line end; the tables reader refuses a NUL.
+    """
+    return "\r" in text or "\0" in text
+
+
+def _unwritable_error(fields: str) -> ValueError:
+    return ValueError(f"{fields} must not contain a carriage return or NUL")
+
+
 @dataclass(frozen=True, slots=True)
 class FieldOfStudy:
     name: str
@@ -33,6 +46,8 @@ class FieldOfStudy:
             raise ValueError("field of study name must be non-empty")
         if ";" in self.name:
             raise ValueError("field of study name must not contain ';'")
+        if _unwritable(self.name):
+            raise _unwritable_error("field of study name")
         if not 0 <= self.level <= 5:
             raise ValueError(f"field of study level {self.level} outside 0..5")
 
@@ -49,6 +64,8 @@ class PaperRecord:
     def __post_init__(self) -> None:
         if not self.paper_id:
             raise ValueError("paper_id must be non-empty")
+        if _unwritable(self.paper_id + (self.title or "") + (self.doi or "") + (self.pmid or "")):
+            raise _unwritable_error("paper_id, title, doi and pmid")
         # No upper bound: a paper after the dataset's window end is a
         # validation warning, not an unreadable record.
         if self.pub_year < MIN_PUB_YEAR:
@@ -74,8 +91,11 @@ class PatentFamilyRecord:
             raise ValueError("filing_years must be non-empty")
         if self.forward_citation_count < 0:
             raise ValueError("forward_citation_count must be non-negative")
-        if "" in self.ipc_codes or ";" in "".join(self.ipc_codes):
+        codes = "".join(self.ipc_codes)
+        if "" in self.ipc_codes or ";" in codes:
             raise ValueError("each IPC code must be non-empty and must not contain ';'")
+        if _unwritable(self.family_id + codes):
+            raise _unwritable_error("family_id and IPC codes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,6 +106,8 @@ class PatentCitationLink:
     def __post_init__(self) -> None:
         if not self.paper_id or not self.family_id:
             raise ValueError("link row has an empty id")
+        if _unwritable(self.paper_id + self.family_id):
+            raise _unwritable_error("link ids")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,6 +120,8 @@ class ConcordanceEntry:
     def __post_init__(self) -> None:
         if not self.ipc_prefix:
             raise ValueError("ipc_prefix must be non-empty")
+        if _unwritable(self.ipc_prefix + self.wipo_field_name + self.sector):
+            raise _unwritable_error("ipc_prefix, wipo_field_name and sector")
         if not 1 <= self.wipo_field_id <= 35:
             raise ValueError(f"wipo_field_id {self.wipo_field_id} outside 1..35")
 

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DataError
+from .errors import DataError, _shown
 from .model import Dataset, PaperRecord, PatentFamilyRecord
 
 EARLIER = "Earlier"
@@ -51,10 +51,10 @@ def families_by_paper(dataset: Dataset) -> dict[str, tuple[PatentFamilyRecord, .
     grouped: dict[str, dict[str, PatentFamilyRecord]] = defaultdict(dict)
     for link in dataset.links:
         if link.paper_id not in dataset.papers:
-            raise DataError(f"link references unknown paper {link.paper_id!r}")
+            raise DataError(f"link references unknown paper {_shown(link.paper_id)}")
         family = dataset.patents.get(link.family_id)
         if family is None:
-            raise DataError(f"link references unknown patent family {link.family_id!r}")
+            raise DataError(f"link references unknown patent family {_shown(link.family_id)}")
         grouped[link.paper_id][family.family_id] = family
     return {pid: tuple(fams[k] for k in sorted(fams)) for pid, fams in grouped.items()}
 

@@ -11,6 +11,13 @@ JSON-lines files hold one object per line; blank lines are skipped on
 reading, and writing sorts the keys and keeps non-ASCII characters as they are.
 Readers of both skip a leading UTF-8 byte-order mark, which spreadsheet and
 editor exports may write; writers write none.
+
+The readers are the one place a bad row becomes an error. Each serves one
+with block, and a ValueError raised in it, by the reader (a wrong row width,
+bad JSON) or by the code that consumes the rows (a cell it cannot parse, a
+record it cannot build), leaves the block as DataError 'FILE line N: reason',
+N the line of the row being read. So a consumer raises a plain ValueError
+and never counts lines.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ from __future__ import annotations
 import csv
 import json
 import operator
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DataError, MalformedRowError
+from .errors import DataError
 
 # The most distinct texts a _CellMemo keeps.
 _MEMO_CAP = 4096
@@ -47,34 +55,50 @@ class _CellMemo(dict):
         return value
 
 
+@contextmanager
 def read_rows(
     path: Path, columns: Sequence[str], delimiter: str = ","
-) -> Iterator[tuple[int, Sequence[str]]]:
-    """Yield (line_no, cells) per row, cells holding `columns` (two or more) in that order."""
+) -> Iterator[Iterator[Sequence[str]]]:
+    """Each row's cells of `columns` (two or more), in that order: `with read_rows(...) as rows`.
+
+    A missing column raises DataError 'FILE: missing required column: ...'.
+    """
     _refuse_nul(path)
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        # One try around the whole loop keeps the per-row path free of it.
-        try:
+        with _at_line(path, lambda: reader.line_num):
             names = next(reader, [])
             for col in columns:
                 if col not in names:
-                    raise DataError(f"missing required column: {col!r}")
+                    raise DataError(f"{path.name}: missing required column: {col!r}")
                 if names.count(col) > 1:
-                    raise MalformedRowError(reader.line_num, f"header names column {col!r} twice")
-            width = len(names)
+                    raise ValueError(f"header names column {col!r} twice")
             pick = operator.itemgetter(*(names.index(col) for col in columns))
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    side = "fewer" if len(row) < width else "more"
-                    raise MalformedRowError(reader.line_num, f"row has {side} cells than the header")
-                yield reader.line_num, pick(row)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
-        except csv.Error as exc:
-            raise MalformedRowError(reader.line_num, f"unreadable row: {exc}") from None
+            yield _cells(reader, len(names), pick)
+
+
+def _cells(reader: Iterator[list[str]], width: int, pick: Callable) -> Iterator[Sequence[str]]:
+    """pick(row) of each non-blank row, which must be `width` cells long."""
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            side = "fewer" if len(row) < width else "more"
+            raise ValueError(f"row has {side} cells than the header")
+        yield pick(row)
+
+
+@contextmanager
+def _at_line(path: Path, line_num: Callable[[], int]) -> Iterator[None]:
+    """A ValueError or csv.Error leaves the block as DataError 'FILE line N: reason', N = line_num()."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise DataError(f"{path.name} line {line_num()}: unreadable row: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path.name} line {line_num()}: {exc}") from None
 
 
 def _refuse_nul(path: Path) -> None:
@@ -92,7 +116,7 @@ def _refuse_nul(path: Path) -> None:
             at = block.find(b"\0")
             if at >= 0:
                 line_no += block.count(b"\n", 0, at)
-                raise MalformedRowError(line_no, "unreadable row: line contains NUL")
+                raise DataError(f"{path.name} line {line_no}: unreadable row: line contains NUL")
             line_no += block.count(b"\n")
 
 
@@ -106,44 +130,49 @@ def write_rows(
         out.writerows(rows)
 
 
-def read_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, object) per non-blank line."""
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRowError(line_no, f"invalid JSON: {exc.msg}") from None
-                except ValueError:
-                    # An integer longer than the int-string limit; Python's
-                    # own text for it differs between versions.
-                    raise MalformedRowError(line_no, "invalid JSON: number too long") from None
-                except RecursionError as exc:
-                    # Nesting deeper than the recursion limit.
-                    raise MalformedRowError(line_no, f"invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise MalformedRowError(line_no, "line is not a JSON object")
-                yield line_no, obj
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+@contextmanager
+def read_json_lines(path: Path) -> Iterator[Iterator[dict]]:
+    """The objects of the non-blank lines, for one with block, as read_rows gives rows."""
+    line_no = 0  # the line last read, which an error names
+
+    def objects(lines: Iterable[str]) -> Iterator[dict]:
+        nonlocal line_no
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"invalid JSON: {exc.msg}") from None
+            except ValueError:
+                # An integer longer than the int-string limit; Python's
+                # own text for it differs between versions.
+                raise ValueError("invalid JSON: number too long") from None
+            except RecursionError as exc:
+                # Nesting deeper than the recursion limit.
+                raise ValueError(f"invalid JSON: {exc}") from None
+            if not isinstance(obj, dict):
+                raise ValueError("line is not a JSON object")
+            yield obj
+
+    with open(path, encoding="utf-8-sig") as fh, _at_line(path, lambda: line_no):
+        yield objects(fh)
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> MalformedRowError:
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
     """The error for a file that is not UTF-8, at the line of its first bad byte.
 
     The text layer decodes a block ahead of the row being read, so the line
     is counted in the raw bytes.
     """
-    data = Path(path).read_bytes()
+    data = path.read_bytes()
     start = len(data)
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as first:
         start = first.start
-    return MalformedRowError(data.count(b"\n", 0, start) + 1, f"not valid UTF-8: {exc.reason}")
+    line_no = data.count(b"\n", 0, start) + 1
+    return DataError(f"{path.name} line {line_no}: not valid UTF-8: {exc.reason}")
 
 
 def write_json_lines(path: Path, objects: Iterable[dict]) -> None:

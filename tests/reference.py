@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from slumber.cohort import DR, IR, NONE, CohortAssignment
 from slumber.curve import AWAKENING, FALLING, FLAT
-from slumber.errors import DataError, MalformedRowError
-from slumber.ingest import CITATION_COLUMNS, _shown
+from slumber.errors import DataError, _shown
+from slumber.ingest import CITATION_COLUMNS
 from slumber.interact import normalize_ipc
 from slumber.model import CitationSeries, ConcordanceEntry, CurveProfile, PaperRecord
 from slumber.stats import AagrResult
@@ -81,7 +81,7 @@ def profile_dense(series: CitationSeries) -> CurveProfile:
     counts = dense_counts(series)
     total, t_m = sum(counts), series.t_m
     if total == 0:
-        raise DataError(f"paper {series.paper_id!r} has no citations; curve is undefined")
+        raise DataError(f"paper {_shown(series.paper_id)} has no citations; curve is undefined")
     if t_m < 1:
         raise ValueError("curve spans a single year; reference line undefined")
     nums = deviation_numerators(counts)
@@ -166,28 +166,26 @@ def read_citations_dense(
         n = window_end - paper.pub_year + 1
         if n > 0:
             slots[pid] = (paper.pub_year, [0] * n, bytearray(n))
-    for line_no, (pid, year, count) in read_rows(path, CITATION_COLUMNS):
-        try:
+    with read_rows(path, CITATION_COLUMNS) as rows:
+        for pid, year, count in rows:
             year = int_cell(year, "year")
             count = int_cell(count, "count")
-        except ValueError as exc:
-            raise MalformedRowError(line_no, str(exc)) from None
-        if count < 0:
-            raise MalformedRowError(line_no, f"citation count {count} must be non-negative")
-        slot = slots.get(pid)
-        outside = f"citation year {year} for paper {_shown(pid)} outside the observation window"
-        if slot is None:
-            if pid not in papers:
-                raise MalformedRowError(line_no, f"citation row references unknown paper {_shown(pid)}")
-            raise MalformedRowError(line_no, outside)
-        base, counts, seen = slot
-        t = year - base
-        if t < 0 or year > window_end:
-            raise MalformedRowError(line_no, outside)
-        if seen[t]:
-            raise MalformedRowError(line_no, f"duplicate citation row for paper {_shown(pid)}, year {year}")
-        seen[t] = 1
-        counts[t] = count
+            if count < 0:
+                raise ValueError(f"citation count {count} must be non-negative")
+            slot = slots.get(pid)
+            outside = f"citation year {year} for paper {_shown(pid)} outside the observation window"
+            if slot is None:
+                if pid not in papers:
+                    raise ValueError(f"citation row references unknown paper {_shown(pid)}")
+                raise ValueError(outside)
+            base, counts, seen = slot
+            t = year - base
+            if t < 0 or year > window_end:
+                raise ValueError(outside)
+            if seen[t]:
+                raise ValueError(f"duplicate citation row for paper {_shown(pid)}, year {year}")
+            seen[t] = 1
+            counts[t] = count
     return {
         pid: series_from_counts(pid, base, counts)
         for pid, (base, counts, _) in slots.items()

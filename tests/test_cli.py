@@ -615,6 +615,74 @@ def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name
         assert err.startswith("error: ") and where in err
 
 
+def test_carriage_return_in_an_id_is_refused_at_load(tmp_path, demo_dir, capsys):
+    """A quoted id holding a carriage return loads nowhere: the csv module would write it unquoted.
+
+    The reader counts the carriage return as a line end, as the csv module
+    does, so the row that starts on line 2 ends on line 3.
+    """
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    for name in ("papers.csv", "citations.csv", "links.csv"):
+        path = ds_copy / name
+        path.write_bytes(path.read_bytes().replace(b"\np00000,", b'\n"p\r00000",'))
+    line = "error: papers.csv line 3: paper_id, title, doi and pmid must not contain a carriage return or NUL"
+    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert (code, stdout, err.splitlines()) == (1, "", [line])
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "profile", "--dataset", str(ds_copy), "--out", str(out))
+    assert (code, stdout, err.splitlines()) == (1, "", [line])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, line",
+    [
+        ("papers.csv", b"\np00000,", b"\n,", "error: papers.csv line 2: paper_id must be non-empty"),
+        (
+            "papers.csv",
+            b",environmental science@0;",
+            b",@0;",
+            "error: papers.csv line 2: field of study name must be non-empty",
+        ),
+        ("patents.csv", b"\nf00000,", b"\n,", "error: patents.csv line 2: family_id must be non-empty"),
+        ("concordance.tsv", b"\nA61B\t", b"\n\t", "error: concordance.tsv line 2: ipc_prefix must be non-empty"),
+        (
+            "contexts.jsonl",
+            b'"sentence": "These measurements contradict the rate constants from p00006."',
+            b'"sentence": ""',
+            "error: contexts.jsonl line 1: sentence must be non-empty",
+        ),
+    ],
+    ids=["paper-id", "field-name", "family-id", "ipc-prefix", "sentence"],
+)
+def test_empty_required_text_exits_1(tmp_path, demo_dir, capsys, name, old, new, line):
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    path = ds_copy / name
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert (code, stdout, err.splitlines()) == (1, "", [line])
+
+
+def test_single_year_window_warns(tmp_path, demo_dir, capsys):
+    """A paper published in the window's last year has no curve, which validation warns about."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    with open(ds_copy / "papers.csv", "a", newline="") as fh:
+        fh.write("p99999,2015,,,,\n")
+    with open(ds_copy / "citations.csv", "a", newline="") as fh:
+        fh.write("p99999,2015,1\n")
+    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert (code, err) == (0, "")
+    assert stdout.splitlines() == [
+        "warning p99999: observation window spans a single year; curve undefined",
+        "0 errors, 1 warnings",
+    ]
+
+
 # Every integer column of the dataset files: (file, column, the cell's text
 # around the integer, the name the error gives it). A fields_of_study level
 # follows its field's name.
@@ -821,6 +889,24 @@ def test_load_config_coerces_synth_keys(tmp_path):
     cfg.write_text("link_density = dense\n")
     with pytest.raises(ConfigError, match="config key 'link_density' has non-numeric value 'dense'"):
         cli.load_config(synth.SynthSpec, cfg)
+
+
+@pytest.mark.parametrize(
+    "line, key, raw",
+    [
+        ("n_papers = 1_000", "n_papers", "1_000"),
+        ("seed = +7", "seed", "+7"),
+        ("window_end = ٢٠١٥", "window_end", "٢٠١٥"),
+    ],
+)
+def test_config_integers_are_ascii_digits_only(tmp_path, line, key, raw):
+    """A config integer takes an integer cell's grammar, '-?[0-9]+'; int() would take all three."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    for cls in (synth.SynthSpec, cli.RunConfig) if key == "window_end" else (synth.SynthSpec,):
+        with pytest.raises(ConfigError) as exc:
+            cli.load_config(cls, cfg)
+        assert str(exc.value) == f"config key {key!r} takes an integer, not {raw!r}"
 
 
 def test_config_file_round_trip(tmp_path):

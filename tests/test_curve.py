@@ -79,6 +79,11 @@ def test_all_zero_counts_rejected():
         curve.profile(series([0, 0, 0]))
     with pytest.raises(DataError, match="paper 'p' has no citations; curve is undefined"):
         reference.profile_dense(series([0, 0, 0]))
+    long_id = "q" * 5000
+    with pytest.raises(DataError) as exc:
+        curve.profile(series([0, 0, 0], pid=long_id))
+    assert str(exc.value) == "paper '" + "q" * 40 + "'… (5000 characters) has no citations; curve is undefined"
+    assert len(str(exc.value)) < 200
 
 
 def test_reference_line_examples():

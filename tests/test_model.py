@@ -64,11 +64,35 @@ def test_from_counts_rejects_negative_and_empty_counts():
         (lambda: model.PatentFamilyRecord("f", 2000, (2000,), 0, ("A61K", "")), "IPC code"),
         (lambda: model.PatentCitationLink("", "f"), "empty id"),
         (lambda: model.PatentCitationLink("p", ""), "empty id"),
+        (lambda: model.FieldOfStudy("arts\r", 0), "^field of study name must not contain a carriage return or NUL$"),
+        (lambda: model.PaperRecord("p\r1", 2000), "^paper_id, title, doi and pmid must not contain a carriage"),
+        (lambda: model.PaperRecord("p", 2000, pmid="1\x00"), "^paper_id, title, doi and pmid must not contain a"),
+        (lambda: model.PatentFamilyRecord("f\x00", 2000, (2000,), 0), "^family_id and IPC codes must not"),
+        (lambda: model.PatentFamilyRecord("f", 2000, (2000,), 0, ("A61K\r",)), "^family_id and IPC codes"),
+        (lambda: model.PatentCitationLink("p", "f\r"), "^link ids must not contain a carriage return or NUL$"),
+        (lambda: model.ConcordanceEntry("A61K", 16, "Pharma\rceuticals", "Chemistry"), "^ipc_prefix, wipo_field"),
     ],
-    ids=["field-semicolon", "ipc-semicolon", "ipc-empty", "link-paper", "link-family"],
+    ids=[
+        "field-semicolon",
+        "ipc-semicolon",
+        "ipc-empty",
+        "link-paper",
+        "link-family",
+        "field-cr",
+        "paper-id-cr",
+        "pmid-nul",
+        "family-nul",
+        "ipc-cr",
+        "link-cr",
+        "concordance-cr",
+    ],
 )
 def test_records_refuse_what_the_files_cannot_hold(build, message):
-    """A ';' packs several values into one cell; an empty code is dropped on reading, an empty id refused."""
+    """A ';' packs several values into one cell; an empty code is dropped on reading, an empty id refused.
+
+    A carriage return or NUL is refused in every text written to a CSV cell:
+    the csv module leaves a lone carriage return unquoted before Python 3.13.
+    """
     with pytest.raises(ValueError, match=message):
         build()
 

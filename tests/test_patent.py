@@ -93,6 +93,21 @@ def test_link_to_unknown_family_or_paper():
         patent.families_by_paper(link_ds([paper], [fam], [PatentCitationLink("p9", "f1")]))
 
 
+def test_long_ids_in_link_errors_are_cut_short():
+    """A 5,000-character id is echoed as its first 40 characters and its length."""
+    paper = PaperRecord(paper_id="p1", pub_year=1980)
+    fam = PatentFamilyRecord("f1", 1990, (1990,), 0, ())
+    shown = "'" + "q" * 40 + "'… (5000 characters)"
+    for link, message in (
+        (PatentCitationLink("p1", "q" * 5000), f"link references unknown patent family {shown}"),
+        (PatentCitationLink("q" * 5000, "f1"), f"link references unknown paper {shown}"),
+    ):
+        with pytest.raises(DataError) as exc:
+            patent.compute_indicators(link_ds([paper], [fam], [link]), ["p1"])
+        assert str(exc.value) == message
+        assert len(str(exc.value)) < 200
+
+
 def test_earliest_family_breaks_priority_ties_by_id():
     f_b = PatentFamilyRecord("fb", 1990, (1990,), 5, ())
     f_a = PatentFamilyRecord("fa", 1990, (1992,), 1, ())

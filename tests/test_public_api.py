@@ -23,7 +23,6 @@ def test_error_types_and_public_names_match_readme():
         "SlumberError",
         "DataError",
         "ConfigError",
-        "MalformedRowError",
     }
     # README's paragraph that begins with `slumber.__all__` names every public name once.
     paragraphs = README.read_text(encoding="utf-8").split("\n\n")

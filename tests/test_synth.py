@@ -170,6 +170,8 @@ def test_spec_rejects_bad_configs():
         synth.SynthSpec(n_papers=0)
     with pytest.raises(ConfigError):
         synth.SynthSpec(timing_earlier=0.9, timing_same=0.2, timing_later=0.1)
+    with pytest.raises(ConfigError, match="^min_total_citations must be at least 1$"):
+        synth.SynthSpec(min_total_citations=0)
 
 
 def test_committed_demo_dataset_is_reproducible(tmp_path, demo_dir):
