@@ -3,8 +3,8 @@
 The analysis commands read `--dataset DIR` and write reports under
 `--out DIR`; `validate` reads a dataset and writes nothing, and `synth`
 writes a dataset under `--out DIR`. Every command takes overrides from
-`--config FILE` (plain key=value lines; keys mirror RunConfig, plus the synth
-generator's spec fields for `synth`). Exit codes: 0 success, 1 bad data or
+`--config FILE` (plain key=value lines, one key per field of synth.SynthSpec,
+every key checked by every command). Exit codes: 0 success, 1 bad data or
 configuration, 2 I/O failure, or a command line that does not parse.
 
 Each analysis command builds its own report rows in a fixed column order and
@@ -20,7 +20,7 @@ import argparse
 import gc
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -45,37 +45,8 @@ from .tables import write_json_lines, write_rows
 DEGENERATE_LABEL = "DegeneratePool"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    pub_from: int = 1970
-    pub_to: int = 2005
-    window_end: int = 2015
-    min_total_citations: int = 200
-    fraction: float = 0.01
-    window_width: int = 5
-    aagr_method: str = "arithmetic"
-    terms: tuple[str, ...] = ingest.DEFAULT_DISPUTE_TERMS
-
-    def __post_init__(self) -> None:
-        if not self.pub_from <= self.pub_to < self.window_end:
-            raise ConfigError(
-                f"need pub_from <= pub_to < window_end, got {self.pub_from}, {self.pub_to}, {self.window_end}"
-            )
-        if self.aagr_method not in ("arithmetic", "compound"):
-            method = _shown(self.aagr_method)
-            raise ConfigError(f"aagr_method must be arithmetic or compound, not {method}")
-        if not self.terms:
-            raise ConfigError("terms must name at least one word")
-        if not 0.0 < self.fraction <= 0.5:
-            raise ConfigError(f"cohort fraction {self.fraction} outside (0, 0.5]")
-        if self.window_width < 1:
-            raise ConfigError(f"window width {self.window_width} must be >= 1")
-        if self.min_total_citations < 1:
-            raise ConfigError("minimum citation total must be at least 1")
-
-
-# Each config key's type, from the defaults of the dataclasses it fills.
-_KEY_TYPES = {f.name: type(f.default) for cls in (RunConfig, synth.SynthSpec) for f in fields(cls)}
+# Each config key's type, from the default of the SynthSpec field it fills.
+_KEY_TYPES = {f.name: type(f.default) for f in fields(synth.SynthSpec)}
 
 
 def _coerce(key: str, raw: str):
@@ -83,22 +54,26 @@ def _coerce(key: str, raw: str):
     if kind is tuple:
         return tuple(t.strip() for t in raw.split(",") if t.strip())
     try:
-        # An integer key takes an integer cell's grammar: ASCII '-?[0-9]+'.
-        return ingest._strict_int(key, raw) if kind is int else kind(raw)
+        if kind is int:
+            # An integer key takes an integer cell's grammar: ASCII '-?[0-9]+'.
+            return ingest._strict_int(key, raw)
+        # A float key takes float()'s ASCII text without '_'; nan and inf
+        # pass here and fail the bounds.
+        if kind is float and (not raw.isascii() or "_" in raw):
+            raise ValueError
+        return kind(raw)
     except ValueError:
         if kind is int:
             raise ConfigError(f"config key {key!r} takes an integer, not {_shown(raw)}") from None
         raise ConfigError(f"config key {key!r} has non-numeric value {_shown(raw)}") from None
 
 
-def load_config(cls, path: Path | None):
-    """A RunConfig or SynthSpec from a file of key=value lines, or the defaults without one.
+def load_config(path: Path | None) -> synth.SynthSpec:
+    """The settings of a file of key=value lines, or the defaults without one.
 
     A leading byte-order mark is skipped. Blank lines and # comments are
     ignored; a key given twice is an error, and a rejected text is echoed
-    cut short, like a rejected data cell. One file may serve both classes,
-    so every key is checked and coerced, also the keys that only the other
-    class takes, and then `cls` keeps its own.
+    cut short, like a rejected data cell.
     """
     try:
         lines = path.read_text(encoding="utf-8-sig").splitlines() if path else []
@@ -119,8 +94,7 @@ def load_config(cls, path: Path | None):
     for key in pairs:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {_shown(key)}")
-    typed = {k: _coerce(k, v) for k, v in pairs.items()}
-    return cls(**{f.name: typed[f.name] for f in fields(cls) if f.name in typed})
+    return synth.SynthSpec(**{k: _coerce(k, v) for k, v in pairs.items()})
 
 
 def _require(value, flag: str):
@@ -129,9 +103,9 @@ def _require(value, flag: str):
     return value
 
 
-def _load_and_validate(args) -> tuple[RunConfig, Dataset, ValidationReport]:
-    """The run config, then the `--dataset` it reads, then the dataset's validation report."""
-    config = load_config(RunConfig, args.config)
+def _load_and_validate(args) -> tuple[synth.SynthSpec, Dataset, ValidationReport]:
+    """The settings, then the `--dataset` they read, then the dataset's validation report."""
+    config = load_config(args.config)
     dataset = ingest.load_dataset(_require(args.dataset, "--dataset"), config.window_end)
     return config, dataset, ingest.validate_dataset(dataset)
 
@@ -348,7 +322,7 @@ def cmd_flag_contexts(run: Run) -> None:
 
 
 def cmd_synth(args) -> int:
-    spec = load_config(synth.SynthSpec, args.config)
+    spec = load_config(args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     out = Path(_require(args.out, "--out"))

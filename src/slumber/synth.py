@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import curve
-from .errors import ConfigError
+from .errors import ConfigError, _shown
+from .ingest import DEFAULT_DISPUTE_TERMS
 from .patent import EARLIER, LATER, SAME
 from .model import (
     MIN_PUB_YEAR,
@@ -116,6 +117,14 @@ _CRITICAL_SENTENCES = (
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """Every setting of a run, one field per config key.
+
+    generate reads the fields up to min_total_citations; the analysis
+    commands read the window, the floor and the fields after it. Each bound
+    is checked here, so every command refuses every bad key, also one it
+    does not read.
+    """
+
     n_papers: int = 400
     seed: int = 0
     share_delayed: float = 0.25
@@ -130,6 +139,10 @@ class SynthSpec:
     pub_to: int = 2005
     window_end: int = 2015
     min_total_citations: int = 200
+    fraction: float = 0.01
+    window_width: int = 5
+    aagr_method: str = "arithmetic"
+    terms: tuple[str, ...] = DEFAULT_DISPUTE_TERMS
 
     def __post_init__(self) -> None:
         if self.n_papers < 1:
@@ -148,10 +161,17 @@ class SynthSpec:
             raise ConfigError(
                 f"need pub_from <= pub_to < window_end, got {self.pub_from}, {self.pub_to}, {self.window_end}"
             )
-        if self.pub_from < MIN_PUB_YEAR:
-            raise ConfigError(f"pub_from {self.pub_from} is before {MIN_PUB_YEAR}")
         if self.min_total_citations < 1:
-            raise ConfigError("min_total_citations must be at least 1")
+            raise ConfigError("minimum citation total must be at least 1")
+        if not 0.0 < self.fraction <= 0.5:
+            raise ConfigError(f"cohort fraction {self.fraction} outside (0, 0.5]")
+        if self.window_width < 1:
+            raise ConfigError(f"window width {self.window_width} must be >= 1")
+        if self.aagr_method not in ("arithmetic", "compound"):
+            method = _shown(self.aagr_method)
+            raise ConfigError(f"aagr_method must be arithmetic or compound, not {method}")
+        if not self.terms:
+            raise ConfigError("terms must name at least one word")
 
 
 @dataclass(frozen=True)
@@ -233,6 +253,8 @@ def _series(
 
 def generate(spec: SynthSpec) -> SynthResult:
     """Build the full in-memory dataset for a spec (pure, seed-deterministic)."""
+    if spec.pub_from < MIN_PUB_YEAR:
+        raise ConfigError(f"pub_from {spec.pub_from} is before {MIN_PUB_YEAR}")
     rng = random.Random(spec.seed)
     shape_counts = largest_remainder(
         spec.n_papers,
@@ -241,10 +263,12 @@ def generate(spec: SynthSpec) -> SynthResult:
     shapes: dict[str, str] = {}
     papers: dict[str, PaperRecord] = {}
     series: dict[str, CitationSeries] = {}
-    order = []
+    linked: list[str] = []
     i = 0
     for shape, n_shape in zip((DELAYED, INSTANT, LINEAR, NOISE), shape_counts):
-        for _ in range(n_shape):
+        # Patent linkage: the first round(density * n) papers of each shape block.
+        n_linked = largest_remainder(n_shape, [spec.link_density, 1.0 - spec.link_density])[0]
+        for j in range(n_shape):
             pid = f"p{i:05d}"
             pub_year = rng.randint(spec.pub_from, spec.pub_to)
             t_m = spec.window_end - pub_year
@@ -261,17 +285,9 @@ def generate(spec: SynthSpec) -> SynthResult:
                 fields_of_study=tuple(fields),
             )
             shapes[pid] = shape
-            order.append(pid)
+            if j < n_linked:
+                linked.append(pid)
             i += 1
-
-    # Patent linkage: the first round(density * n) papers of each shape block.
-    linked: list[str] = []
-    offset = 0
-    for n_shape in shape_counts:
-        block = order[offset : offset + n_shape]
-        n_linked = largest_remainder(n_shape, [spec.link_density, 1.0 - spec.link_density])[0]
-        linked.extend(block[:n_linked])
-        offset += n_shape
 
     class_counts = largest_remainder(
         len(linked), [spec.timing_earlier, spec.timing_same, spec.timing_later]
@@ -312,7 +328,7 @@ def generate(spec: SynthSpec) -> SynthResult:
 
     contexts: list[CitationContextRecord] = []
     ctx_seq = 0
-    for pid in order:
+    for pid in papers:
         if rng.random() >= 0.15:
             continue
         for _ in range(rng.randint(1, 2)):

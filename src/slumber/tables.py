@@ -16,7 +16,7 @@ The readers are the one place a bad row becomes an error. Each serves one
 with block, and a ValueError raised in it, by the reader (a wrong row width,
 bad JSON) or by the code that consumes the rows (a cell it cannot parse, a
 record it cannot build), leaves the block as DataError 'FILE line N: reason',
-N the line of the row being read. So a consumer raises a plain ValueError
+N the first line of the row being read. So a consumer raises a plain ValueError
 and never counts lines.
 """
 
@@ -66,7 +66,7 @@ def read_rows(
     _refuse_nul(path)
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        with _at_line(path, lambda: reader.line_num):
+        with _at_line(path, lambda: _first_line(path, delimiter, reader.line_num)):
             names = next(reader, [])
             for col in columns:
                 if col not in names:
@@ -75,6 +75,26 @@ def read_rows(
                     raise ValueError(f"header names column {col!r} twice")
             pick = operator.itemgetter(*(names.index(col) for col in columns))
             yield _cells(reader, len(names), pick)
+
+
+def _first_line(path: Path, delimiter: str, end: int) -> int:
+    """The first line of the record that the csv reader was reading on line `end`.
+
+    A quoted cell may hold line ends, and the reader counts the last line it
+    has read. Only an error asks for the first one, so the file is read
+    again up to that record rather than each row's start kept.
+    """
+    start = 1
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            for _ in reader:
+                if reader.line_num >= end:
+                    break
+                start = reader.line_num + 1
+        except csv.Error:
+            pass  # the record that failed to read, at `start`
+    return start
 
 
 def _cells(reader: Iterator[list[str]], width: int, pick: Callable) -> Iterator[Sequence[str]]:

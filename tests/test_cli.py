@@ -292,6 +292,7 @@ def test_synth_then_validate(tmp_path, capsys):
         ("share_noise = inf\n", "error: shape shares must sum to 1, got inf"),
         ("link_density = nan\n", "error: link density nan outside [0, 1]"),
         ("pub_from = 1700\npub_to = 1750\n", "error: pub_from 1700 is before 1800"),
+        ("fraction = 0.9\n", "error: cohort fraction 0.9 outside (0, 0.5]"),
     ],
 )
 def test_synth_refuses_a_spec_it_cannot_build(tmp_path, capsys, settings, line):
@@ -331,7 +332,7 @@ def test_leading_byte_order_marks_are_skipped(tmp_path, demo_dir, capsys):
         code, expected, _ = run(capsys, "validate", "--dataset", str(demo_dir), *args)
         assert code == 0
         assert run(capsys, "validate", "--dataset", str(ds_copy), *args) == (0, expected, "")
-    assert cli.load_config(cli.RunConfig, cfg).fraction == 0.5
+    assert cli.load_config(cfg).fraction == 0.5
 
 
 def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
@@ -619,20 +620,34 @@ def test_carriage_return_in_an_id_is_refused_at_load(tmp_path, demo_dir, capsys)
     """A quoted id holding a carriage return loads nowhere: the csv module would write it unquoted.
 
     The reader counts the carriage return as a line end, as the csv module
-    does, so the row that starts on line 2 ends on line 3.
+    does, so the row spans lines 2 and 3; the error names the line it starts on.
     """
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
     for name in ("papers.csv", "citations.csv", "links.csv"):
         path = ds_copy / name
         path.write_bytes(path.read_bytes().replace(b"\np00000,", b'\n"p\r00000",'))
-    line = "error: papers.csv line 3: paper_id, title, doi and pmid must not contain a carriage return or NUL"
+    line = "error: papers.csv line 2: paper_id, title, doi and pmid must not contain a carriage return or NUL"
     code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
     assert (code, stdout, err.splitlines()) == (1, "", [line])
     out = tmp_path / "out"
     code, stdout, err = run(capsys, "profile", "--dataset", str(ds_copy), "--out", str(out))
     assert (code, stdout, err.splitlines()) == (1, "", [line])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("before", [0, 2])
+def test_a_row_error_names_the_line_the_row_starts_on(tmp_path, demo_dir, capsys, before):
+    """A quoted cell may hold a line end; the error names the row's first line, as `wc -l` counts."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    path = ds_copy / "papers.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(1 + before, b'p9,1799,"a\nb",,,\n')
+    path.write_bytes(b"".join(lines))
+    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    line = f"error: papers.csv line {2 + before}: pub_year 1799 is before 1800"
+    assert (code, stdout, err.splitlines()) == (1, "", [line])
 
 
 @pytest.mark.parametrize(
@@ -755,7 +770,7 @@ def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, li
     assert err.splitlines()[-1] == line
 
 
-@pytest.mark.parametrize("command", ["profile", "aagr", "validate", "cohort", "lag-trend"])
+@pytest.mark.parametrize("command", ["profile", "aagr", "validate", "cohort", "lag-trend", "synth"])
 @pytest.mark.parametrize(
     "settings, line",
     [
@@ -764,10 +779,12 @@ def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, li
         ("fraction = nan\n", "error: cohort fraction nan outside (0, 0.5]"),
         ("window_width = 0\n", "error: window width 0 must be >= 1"),
         ("min_total_citations = 0\n", "error: minimum citation total must be at least 1"),
+        ("n_papers = 0\n", "error: n_papers must be at least 1"),
+        ("share_delayed = 2\n", "error: shape shares must sum to 1, got 2.75"),
     ],
 )
 def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command, settings, line):
-    """Every command checks the whole config first: a missing dataset would exit 2."""
+    """Every command checks every key first, also one it does not read: a missing dataset would exit 2."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(settings)
     out = tmp_path / "out"
@@ -870,25 +887,25 @@ def test_config_parsing_units():
     with pytest.raises(ConfigError):
         cli._coerce("fraction", "lots")
     with pytest.raises(ConfigError):
-        cli.RunConfig(pub_from=2010, pub_to=2000)
+        synth.SynthSpec(pub_from=2010, pub_to=2000)
     with pytest.raises(ConfigError):
-        cli.RunConfig(aagr_method="sideways")
+        synth.SynthSpec(aagr_method="sideways")
     with pytest.raises(ConfigError):
-        cli.RunConfig(terms=())
+        synth.SynthSpec(terms=())
 
 
 def test_load_config_coerces_synth_keys(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("n_papers = 75\nlink_density = 0.3\n")
-    spec = cli.load_config(synth.SynthSpec, cfg)
+    spec = cli.load_config(cfg)
     assert (spec.n_papers, spec.link_density, spec.seed) == (75, 0.3, 0)
     assert type(spec.n_papers) is int and type(spec.link_density) is float
     cfg.write_text("n_papers = 7.5\n")
     with pytest.raises(ConfigError, match="config key 'n_papers' takes an integer, not '7.5'"):
-        cli.load_config(synth.SynthSpec, cfg)
+        cli.load_config(cfg)
     cfg.write_text("link_density = dense\n")
     with pytest.raises(ConfigError, match="config key 'link_density' has non-numeric value 'dense'"):
-        cli.load_config(synth.SynthSpec, cfg)
+        cli.load_config(cfg)
 
 
 @pytest.mark.parametrize(
@@ -903,10 +920,25 @@ def test_config_integers_are_ascii_digits_only(tmp_path, line, key, raw):
     """A config integer takes an integer cell's grammar, '-?[0-9]+'; int() would take all three."""
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    for cls in (synth.SynthSpec, cli.RunConfig) if key == "window_end" else (synth.SynthSpec,):
-        with pytest.raises(ConfigError) as exc:
-            cli.load_config(cls, cfg)
-        assert str(exc.value) == f"config key {key!r} takes an integer, not {raw!r}"
+    with pytest.raises(ConfigError) as exc:
+        cli.load_config(cfg)
+    assert str(exc.value) == f"config key {key!r} takes an integer, not {raw!r}"
+
+
+@pytest.mark.parametrize(
+    "line, key, raw",
+    [
+        ("fraction = ٠.٢", "fraction", "٠.٢"),
+        ("link_density = 0_0.5", "link_density", "0_0.5"),
+    ],
+)
+def test_config_floats_are_ascii_without_underscores(tmp_path, line, key, raw):
+    """A config float takes float()'s ASCII text without '_'; float() would take both."""
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        cli.load_config(cfg)
+    assert str(exc.value) == f"config key {key!r} has non-numeric value {raw!r}"
 
 
 def test_config_file_round_trip(tmp_path):
@@ -914,14 +946,14 @@ def test_config_file_round_trip(tmp_path):
     cfg.write_text(
         "\n# comment line\npub_from = 1975\nfraction=0.02\nterms = refute, challenge\n"
     )
-    config = cli.load_config(cli.RunConfig, cfg)
+    config = cli.load_config(cfg)
     assert config.pub_from == 1975
     assert config.fraction == 0.02
     assert config.terms == ("refute", "challenge")
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
-        cli.load_config(cli.RunConfig, bad)
+        cli.load_config(bad)
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, table1_dir, half_config, capsys):

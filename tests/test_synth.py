@@ -170,8 +170,15 @@ def test_spec_rejects_bad_configs():
         synth.SynthSpec(n_papers=0)
     with pytest.raises(ConfigError):
         synth.SynthSpec(timing_earlier=0.9, timing_same=0.2, timing_later=0.1)
-    with pytest.raises(ConfigError, match="^min_total_citations must be at least 1$"):
+    with pytest.raises(ConfigError, match="^minimum citation total must be at least 1$"):
         synth.SynthSpec(min_total_citations=0)
+
+
+def test_generate_refuses_a_window_before_1800_that_the_spec_accepts():
+    """The analyses may read a window before 1800; no paper the generator writes may start there."""
+    spec = synth.SynthSpec(pub_from=1700, pub_to=1750)
+    with pytest.raises(ConfigError, match="^pub_from 1700 is before 1800$"):
+        synth.generate(spec)
 
 
 def test_committed_demo_dataset_is_reproducible(tmp_path, demo_dir):
