@@ -71,12 +71,12 @@ def _coerce(key: str, raw: str):
 def load_config(path: Path | None) -> synth.SynthSpec:
     """The settings of a file of key=value lines, or the defaults without one.
 
-    A leading byte-order mark is skipped. Blank lines and # comments are
-    ignored; a key given twice is an error, and a rejected text is echoed
-    cut short, like a rejected data cell.
+    A leading byte-order mark is skipped, and a line ends at a line feed
+    only. Blank lines and # comments are ignored; a key given twice is an
+    error, and a rejected text is echoed cut short, like a rejected data cell.
     """
     try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines() if path else []
+        lines = path.read_bytes().decode("utf-8-sig").split("\n") if path else []
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8: {exc.reason}") from None
     pairs: dict[str, str] = {}

@@ -26,8 +26,8 @@ MIN_PUB_YEAR = 1800
 def _unwritable(text: str) -> bool:
     """Whether text holds a character a CSV cell cannot carry alike on every Python version.
 
-    Before 3.13 the csv module writes a lone carriage return unquoted, and
-    reading takes it for a line end; the tables reader refuses a NUL.
+    The tables reader refuses a NUL or a carriage return outside a CRLF line
+    end, quoted or not; before 3.13 the csv module writes a lone one unquoted.
     """
     return "\r" in text or "\0" in text
 

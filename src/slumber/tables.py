@@ -5,7 +5,12 @@ header row. Readers find columns by header name, so columns may come in any
 order and extra ones are ignored; a column that is read must be named once.
 Blank lines are skipped; every other row must have exactly as many cells as
 the header, since an unquoted delimiter inside a cell would otherwise shift
-or drop values. A file holding a NUL character is refused.
+or drop values.
+
+Both readers read a file once and check its bytes whole before any row: a
+file that is not UTF-8, or that holds a NUL or a carriage return outside a
+CRLF line end, is refused at the line of the first such byte. So CRLF files
+read as '\n' ones do, and every error counts lines as `wc -l` does.
 
 JSON-lines files hold one object per line; blank lines are skipped on
 reading, and writing sorts the keys and keeps non-ASCII characters as they are.
@@ -23,8 +28,10 @@ and never counts lines.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import operator
+import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -63,8 +70,7 @@ def read_rows(
 
     A missing column raises DataError 'FILE: missing required column: ...'.
     """
-    _refuse_nul(path)
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _text(path) as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         with _at_line(path, lambda: _first_line(path, delimiter, reader.line_num)):
             names = next(reader, [])
@@ -85,7 +91,7 @@ def _first_line(path: Path, delimiter: str, end: int) -> int:
     again up to that record rather than each row's start kept.
     """
     start = 1
-    with open(path, encoding="utf-8-sig", newline="") as fh:
+    with _text(path) as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
             for _ in reader:
@@ -113,31 +119,35 @@ def _at_line(path: Path, line_num: Callable[[], int]) -> Iterator[None]:
     """A ValueError or csv.Error leaves the block as DataError 'FILE line N: reason', N = line_num()."""
     try:
         yield
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
     except csv.Error as exc:
         raise DataError(f"{path.name} line {line_num()}: unreadable row: {exc}") from None
     except ValueError as exc:
         raise DataError(f"{path.name} line {line_num()}: {exc}") from None
 
 
-def _refuse_nul(path: Path) -> None:
-    """Refuse a file holding a NUL character, at the line of the first one.
+def _text(path: Path) -> io.TextIOWrapper:
+    """The file's text for one reader, from one read of its bytes, which are checked first.
 
-    Python 3.10's csv module refuses such a line and later versions read it;
-    this refuses it on every version, in 3.10's words. No other UTF-8
-    character holds a zero byte, so a scan of the raw bytes finds it, which
-    costs far less than a check on each line; reading in blocks keeps the
-    whole file out of memory.
+    Refused in this order: bytes that are not UTF-8; a NUL, which Python
+    3.10's csv module refuses and later versions read; a lone carriage
+    return, which a reader would take for a line end that `wc -l` does not.
     """
-    line_no = 1
-    with open(path, "rb") as fh:
-        while block := fh.read(1 << 16):
-            at = block.find(b"\0")
-            if at >= 0:
-                line_no += block.count(b"\n", 0, at)
-                raise DataError(f"{path.name} line {line_no}: unreadable row: line contains NUL")
-            line_no += block.count(b"\n")
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _refused(path, data, exc.start, f"not valid UTF-8: {exc.reason}") from None
+    if (at := data.find(b"\0")) >= 0:
+        raise _refused(path, data, at, "unreadable row: line contains NUL")
+    if lone_cr := re.search(rb"\r(?!\n)", data):
+        raise _refused(path, data, lone_cr.start(), "unreadable row: carriage return outside a CRLF line end")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+
+
+def _refused(path: Path, data: bytes, at: int, reason: str) -> DataError:
+    """DataError 'FILE line N: reason', N the line of the file's byte `at`."""
+    line_no = data.count(b"\n", 0, at) + 1
+    return DataError(f"{path.name} line {line_no}: {reason}")
 
 
 def write_rows(
@@ -175,24 +185,8 @@ def read_json_lines(path: Path) -> Iterator[Iterator[dict]]:
                 raise ValueError("line is not a JSON object")
             yield obj
 
-    with open(path, encoding="utf-8-sig") as fh, _at_line(path, lambda: line_no):
+    with _text(path) as fh, _at_line(path, lambda: line_no):
         yield objects(fh)
-
-
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
-    """The error for a file that is not UTF-8, at the line of its first bad byte.
-
-    The text layer decodes a block ahead of the row being read, so the line
-    is counted in the raw bytes.
-    """
-    data = path.read_bytes()
-    start = len(data)
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as first:
-        start = first.start
-    line_no = data.count(b"\n", 0, start) + 1
-    return DataError(f"{path.name} line {line_no}: not valid UTF-8: {exc.reason}")
 
 
 def write_json_lines(path: Path, objects: Iterable[dict]) -> None:

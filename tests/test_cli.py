@@ -335,6 +335,43 @@ def test_leading_byte_order_marks_are_skipped(tmp_path, demo_dir, capsys):
     assert cli.load_config(cfg).fraction == 0.5
 
 
+def test_crlf_line_ends_read_as_line_feeds(tmp_path, demo_dir, capsys):
+    """Files saved with CRLF line ends give the same validation and byte-identical reports."""
+    ds_copy = tmp_path / "ds"
+    ds_copy.mkdir()
+    for path in sorted(demo_dir.iterdir()):
+        (ds_copy / path.name).write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+    def reports(dataset: Path):
+        out = tmp_path / "out"
+        runs = [
+            run(capsys, command, "--dataset", str(dataset), "--out", str(out / command))
+            for command in ANALYSIS_COMMANDS
+        ]
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        shutil.rmtree(out)
+        return runs, files
+
+    expected = reports(demo_dir)
+    assert [code for code, _, _ in expected[0]] == [0] * len(ANALYSIS_COMMANDS)
+    assert reports(ds_copy) == expected
+
+
+def test_load_dataset_opens_each_file_once(demo_dir, monkeypatch):
+    """Each dataset file is read from disk once, its check and its rows from the same bytes."""
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr("builtins.open", counting_open)
+    ingest.load_dataset(demo_dir, 2015)
+    assert opened == {path.name: 1 for path in demo_dir.iterdir()}
+
+
 def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
@@ -495,6 +532,25 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
     assert "30 papers" in stdout
 
 
+def _note_with_carriage_return(b: bytes) -> bytes:
+    """papers.csv with a `note` column, "a\\rb" on line 2 and pub_year 1799 on line 4."""
+    lines = b.splitlines()
+    lines[0] += b",note"
+    lines[1] += b',"a\rb"'
+    lines[2:] = [line + b"," for line in lines[2:]]
+    lines[3] = lines[3].replace(b"p00002,2002,", b"p00002,1799,")
+    assert lines[3].startswith(b"p00002,1799,")
+    return b"\n".join(lines) + b"\n"
+
+
+def _bad_count_then_bad_byte(b: bytes) -> bytes:
+    """citations.csv with a bad count on line 2 and a byte that is not UTF-8 on line 1001."""
+    lines = b.split(b"\n")
+    lines[1] = lines[1].rsplit(b",", 1)[0] + b",x"
+    lines[1000] += b"\xff"
+    return b"\n".join(lines)
+
+
 # The "<lambda>" ids are the ones pytest made when the messages did not
 # name their file yet; they are kept so each case keeps its name.
 @pytest.mark.parametrize(
@@ -592,12 +648,40 @@ def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo
             "error: papers.csv line 2: unreadable row: line contains NUL",
             id="papers.csv-<lambda>-error: line 2: unreadable row: line contains NUL",
         ),
-        # Past the first 64 KiB that the NUL scan reads: 1,025 lines, then blank ones.
+        # Far past the first line: 1,025 lines, then blank ones.
         pytest.param(
             "citations.csv",
             lambda b: b + b"\n" * 70_000 + b"p00000,\x001990,1\n",
             "error: citations.csv line 71026: unreadable row: line contains NUL",
             id="citations.csv-<lambda>-error: line 71026: unreadable row: line contains NUL",
+        ),
+        pytest.param(
+            "contexts.jsonl",
+            lambda b: b.replace(b"measurements", b"m\x00easurements", 1),
+            "error: contexts.jsonl line 1: unreadable row: line contains NUL",
+            id="contexts.jsonl-nul",
+        ),
+        # Every line ends at a line feed, as `wc -l` counts: a carriage return
+        # outside a CRLF line end is refused at its own line, even in a column
+        # that no record reads, and before a bad row on a later line.
+        pytest.param(
+            "papers.csv",
+            _note_with_carriage_return,
+            "error: papers.csv line 2: unreadable row: carriage return outside a CRLF line end",
+            id="papers.csv-carriage-return-in-an-unread-column",
+        ),
+        pytest.param(
+            "papers.csv",
+            lambda b: b.replace(b"\n", b"\r"),
+            "error: papers.csv line 1: unreadable row: carriage return outside a CRLF line end",
+            id="papers.csv-carriage-return-line-ends",
+        ),
+        # Every byte is checked before any row is read.
+        pytest.param(
+            "citations.csv",
+            _bad_count_then_bad_byte,
+            "error: citations.csv line 1001: not valid UTF-8: invalid start byte",
+            id="citations.csv-bad-byte-after-bad-row",
         ),
     ],
 )
@@ -619,15 +703,15 @@ def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name
 def test_carriage_return_in_an_id_is_refused_at_load(tmp_path, demo_dir, capsys):
     """A quoted id holding a carriage return loads nowhere: the csv module would write it unquoted.
 
-    The reader counts the carriage return as a line end, as the csv module
-    does, so the row spans lines 2 and 3; the error names the line it starts on.
+    The file's bytes are checked before any row, so the lone carriage return
+    is refused at its own line, line 2 of papers.csv, the first file read.
     """
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
     for name in ("papers.csv", "citations.csv", "links.csv"):
         path = ds_copy / name
         path.write_bytes(path.read_bytes().replace(b"\np00000,", b'\n"p\r00000",'))
-    line = "error: papers.csv line 2: paper_id, title, doi and pmid must not contain a carriage return or NUL"
+    line = "error: papers.csv line 2: unreadable row: carriage return outside a CRLF line end"
     code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
     assert (code, stdout, err.splitlines()) == (1, "", [line])
     out = tmp_path / "out"
@@ -939,6 +1023,18 @@ def test_config_floats_are_ascii_without_underscores(tmp_path, line, key, raw):
     with pytest.raises(ConfigError) as exc:
         cli.load_config(cfg)
     assert str(exc.value) == f"config key {key!r} has non-numeric value {raw!r}"
+
+
+def test_config_lines_end_at_a_line_feed_only(tmp_path):
+    """str.splitlines() would split at U+0085 too and report 'ls2.cfg:2: expected key=value, got 'b''."""
+    cfg = tmp_path / "ls2.cfg"
+    cfg.write_bytes("terms = a\x85b\nwindow_width = x\n".encode("utf-8"))
+    with pytest.raises(ConfigError) as exc:
+        cli.load_config(cfg)
+    assert str(exc.value) == "config key 'window_width' takes an integer, not 'x'"
+    cfg.write_bytes("terms = a\x85b\r\nfraction = 0.5\r\n".encode("utf-8"))
+    config = cli.load_config(cfg)
+    assert (config.terms, config.fraction) == (("a\x85b",), 0.5)
 
 
 def test_config_file_round_trip(tmp_path):
