@@ -7,6 +7,7 @@ timing indicators, two-group comparisons, and field interaction matrices.
 """
 
 from .cohort import CohortAssignment, CohortResult, select_cohorts
+from .config import SynthSpec
 from .curve import profile
 from .errors import DataError, SlumberError
 from .ingest import flag_contexts, load_dataset, validate_dataset, write_dataset
@@ -26,7 +27,7 @@ from .stats import (
     summary_stats,
     two_proportion_test,
 )
-from .synth import SynthSpec, generate
+from .synth import generate
 
 __version__ = "0.1.0"
 

@@ -2,10 +2,9 @@
 
 The analysis commands read `--dataset DIR` and write reports under
 `--out DIR`; `validate` reads a dataset and writes nothing, and `synth`
-writes a dataset under `--out DIR`. Every command takes overrides from
-`--config FILE` (plain key=value lines, one key per field of synth.SynthSpec,
-every key checked by every command). Exit codes: 0 success, 1 bad data or
-configuration, 2 I/O failure, or a command line that does not parse.
+writes a dataset under `--out DIR`. Every command reads its settings from
+`--config FILE` through config.load_config. Exit codes: 0 success, 1 bad
+data or configuration, 2 I/O failure, or a command line that does not parse.
 
 Each analysis command builds its own report rows in a fixed column order and
 writes them with the tables module. Every float is rendered with
@@ -20,13 +19,14 @@ import argparse
 import gc
 import sys
 from bisect import bisect_left
-from dataclasses import fields, replace
+from dataclasses import replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
 from . import ingest, synth
 from .cohort import DR, IR, CohortResult, select_cohorts
+from .config import SynthSpec, load_config
 from .errors import _SHOWN_CHARS, ConfigError, DataError, SlumberError, _shown
 from .interact import field_distribution, interaction_matrix
 from .model import Dataset, ValidationIssue, ValidationReport
@@ -45,65 +45,13 @@ from .tables import write_json_lines, write_rows
 DEGENERATE_LABEL = "DegeneratePool"
 
 
-# Each config key's type, from the default of the SynthSpec field it fills.
-_KEY_TYPES = {f.name: type(f.default) for f in fields(synth.SynthSpec)}
-
-
-def _coerce(key: str, raw: str):
-    kind = _KEY_TYPES[key]
-    if kind is tuple:
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
-    try:
-        if kind is int:
-            # An integer key takes an integer cell's grammar: ASCII '-?[0-9]+'.
-            return ingest._strict_int(key, raw)
-        # A float key takes float()'s ASCII text without '_'; nan and inf
-        # pass here and fail the bounds.
-        if kind is float and (not raw.isascii() or "_" in raw):
-            raise ValueError
-        return kind(raw)
-    except ValueError:
-        if kind is int:
-            raise ConfigError(f"config key {key!r} takes an integer, not {_shown(raw)}") from None
-        raise ConfigError(f"config key {key!r} has non-numeric value {_shown(raw)}") from None
-
-
-def load_config(path: Path | None) -> synth.SynthSpec:
-    """The settings of a file of key=value lines, or the defaults without one.
-
-    A leading byte-order mark is skipped, and a line ends at a line feed
-    only. Blank lines and # comments are ignored; a key given twice is an
-    error, and a rejected text is echoed cut short, like a rejected data cell.
-    """
-    try:
-        lines = path.read_bytes().decode("utf-8-sig").split("\n") if path else []
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8: {exc.reason}") from None
-    pairs: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {_shown(stripped)}")
-        key = key.strip()
-        if key in pairs:
-            raise ConfigError(f"{path}:{line_no}: config key {_shown(key)} given twice")
-        pairs[key] = value.strip()
-    for key in pairs:
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown config key {_shown(key)}")
-    return synth.SynthSpec(**{k: _coerce(k, v) for k, v in pairs.items()})
-
-
 def _require(value, flag: str):
     if value is None:
         raise ConfigError(f"this command requires {flag}")
     return value
 
 
-def _load_and_validate(args) -> tuple[synth.SynthSpec, Dataset, ValidationReport]:
+def _load_and_validate(args) -> tuple[SynthSpec, Dataset, ValidationReport]:
     """The settings, then the `--dataset` they read, then the dataset's validation report."""
     config = load_config(args.config)
     dataset = ingest.load_dataset(_require(args.dataset, "--dataset"), config.window_end)

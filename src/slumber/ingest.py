@@ -11,12 +11,11 @@ window's years, and write_citations writes just the cited years.
 
 Multi-valued cells (fields_of_study as name@level pairs, filing_years,
 ipc_codes) pack with ';', which the records refuse inside a field name or
-an IPC code. Writers emit sorted rows, so rewriting an unchanged dataset is
-byte-identical.
+an IPC code; an empty cell holds no entries, and an empty entry is refused.
+Writers emit sorted rows, so rewriting an unchanged dataset is byte-identical.
 
-An integer cell, or a fields_of_study level, is ASCII '-?[0-9]+' and
-nothing else: no sign '+', no spaces, no '_', no non-ASCII digits. Each
-integer and fields_of_study column parses through a tables._CellMemo, the
+Each integer column parses with tables.strict_int, as does each level of a
+fields_of_study cell. Every such column goes through a tables._CellMemo, the
 memo IpcIndex keeps its lookups in, for one file read: each of its first
 _MEMO_CAP distinct cells is parsed once, and a repeat is one dict lookup.
 
@@ -36,6 +35,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
+from .config import DEFAULT_DISPUTE_TERMS
 from .errors import _shown
 from .model import (
     CitationContextRecord,
@@ -49,7 +49,7 @@ from .model import (
     ValidationIssue,
     ValidationReport,
 )
-from .tables import _CellMemo, read_json_lines, read_rows, write_json_lines, write_rows
+from .tables import _CellMemo, read_json_lines, read_rows, strict_int, write_json_lines, write_rows
 
 PAPERS_FILE = "papers.csv"
 CITATIONS_FILE = "citations.csv"
@@ -72,23 +72,6 @@ LINK_COLUMNS = ("paper_id", "family_id")
 CONCORDANCE_COLUMNS = ("ipc_prefix", "wipo_field_id", "wipo_field_name", "sector")
 CONCORDANCE_DELIMITER = "\t"
 
-DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
-
-
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
-def _strict_int(name: str, text: str) -> int:
-    """The value of an ASCII '-?[0-9]+' text; ValueError names the column otherwise."""
-    if _INTEGER.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:
-            # More digits than the int-string limit; Python's own text for it
-            # differs between versions.
-            pass
-    raise ValueError(f"{name} {_shown(text)} is not an integer")
-
 
 def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
     """Unpack 'name@level;name@level' (empty string means no fields)."""
@@ -99,7 +82,7 @@ def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
         name, sep, level = part.rpartition("@")
         if not sep:
             raise ValueError(f"field entry {_shown(part)} lacks an @level suffix")
-        fields.append(FieldOfStudy(name=name, level=_strict_int("field of study level", level)))
+        fields.append(FieldOfStudy(name=name, level=strict_int("field of study level", level)))
     return tuple(fields)
 
 
@@ -109,7 +92,7 @@ def format_fields_of_study(fields: Iterable[FieldOfStudy]) -> str:
 
 def parse_papers(path: Path) -> dict[str, PaperRecord]:
     papers: dict[str, PaperRecord] = {}
-    years, fields = _CellMemo(partial(_strict_int, "pub_year")), _CellMemo(parse_fields_of_study)
+    years, fields = _CellMemo(partial(strict_int, "pub_year")), _CellMemo(parse_fields_of_study)
     with read_rows(path, PAPER_COLUMNS) as rows:
         for pid, pub_year, title, doi, pmid, cell in rows:
             if pid in papers:
@@ -150,7 +133,7 @@ def read_citations(
         if paper.pub_year <= window_end
     }
     zeroed: set[str] = set()  # papers with a zero-count row
-    years, counts = _CellMemo(partial(_strict_int, "year")), _CellMemo(partial(_strict_int, "count"))
+    years, counts = _CellMemo(partial(strict_int, "year")), _CellMemo(partial(strict_int, "count"))
     with read_rows(path, CITATION_COLUMNS) as rows:
         for pid, year, count in rows:
             year = years[year]
@@ -188,20 +171,24 @@ def read_citations(
 
 def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
     patents: dict[str, PatentFamilyRecord] = {}
-    priorities = _CellMemo(partial(_strict_int, "earliest_priority_year"))
-    filings = _CellMemo(partial(_strict_int, "filing_years"))
-    forwards = _CellMemo(partial(_strict_int, "forward_citation_count"))
+    priorities = _CellMemo(partial(strict_int, "earliest_priority_year"))
+    filings = _CellMemo(partial(strict_int, "filing_years"))
+    forwards = _CellMemo(partial(strict_int, "forward_citation_count"))
     with read_rows(path, PATENT_COLUMNS) as rows:
         for fid, priority, filing, forward, ipc in rows:
             if fid in patents:
                 raise ValueError(f"duplicate id: {_shown(fid)}")
-            years = tuple([filings[y] for y in filing.split(";") if y])
+            years = filing.split(";") if filing else ()
+            codes = ipc.split(";") if ipc else ()
+            if "" in years or "" in codes:
+                name, cell = ("filing_years", filing) if "" in years else ("ipc_codes", ipc)
+                raise ValueError(f"{name} {_shown(cell)} has an empty entry")
             patents[fid] = PatentFamilyRecord(
                 family_id=fid,
                 earliest_priority_year=priorities[priority],
-                filing_years=years,
+                filing_years=tuple([filings[y] for y in years]),
                 forward_citation_count=forwards[forward],
-                ipc_codes=tuple(c for c in ipc.split(";") if c),
+                ipc_codes=tuple(codes),
             )
     return patents
 
@@ -212,7 +199,7 @@ def parse_links(path: Path) -> tuple[PatentCitationLink, ...]:
 
 
 def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
-    field_ids = _CellMemo(partial(_strict_int, "wipo_field_id"))
+    field_ids = _CellMemo(partial(strict_int, "wipo_field_id"))
     with read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER) as rows:
         return tuple(
             [

@@ -9,7 +9,7 @@ yields only its cited years and their counts, and the scaling multiplies
 those counts. Only noise, which draws a count for every year, holds a list
 per window year, and it drops the zeros at once. Patent links, timing
 classes, and citation contexts are derived from the same single random
-stream, which makes a given spec + seed produce byte-identical directories.
+stream, so a given config.SynthSpec gives byte-identical directories.
 
 Shape and timing-class counts are apportioned by largest remainder, so the
 requested proportions are hit exactly after rounding.
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import curve
-from .errors import ConfigError, _shown
-from .ingest import DEFAULT_DISPUTE_TERMS
+from .config import SynthSpec
+from .errors import ConfigError
 from .patent import EARLIER, LATER, SAME
 from .model import (
     MIN_PUB_YEAR,
@@ -113,65 +113,6 @@ _CRITICAL_SENTENCES = (
     "The kinetics reported here are inconsistent with {ref}.",
     "We dispute the structural assignment proposed in {ref}.",
 )
-
-
-@dataclass(frozen=True)
-class SynthSpec:
-    """Every setting of a run, one field per config key.
-
-    generate reads the fields up to min_total_citations; the analysis
-    commands read the window, the floor and the fields after it. Each bound
-    is checked here, so every command refuses every bad key, also one it
-    does not read.
-    """
-
-    n_papers: int = 400
-    seed: int = 0
-    share_delayed: float = 0.25
-    share_instant: float = 0.25
-    share_linear: float = 0.25
-    share_noise: float = 0.25
-    link_density: float = 0.6
-    timing_earlier: float = 0.70
-    timing_same: float = 0.05
-    timing_later: float = 0.25
-    pub_from: int = 1970
-    pub_to: int = 2005
-    window_end: int = 2015
-    min_total_citations: int = 200
-    fraction: float = 0.01
-    window_width: int = 5
-    aagr_method: str = "arithmetic"
-    terms: tuple[str, ...] = DEFAULT_DISPUTE_TERMS
-
-    def __post_init__(self) -> None:
-        if self.n_papers < 1:
-            raise ConfigError("n_papers must be at least 1")
-        shares = (self.share_delayed, self.share_instant, self.share_linear, self.share_noise)
-        timing = (self.timing_earlier, self.timing_same, self.timing_later)
-        # Each comparison is written so that NaN fails it.
-        for name, values in (("shape shares", shares), ("timing targets", timing)):
-            if not all(v >= 0 for v in values):
-                raise ConfigError(f"{name} must be non-negative numbers")
-            if not abs(sum(values) - 1.0) <= 1e-9:
-                raise ConfigError(f"{name} must sum to 1, got {sum(values)!r}")
-        if not 0.0 <= self.link_density <= 1.0:
-            raise ConfigError(f"link density {self.link_density} outside [0, 1]")
-        if not self.pub_from <= self.pub_to < self.window_end:
-            raise ConfigError(
-                f"need pub_from <= pub_to < window_end, got {self.pub_from}, {self.pub_to}, {self.window_end}"
-            )
-        if self.min_total_citations < 1:
-            raise ConfigError("minimum citation total must be at least 1")
-        if not 0.0 < self.fraction <= 0.5:
-            raise ConfigError(f"cohort fraction {self.fraction} outside (0, 0.5]")
-        if self.window_width < 1:
-            raise ConfigError(f"window width {self.window_width} must be >= 1")
-        if self.aagr_method not in ("arithmetic", "compound"):
-            method = _shown(self.aagr_method)
-            raise ConfigError(f"aagr_method must be arithmetic or compound, not {method}")
-        if not self.terms:
-            raise ConfigError("terms must name at least one word")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ reading, and writing sorts the keys and keeps non-ASCII characters as they are.
 Readers of both skip a leading UTF-8 byte-order mark, which spreadsheet and
 editor exports may write; writers write none.
 
+strict_int parses every integer cell, and every integer config key, as ASCII
+'-?[0-9]+' and nothing else: no sign '+', spaces, '_' or non-ASCII digits.
+
 The readers are the one place a bad row becomes an error. Each serves one
 with block, and a ValueError raised in it, by the reader (a wrong row width,
 bad JSON) or by the code that consumes the rows (a cell it cannot parse, a
@@ -36,7 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DataError
+from .errors import DataError, _shown
 
 # The most distinct texts a _CellMemo keeps.
 _MEMO_CAP = 4096
@@ -60,6 +63,21 @@ class _CellMemo(dict):
         if len(self) < _MEMO_CAP:
             self[text] = value
         return value
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def strict_int(name: str, text: str) -> int:
+    """The value of an ASCII '-?[0-9]+' text; otherwise a ValueError naming the column or key."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            # More digits than the int-string limit; Python's own text for it
+            # differs between versions.
+            pass
+    raise ValueError(f"{name} {_shown(text)} is not an integer")
 
 
 @contextmanager

@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from slumber import cli, curve, ingest, patent, synth
+from slumber import cli, curve, ingest, patent
+from slumber.config import SynthSpec, _coerce, load_config
 from slumber.errors import ConfigError
 from slumber.model import CitationSeries
 
@@ -332,7 +333,7 @@ def test_leading_byte_order_marks_are_skipped(tmp_path, demo_dir, capsys):
         code, expected, _ = run(capsys, "validate", "--dataset", str(demo_dir), *args)
         assert code == 0
         assert run(capsys, "validate", "--dataset", str(ds_copy), *args) == (0, expected, "")
-    assert cli.load_config(cfg).fraction == 0.5
+    assert load_config(cfg).fraction == 0.5
 
 
 def test_crlf_line_ends_read_as_line_feeds(tmp_path, demo_dir, capsys):
@@ -626,6 +627,32 @@ def _bad_count_then_bad_byte(b: bytes) -> bytes:
             lambda b: b + b.splitlines(keepends=True)[1],
             "error: patents.csv line 98: duplicate id: 'f00000'",
             id="patents.csv-duplicate-id",
+        ),
+        # A packed cell that is not empty holds no empty entry: a leading,
+        # inner or trailing ';' is refused, not dropped.
+        pytest.param(
+            "patents.csv",
+            lambda b: b.replace(b"1995;2001;2003,70,", b"1995;2001;2003;;,70,;", 1),
+            "error: patents.csv line 2: filing_years '1995;2001;2003;;' has an empty entry",
+            id="patents.csv-filing-years-trailing-empty-entry",
+        ),
+        pytest.param(
+            "patents.csv",
+            lambda b: b.replace(b",1995;2001;2003,", b",;1995;2001;2003,", 1),
+            "error: patents.csv line 2: filing_years ';1995;2001;2003' has an empty entry",
+            id="patents.csv-filing-years-leading-empty-entry",
+        ),
+        pytest.param(
+            "patents.csv",
+            lambda b: b.replace(b",C12Q1/68;G01N21/64;", b",C12Q1/68;;G01N21/64;", 1),
+            "error: patents.csv line 2: ipc_codes 'C12Q1/68;;G01N21/64;H01L29/06' has an empty entry",
+            id="patents.csv-ipc-codes-inner-empty-entry",
+        ),
+        pytest.param(
+            "patents.csv",
+            lambda b: b.replace(b",C12Q1/68;G01N21/64;H01L29/06\n", b",;C12Q1/68;G01N21/64;H01L29/06;\n", 1),
+            "error: patents.csv line 2: ipc_codes ';C12Q1/68;G01N21/64;H01L29/06;' has an empty entry",
+            id="patents.csv-ipc-codes-leading-and-trailing-empty-entries",
         ),
         # A 5,000-character id is echoed as its first 40 characters and its length.
         pytest.param(
@@ -965,31 +992,31 @@ def test_config_file_not_utf8_exits_1(tmp_path, demo_dir, capsys):
 
 
 def test_config_parsing_units():
-    assert cli._coerce("pub_from", "1980") == 1980
-    assert cli._coerce("fraction", "0.25") == 0.25
-    assert cli._coerce("terms", "refute, challenge") == ("refute", "challenge")
+    assert _coerce("pub_from", "1980") == 1980
+    assert _coerce("fraction", "0.25") == 0.25
+    assert _coerce("terms", "refute, challenge") == ("refute", "challenge")
     with pytest.raises(ConfigError):
-        cli._coerce("fraction", "lots")
+        _coerce("fraction", "lots")
     with pytest.raises(ConfigError):
-        synth.SynthSpec(pub_from=2010, pub_to=2000)
+        SynthSpec(pub_from=2010, pub_to=2000)
     with pytest.raises(ConfigError):
-        synth.SynthSpec(aagr_method="sideways")
+        SynthSpec(aagr_method="sideways")
     with pytest.raises(ConfigError):
-        synth.SynthSpec(terms=())
+        SynthSpec(terms=())
 
 
 def test_load_config_coerces_synth_keys(tmp_path):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text("n_papers = 75\nlink_density = 0.3\n")
-    spec = cli.load_config(cfg)
+    spec = load_config(cfg)
     assert (spec.n_papers, spec.link_density, spec.seed) == (75, 0.3, 0)
     assert type(spec.n_papers) is int and type(spec.link_density) is float
     cfg.write_text("n_papers = 7.5\n")
     with pytest.raises(ConfigError, match="config key 'n_papers' takes an integer, not '7.5'"):
-        cli.load_config(cfg)
+        load_config(cfg)
     cfg.write_text("link_density = dense\n")
     with pytest.raises(ConfigError, match="config key 'link_density' has non-numeric value 'dense'"):
-        cli.load_config(cfg)
+        load_config(cfg)
 
 
 @pytest.mark.parametrize(
@@ -1005,7 +1032,7 @@ def test_config_integers_are_ascii_digits_only(tmp_path, line, key, raw):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
-        cli.load_config(cfg)
+        load_config(cfg)
     assert str(exc.value) == f"config key {key!r} takes an integer, not {raw!r}"
 
 
@@ -1021,7 +1048,7 @@ def test_config_floats_are_ascii_without_underscores(tmp_path, line, key, raw):
     cfg = tmp_path / "synth.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
     with pytest.raises(ConfigError) as exc:
-        cli.load_config(cfg)
+        load_config(cfg)
     assert str(exc.value) == f"config key {key!r} has non-numeric value {raw!r}"
 
 
@@ -1030,10 +1057,10 @@ def test_config_lines_end_at_a_line_feed_only(tmp_path):
     cfg = tmp_path / "ls2.cfg"
     cfg.write_bytes("terms = a\x85b\nwindow_width = x\n".encode("utf-8"))
     with pytest.raises(ConfigError) as exc:
-        cli.load_config(cfg)
+        load_config(cfg)
     assert str(exc.value) == "config key 'window_width' takes an integer, not 'x'"
     cfg.write_bytes("terms = a\x85b\r\nfraction = 0.5\r\n".encode("utf-8"))
-    config = cli.load_config(cfg)
+    config = load_config(cfg)
     assert (config.terms, config.fraction) == (("a\x85b",), 0.5)
 
 
@@ -1042,14 +1069,14 @@ def test_config_file_round_trip(tmp_path):
     cfg.write_text(
         "\n# comment line\npub_from = 1975\nfraction=0.02\nterms = refute, challenge\n"
     )
-    config = cli.load_config(cfg)
+    config = load_config(cfg)
     assert config.pub_from == 1975
     assert config.fraction == 0.02
     assert config.terms == ("refute", "challenge")
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
-        cli.load_config(bad)
+        load_config(bad)
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, table1_dir, half_config, capsys):

@@ -181,7 +181,7 @@ INT_CELL_TEXTS = st.one_of(
 @example(["-0", "007", "-12", "1" * 4300, "1" * 4301, "1990\x00"])
 def test_int_cells_match_the_reference_parser(texts):
     """Accepted and rejected alike; a repeated text gives the identical int."""
-    cells = tables._CellMemo(partial(ingest._strict_int, "year"))
+    cells = tables._CellMemo(partial(tables.strict_int, "year"))
     first: dict[str, int] = {}
     for text in texts + texts:
         try:
@@ -200,7 +200,7 @@ def test_cell_memo_stops_keeping_at_its_cap():
     """Past the cap, a new text is parsed on each lookup, with the same values and errors."""
     texts = [str(i) for i in range(tables._MEMO_CAP + 500)]
     texts[10::97] = [f"{i}x" for i in range(len(texts[10::97]))]  # rejected, never kept
-    cells = tables._CellMemo(partial(ingest._strict_int, "count"))
+    cells = tables._CellMemo(partial(tables.strict_int, "count"))
     for text in texts + texts[::-1]:
         try:
             want = reference.int_cell(text, "count")
