@@ -75,7 +75,10 @@ _KEY_TYPES = {f.name: type(f.default) for f in fields(SynthSpec)}
 def _coerce(key: str, raw: str):
     kind = _KEY_TYPES[key]
     if kind is tuple:
-        return tuple(t.strip() for t in raw.split(",") if t.strip())
+        entries = tuple(t.strip() for t in raw.split(",")) if raw else ()
+        if "" in entries:
+            raise ConfigError(f"config key {key!r} has an empty entry: {_shown(raw)}")
+        return entries
     try:
         if kind is int:
             return strict_int(key, raw)

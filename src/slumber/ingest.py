@@ -4,15 +4,12 @@ A dataset directory holds papers.csv, citations.csv (sparse: a row per
 paper and cited year; missing years are 0), patents.csv, links.csv,
 concordance.tsv (tab-separated) and, optionally, contexts.jsonl (one object
 per line with the fields of CitationContextRecord). The *_COLUMNS constants
-below name each table's columns; the file format itself belongs to the
-tables module. A CitationSeries stays sparse in memory too: read_citations
-builds each one straight from its paper's rows, with no list over the
-window's years, and write_citations writes just the cited years.
-
-Multi-valued cells (fields_of_study as name@level pairs, filing_years,
-ipc_codes) pack with ';', which the records refuse inside a field name or
-an IPC code; an empty cell holds no entries, and an empty entry is refused.
-Writers emit sorted rows, so rewriting an unchanged dataset is byte-identical.
+below name each table's columns; the file format itself, with its packed
+cells fields_of_study (name@level pairs), filing_years and ipc_codes, belongs
+to the tables module. Writers emit sorted rows, so rewriting an unchanged
+dataset is byte-identical. A CitationSeries stays sparse in memory too:
+read_citations builds each one straight from its paper's rows, with no list
+over the window's years, and write_citations writes just the cited years.
 
 Each integer column parses with tables.strict_int, as does each level of a
 fields_of_study cell. Every such column goes through a tables._CellMemo, the
@@ -22,7 +19,7 @@ _MEMO_CAP distinct cells is parsed once, and a repeat is one dict lookup.
 Each parser reads its file in one tables reader block and raises a plain
 ValueError for a bad row, which the reader turns into DataError 'FILE line
 N: reason' (exit code 1); missing or unreadable files raise OSError (2).
-The records refuse the text a CSV cell cannot carry: a carriage return or NUL.
+The records refuse what a cell cannot carry, and a context of a wrong JSON type.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from bisect import bisect_left
 from functools import partial
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence
 
 from .config import DEFAULT_DISPUTE_TERMS
 from .errors import _shown
@@ -49,7 +46,9 @@ from .model import (
     ValidationIssue,
     ValidationReport,
 )
-from .tables import _CellMemo, read_json_lines, read_rows, strict_int, write_json_lines, write_rows
+from .tables import (
+    SEP, _CellMemo, read_json_lines, read_rows, split_cell, strict_int, write_json_lines, write_rows
+)
 
 PAPERS_FILE = "papers.csv"
 CITATIONS_FILE = "citations.csv"
@@ -74,11 +73,9 @@ CONCORDANCE_DELIMITER = "\t"
 
 
 def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
-    """Unpack 'name@level;name@level' (empty string means no fields)."""
-    if not packed:
-        return ()
+    """Unpack a packed cell of name@level entries (an empty cell means no fields)."""
     fields = []
-    for part in packed.split(";"):
+    for part in split_cell("fields_of_study", packed):
         name, sep, level = part.rpartition("@")
         if not sep:
             raise ValueError(f"field entry {_shown(part)} lacks an @level suffix")
@@ -87,7 +84,7 @@ def parse_fields_of_study(packed: str) -> tuple[FieldOfStudy, ...]:
 
 
 def format_fields_of_study(fields: Iterable[FieldOfStudy]) -> str:
-    return ";".join(f"{f.name}@{f.level}" for f in fields)
+    return SEP.join(f"{f.name}@{f.level}" for f in fields)
 
 
 def parse_papers(path: Path) -> dict[str, PaperRecord]:
@@ -178,17 +175,12 @@ def parse_patents(path: Path) -> dict[str, PatentFamilyRecord]:
         for fid, priority, filing, forward, ipc in rows:
             if fid in patents:
                 raise ValueError(f"duplicate id: {_shown(fid)}")
-            years = filing.split(";") if filing else ()
-            codes = ipc.split(";") if ipc else ()
-            if "" in years or "" in codes:
-                name, cell = ("filing_years", filing) if "" in years else ("ipc_codes", ipc)
-                raise ValueError(f"{name} {_shown(cell)} has an empty entry")
             patents[fid] = PatentFamilyRecord(
                 family_id=fid,
                 earliest_priority_year=priorities[priority],
-                filing_years=tuple([filings[y] for y in years]),
+                filing_years=tuple([filings[y] for y in split_cell("filing_years", filing)]),
                 forward_citation_count=forwards[forward],
-                ipc_codes=tuple(codes),
+                ipc_codes=tuple(split_cell("ipc_codes", ipc)),
             )
     return patents
 
@@ -202,34 +194,19 @@ def parse_concordance(path: Path) -> tuple[ConcordanceEntry, ...]:
     field_ids = _CellMemo(partial(strict_int, "wipo_field_id"))
     with read_rows(path, CONCORDANCE_COLUMNS, CONCORDANCE_DELIMITER) as rows:
         return tuple(
-            [
-                ConcordanceEntry(
-                    ipc_prefix=prefix,
-                    wipo_field_id=field_ids[field_id],
-                    wipo_field_name=field_name,
-                    sector=sector,
-                )
-                for prefix, field_id, field_name, sector in rows
-            ]
+            [ConcordanceEntry(prefix, field_ids[fid], name, sector) for prefix, fid, name, sector in rows]
         )
 
 
 def parse_contexts(path: Path) -> tuple[CitationContextRecord, ...]:
     records = []
-    kinds = get_type_hints(CitationContextRecord)  # each key's type, str or int
+    keys = [f.name for f in dataclasses.fields(CitationContextRecord)]
     with read_json_lines(path) as objects:
         for obj in objects:
-            for key in kinds:
+            for key in keys:
                 if key not in obj:
                     raise ValueError(f"missing key {key!r}")
-            for key, kind in kinds.items():
-                value = obj[key]
-                # The JSON type only: int() would take 1.7 and true as 1 and
-                # fail on 1e400, and str() would take null, numbers and lists.
-                if type(value) is not kind:
-                    name = "integer" if kind is int else "string"
-                    raise ValueError(f"{key} {_shown(value)} is not a JSON {name}")
-            records.append(CitationContextRecord(*(obj[key] for key in kinds)))
+            records.append(CitationContextRecord(*(obj[key] for key in keys)))
     return tuple(records)
 
 
@@ -279,9 +256,9 @@ def write_patents(patents: Iterable[PatentFamilyRecord], path: Path) -> None:
         (
             rec.family_id,
             rec.earliest_priority_year,
-            ";".join(str(y) for y in rec.filing_years),
+            SEP.join(map(str, rec.filing_years)),
             rec.forward_citation_count,
-            ";".join(rec.ipc_codes),
+            SEP.join(rec.ipc_codes),
         )
         for rec in sorted(patents, key=lambda r: r.family_id)
     )

@@ -1,7 +1,10 @@
 """Canonical data model shared by every analysis stage.
 
-All records are frozen dataclasses validated on construction; a loaded
-Dataset is treated as immutable. Every record but Dataset is slotted, so it
+All records are frozen dataclasses validated on construction, and each is
+the one home of its value rules: it refuses a value that write_dataset would
+write and load_dataset not read back equal, by the cell rules of tables or a
+context's JSON types, so the value fails where it is made. A loaded Dataset
+is treated as immutable. Every record but Dataset is slotted, so it
 has no __dict__ (read one with dataclasses.asdict, not vars). The values
 every analysis derives from a Dataset (its IPC lookup, each paper's curve
 profile and each paper's citing patent families) are cached properties:
@@ -16,24 +19,14 @@ from functools import cached_property
 from operator import lt
 from typing import TYPE_CHECKING
 
+from .errors import _shown
+from .tables import SEP, refuse_unwritable
+
 if TYPE_CHECKING:
     from .interact import IpcIndex
 
 # The earliest publication year a paper record accepts.
 MIN_PUB_YEAR = 1800
-
-
-def _unwritable(text: str) -> bool:
-    """Whether text holds a character a CSV cell cannot carry alike on every Python version.
-
-    The tables reader refuses a NUL or a carriage return outside a CRLF line
-    end, quoted or not; before 3.13 the csv module writes a lone one unquoted.
-    """
-    return "\r" in text or "\0" in text
-
-
-def _unwritable_error(fields: str) -> ValueError:
-    return ValueError(f"{fields} must not contain a carriage return or NUL")
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,10 +37,9 @@ class FieldOfStudy:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("field of study name must be non-empty")
-        if ";" in self.name:
-            raise ValueError("field of study name must not contain ';'")
-        if _unwritable(self.name):
-            raise _unwritable_error("field of study name")
+        if SEP in self.name:
+            raise ValueError(f"field of study name must not contain {SEP!r}")
+        refuse_unwritable("field of study name", self.name)
         if not 0 <= self.level <= 5:
             raise ValueError(f"field of study level {self.level} outside 0..5")
 
@@ -64,8 +56,10 @@ class PaperRecord:
     def __post_init__(self) -> None:
         if not self.paper_id:
             raise ValueError("paper_id must be non-empty")
-        if _unwritable(self.paper_id + (self.title or "") + (self.doi or "") + (self.pmid or "")):
-            raise _unwritable_error("paper_id, title, doi and pmid")
+        texts = (self.title, self.doi, self.pmid)
+        if "" in texts:  # an empty cell reads back as None
+            raise ValueError("title, doi and pmid must be None or non-empty")
+        refuse_unwritable("paper_id, title, doi and pmid", self.paper_id + "".join(filter(None, texts)))
         # No upper bound: a paper after the dataset's window end is a
         # validation warning, not an unreadable record.
         if self.pub_year < MIN_PUB_YEAR:
@@ -92,10 +86,9 @@ class PatentFamilyRecord:
         if self.forward_citation_count < 0:
             raise ValueError("forward_citation_count must be non-negative")
         codes = "".join(self.ipc_codes)
-        if "" in self.ipc_codes or ";" in codes:
-            raise ValueError("each IPC code must be non-empty and must not contain ';'")
-        if _unwritable(self.family_id + codes):
-            raise _unwritable_error("family_id and IPC codes")
+        if "" in self.ipc_codes or SEP in codes:
+            raise ValueError(f"each IPC code must be non-empty and must not contain {SEP!r}")
+        refuse_unwritable("family_id and IPC codes", self.family_id + codes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +99,7 @@ class PatentCitationLink:
     def __post_init__(self) -> None:
         if not self.paper_id or not self.family_id:
             raise ValueError("link row has an empty id")
-        if _unwritable(self.paper_id + self.family_id):
-            raise _unwritable_error("link ids")
+        refuse_unwritable("link ids", self.paper_id + self.family_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +112,8 @@ class ConcordanceEntry:
     def __post_init__(self) -> None:
         if not self.ipc_prefix:
             raise ValueError("ipc_prefix must be non-empty")
-        if _unwritable(self.ipc_prefix + self.wipo_field_name + self.sector):
-            raise _unwritable_error("ipc_prefix, wipo_field_name and sector")
+        text = self.ipc_prefix + self.wipo_field_name + self.sector
+        refuse_unwritable("ipc_prefix, wipo_field_name and sector", text)
         if not 1 <= self.wipo_field_id <= 35:
             raise ValueError(f"wipo_field_id {self.wipo_field_id} outside 1..35")
 
@@ -134,6 +126,11 @@ class CitationContextRecord:
     sentence: str
 
     def __post_init__(self) -> None:
+        # The JSON type only: int() takes 1.7 and true, and str() takes null and lists.
+        for key in ("citing_id", "cited_paper_id", "year", "sentence"):
+            kind, name = (int, "integer") if key == "year" else (str, "string")
+            if type(value := getattr(self, key)) is not kind:
+                raise ValueError(f"{key} {_shown(value)} is not a JSON {name}")
         if not self.sentence:
             raise ValueError("sentence must be non-empty")
 

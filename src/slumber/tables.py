@@ -19,6 +19,10 @@ editor exports may write; writers write none.
 
 strict_int parses every integer cell, and every integer config key, as ASCII
 '-?[0-9]+' and nothing else: no sign '+', spaces, '_' or non-ASCII digits.
+A packed cell joins its entries with SEP; an empty cell holds none, and
+split_cell refuses an empty entry. The records refuse SEP inside an entry
+and, by refuse_unwritable, a NUL or carriage return in any text, as the
+readers do: csv before Python 3.13 writes a lone carriage return unquoted.
 
 The readers are the one place a bad row becomes an error. Each serves one
 with block, and a ValueError raised in it, by the reader (a wrong row width,
@@ -78,6 +82,23 @@ def strict_int(name: str, text: str) -> int:
             # differs between versions.
             pass
     raise ValueError(f"{name} {_shown(text)} is not an integer")
+
+
+SEP = ";"  # joins a packed cell's entries
+
+
+def split_cell(name: str, cell: str) -> list[str]:
+    """A packed cell's entries, none for an empty cell; an empty entry is a ValueError naming the column."""
+    entries = cell.split(SEP) if cell else []
+    if "" in entries:
+        raise ValueError(f"{name} {_shown(cell)} has an empty entry")
+    return entries
+
+
+def refuse_unwritable(fields: str, text: str) -> None:
+    """A ValueError naming `fields` if their text holds a carriage return or NUL."""
+    if "\r" in text or "\0" in text:
+        raise ValueError(f"{fields} must not contain a carriage return or NUL")
 
 
 @contextmanager

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from collections import Counter
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -17,15 +18,22 @@ from slumber.cohort import DR, IR, NONE, CohortAssignment
 from slumber.curve import AWAKENING, FALLING, FLAT
 from slumber.errors import DataError, _shown
 from slumber.ingest import CITATION_COLUMNS
-from slumber.interact import normalize_ipc
-from slumber.model import CitationSeries, ConcordanceEntry, CurveProfile, PaperRecord
+from slumber.interact import UNCLASSIFIED, FieldDistribution, InteractionCell, normalize_ipc
+from slumber.model import (
+    CitationSeries,
+    ConcordanceEntry,
+    CurveProfile,
+    Dataset,
+    PaperRecord,
+    PatentFamilyRecord,
+)
 from slumber.stats import AagrResult
 from slumber.synth import DELAYED, INSTANT, LINEAR, NOISE
 from slumber.tables import read_rows
 
 
 def int_cell(text: str, name: str) -> int:
-    """ingest's integer-cell parser, with no memo: ASCII '-?[0-9]+' only.
+    """tables.strict_int, the integer-cell parser, as one plain match: ASCII '-?[0-9]+' only.
 
     A rejected text, one past the int-string limit included, raises
     ValueError naming the column.
@@ -149,6 +157,47 @@ def wipo_field_for(code: str, concordance: Sequence[ConcordanceEntry]) -> Concor
         if best_key is None or key < best_key:
             best, best_key = entry, key
     return best
+
+
+def level0_fields(paper: PaperRecord) -> set[str]:
+    """The distinct names of the paper's top-level (level 0) fields of study."""
+    return {f.name for f in paper.fields_of_study if f.level == 0}
+
+
+def earliest_citing_family(dataset: Dataset, paper_id: str) -> PatentFamilyRecord | None:
+    """Of the families the paper's links name, each once, the least by (earliest_priority_year, family_id)."""
+    family_ids = {link.family_id for link in dataset.links if link.paper_id == paper_id}
+    families = [dataset.patents[fid] for fid in family_ids]
+    return min(families, key=lambda f: (f.earliest_priority_year, f.family_id), default=None)
+
+
+def interaction_cells(dataset: Dataset, paper_ids: Iterable[str]) -> list[InteractionCell]:
+    """interact.interaction_matrix's cells by a count over each paper's (field, technology field) pairs.
+
+    A paper pairs its level-0 fields with the technology fields that a scan
+    of the concordance gives the IPC codes of its earliest citing family.
+    """
+    weights: Counter[tuple[str, int]] = Counter()
+    names = {}
+    for pid in set(paper_ids):
+        family = earliest_citing_family(dataset, pid)
+        entries = [wipo_field_for(code, dataset.concordance) for code in (family.ipc_codes if family else ())]
+        techs = {e.wipo_field_id: e.wipo_field_name for e in entries if e is not None}
+        names.update(techs)
+        for field in level0_fields(dataset.papers[pid]):
+            for tid in techs:
+                weights[field, tid] += 1
+    return [InteractionCell(field, tid, names[tid], w) for (field, tid), w in sorted(weights.items())]
+
+
+def field_distribution(dataset: Dataset, paper_ids: Iterable[str]) -> FieldDistribution:
+    """interact.field_distribution by a count over each paper's level-0 fields, or UNCLASSIFIED."""
+    ids = set(paper_ids)
+    counts: Counter[str] = Counter()
+    for pid in ids:
+        for field in level0_fields(dataset.papers[pid]) or {UNCLASSIFIED}:
+            counts[field] += 1
+    return FieldDistribution(tuple(sorted(counts.items())), len(ids))
 
 
 def read_citations_dense(

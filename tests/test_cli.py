@@ -654,6 +654,14 @@ def _bad_count_then_bad_byte(b: bytes) -> bytes:
             "error: patents.csv line 2: ipc_codes ';C12Q1/68;G01N21/64;H01L29/06;' has an empty entry",
             id="patents.csv-ipc-codes-leading-and-trailing-empty-entries",
         ),
+        pytest.param(
+            "papers.csv",
+            lambda b: b.replace(
+                b"environmental science@0;sociology@0;molecular biology@1", b"biology@0;;physics@0", 1
+            ),
+            "error: papers.csv line 2: fields_of_study 'biology@0;;physics@0' has an empty entry",
+            id="papers.csv-fields-of-study-inner-empty-entry",
+        ),
         # A 5,000-character id is echoed as its first 40 characters and its length.
         pytest.param(
             "citations.csv",
@@ -892,6 +900,10 @@ def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, li
         ("min_total_citations = 0\n", "error: minimum citation total must be at least 1"),
         ("n_papers = 0\n", "error: n_papers must be at least 1"),
         ("share_delayed = 2\n", "error: shape shares must sum to 1, got 2.75"),
+        # A word list holds no empty entry, leading, inner or trailing.
+        ("terms = dispute,,contradict,\n", "error: config key 'terms' has an empty entry: 'dispute,,contradict,'"),
+        ("terms = , dispute\n", "error: config key 'terms' has an empty entry: ', dispute'"),
+        ("terms =\n", "error: terms must name at least one word"),
     ],
 )
 def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command, settings, line):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import re
 import shutil
 from datetime import date
 from functools import partial
@@ -659,9 +660,10 @@ def test_dataset_write_load_round_trip(tmp_path, table1):
 # Any text UTF-8 can encode, a carriage return and NUL included.
 CELL_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
 NONEMPTY_TEXT = CELL_TEXT.filter(bool)
-# The ValueErrors of the records whose values a ';'-packed cell cannot hold,
-# or that hold a carriage return or NUL, which no CSV cell carries alike on
-# every Python version.
+# The ValueErrors of the records whose values the files cannot carry back:
+# a ';' that a packed cell would split at; a carriage return or NUL, which no
+# CSV cell carries alike on every Python version; an empty text that reads
+# back as None; and a context value of another type than its JSON one.
 UNWRITABLE = {
     "field of study name must not contain ';'",
     "each IPC code must be non-empty and must not contain ';'",
@@ -670,7 +672,11 @@ UNWRITABLE = {
     "family_id and IPC codes must not contain a carriage return or NUL",
     "link ids must not contain a carriage return or NUL",
     "ipc_prefix, wipo_field_name and sector must not contain a carriage return or NUL",
+    "title, doi and pmid must be None or non-empty",
+    "sentence must be non-empty",
 }
+# The context type messages echo the value.
+MISTYPED = re.compile(r"(citing_id|cited_paper_id|sentence) .+ is not a JSON string|year .+ is not a JSON integer")
 
 
 @st.composite
@@ -678,7 +684,7 @@ def dataset_values(draw):
     """The values of every record of a dataset, as plain tuples, for records_of."""
     window_end = 2015
     fields = st.lists(st.tuples(NONEMPTY_TEXT, st.integers(0, 5)), max_size=3)
-    optional = st.none() | NONEMPTY_TEXT
+    optional = st.none() | CELL_TEXT
     papers = draw(
         st.dictionaries(
             NONEMPTY_TEXT,
@@ -700,7 +706,9 @@ def dataset_values(draw):
     )
     links = draw(st.lists(st.tuples(NONEMPTY_TEXT, NONEMPTY_TEXT), max_size=4))
     concordance = draw(st.lists(st.tuples(NONEMPTY_TEXT, st.integers(1, 35), CELL_TEXT, CELL_TEXT), max_size=4))
-    context = st.tuples(CELL_TEXT, CELL_TEXT, ints, NONEMPTY_TEXT)
+    # Half the contexts have their JSON types; the other half draw any type.
+    json_value = CELL_TEXT | ints | st.booleans() | st.none()
+    context = st.tuples(CELL_TEXT, CELL_TEXT, ints, NONEMPTY_TEXT) | st.tuples(*[json_value] * 4)
     contexts = draw(st.none() | st.lists(context, max_size=3))
     return window_end, papers, series, patents, links, concordance, contexts
 
@@ -730,6 +738,10 @@ def records_of(values) -> Dataset:
 @example((2015, {}, {}, {}, [("0", "0\r")], [], None))
 @example((2015, {"p1": (2000, "\x00", None, None, [])}, {}, {}, [], [], None))
 @example((2015, {}, {}, {}, [], [], [("c\r", "p\x00", 2000, "s\r\n\x00")]))
+@example((2015, {}, {}, {}, [], [], [("c", "p", "2003", "s")]))
+@example((2015, {}, {}, {}, [], [], [("c", "p", True, "s")]))
+@example((2015, {}, {}, {}, [], [], [(None, "p", 2003, "s")]))
+@example((2015, {"p1": (2000, "", None, None, [])}, {}, {}, [], [], None))
 def test_write_dataset_then_load_dataset_returns_equal_records(tmp_path_factory, values):
     """What write_dataset writes, load_dataset reads back as equal records.
 
@@ -739,7 +751,7 @@ def test_write_dataset_then_load_dataset_returns_equal_records(tmp_path_factory,
     try:
         dataset = records_of(values)
     except ValueError as exc:
-        assert str(exc) in UNWRITABLE
+        assert str(exc) in UNWRITABLE or MISTYPED.fullmatch(str(exc))
         return
     out = tmp_path_factory.mktemp("ds")
     ingest.write_dataset(dataset, out)

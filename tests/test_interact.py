@@ -136,6 +136,52 @@ def test_prefix_index_matches_linear_scan(concordance, codes):
             assert index.lookup(code) is reference.wipo_field_for(code, entries)
 
 
+# Tiny alphabets, so that drawn prefixes nest and some drawn codes match none.
+PREFIX_TEXT = st.text("AB", min_size=1, max_size=2)
+CODE_TEXT = st.text("AB1", min_size=1, max_size=3)
+
+
+@st.composite
+def linked_datasets(draw) -> tuple[Dataset, list[str]]:
+    """A small valid dataset of papers, families, links and concordance, and the paper ids to report on.
+
+    Fields of study come at levels 0 and 1, repeats included; families tie on
+    their priority year, and their ids sort apart from their draw order; links
+    and reported ids repeat. Each prefix has its own field id, and its entry's
+    name follows from that id, as the report keys names by id.
+    """
+    pids = [f"p{i}" for i in range(draw(st.integers(2, 4)))]
+    field = st.builds(FieldOfStudy, st.sampled_from(("bio", "chem", "med")), st.integers(0, 1))
+    fields = st.lists(field, max_size=3).map(tuple)
+    papers = {pid: PaperRecord(pid, 1980, fields_of_study=draw(fields)) for pid in pids}
+    family = st.tuples(st.integers(1990, 1991), st.lists(CODE_TEXT, min_size=1, max_size=3).map(tuple))
+    drawn = draw(st.dictionaries(st.text("fg1", min_size=1, max_size=2), family, min_size=2, max_size=6))
+    families = {fid: fam(fid, year, codes) for fid, (year, codes) in drawn.items()}
+    link = st.tuples(st.sampled_from(pids), st.sampled_from(list(families)))
+    links = draw(st.lists(link, min_size=3, max_size=12))
+    prefixes = draw(st.lists(PREFIX_TEXT, min_size=1, max_size=4, unique=True))
+    field_ids = draw(st.permutations(range(1, len(prefixes) + 1)))
+    dataset = Dataset(
+        papers=papers,
+        series={},
+        patents=families,
+        links=tuple(PatentCitationLink(*link) for link in links),
+        concordance=tuple(ConcordanceEntry(p, i, f"field {i}", "sector") for p, i in zip(prefixes, field_ids)),
+        window_end=1982,
+        contexts=None,
+    )
+    return dataset, draw(st.lists(st.sampled_from(pids), min_size=1, max_size=10))
+
+
+@given(linked_datasets())
+def test_interactions_and_field_counts_match_a_naive_count(drawn):
+    dataset, paper_ids = drawn
+    assert not ingest.validate_dataset(dataset).has_errors()
+    matrix = interact.interaction_matrix(dataset, paper_ids)
+    assert list(matrix.cells) == reference.interaction_cells(dataset, paper_ids)
+    assert interact.field_distribution(dataset, paper_ids) == reference.field_distribution(dataset, paper_ids)
+
+
 def test_singleton_matrix():
     ds = build_ds(
         {"p1": ("biology",)},

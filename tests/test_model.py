@@ -71,6 +71,12 @@ def test_from_counts_rejects_negative_and_empty_counts():
         (lambda: model.PatentFamilyRecord("f", 2000, (2000,), 0, ("A61K\r",)), "^family_id and IPC codes"),
         (lambda: model.PatentCitationLink("p", "f\r"), "^link ids must not contain a carriage return or NUL$"),
         (lambda: model.ConcordanceEntry("A61K", 16, "Pharma\rceuticals", "Chemistry"), "^ipc_prefix, wipo_field"),
+        (lambda: model.PaperRecord("p", 2000, title=""), "^title, doi and pmid must be None or non-empty$"),
+        (lambda: model.PaperRecord("p", 2000, doi=""), "^title, doi and pmid must be None or non-empty$"),
+        (lambda: model.CitationContextRecord("c", "p", "2003", "s"), "^year '2003' is not a JSON integer$"),
+        (lambda: model.CitationContextRecord("c", "p", True, "s"), "^year True is not a JSON integer$"),
+        (lambda: model.CitationContextRecord(None, "p", 2003, "s"), "^citing_id None is not a JSON string$"),
+        (lambda: model.CitationContextRecord("c", "p", 2003, 7), "^sentence 7 is not a JSON string$"),
     ],
     ids=[
         "field-semicolon",
@@ -85,13 +91,21 @@ def test_from_counts_rejects_negative_and_empty_counts():
         "ipc-cr",
         "link-cr",
         "concordance-cr",
+        "title-empty",
+        "doi-empty",
+        "context-year-text",
+        "context-year-bool",
+        "context-citing-id-null",
+        "context-sentence-number",
     ],
 )
 def test_records_refuse_what_the_files_cannot_hold(build, message):
-    """A ';' packs several values into one cell; an empty code is dropped on reading, an empty id refused.
+    """A ';' packs several values into one cell, so an entry holds none and is not empty; an empty id is refused.
 
     A carriage return or NUL is refused in every text written to a CSV cell:
     the csv module leaves a lone carriage return unquoted before Python 3.13.
+    An empty title, doi or pmid would read back as None, and a context value
+    of another type than its JSON one would be refused at load.
     """
     with pytest.raises(ValueError, match=message):
         build()
