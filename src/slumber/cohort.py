@@ -3,14 +3,15 @@
 Eligibility is a publication-year window plus a minimum citation total over
 the observation window. Ranking is by descending index with ties broken by
 ascending paper id, so the ordering is total and reproducible. The top
-ceil(fraction * N) papers form the delayed-recognition cohort (DR), the
-bottom ceil(fraction * N) the instant-recognition cohort (IR).
+ceil(fraction * N) papers, the fraction as written, are the delayed-recognition
+cohort (DR), the bottom ceil(fraction * N) the instant-recognition cohort (IR).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
@@ -121,5 +122,5 @@ def select_cohorts(
     ranked = [profiles[pid] for pid in ids]
     ranked.sort(key=attrgetter("bcp"), reverse=True)
     n = len(ranked)
-    size = math.ceil(fraction * n)
+    size = math.ceil(Fraction(str(fraction)) * n)  # 0.07 of 100 is 7, not ceil(7.000000000000001)
     return CohortResult(ranked=tuple(ranked), dr_cut=size, ir_cut=max(n - size, size))

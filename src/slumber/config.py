@@ -1,9 +1,10 @@
 """Every setting of a run, one SynthSpec field per key of a `--config FILE`.
 
-load_config reads the file's key=value lines. generate reads the fields up to
-min_total_citations, the analysis commands the window, the floor and the rest;
-each bound is checked when a SynthSpec is built, so every command refuses
-every bad key, also one it does not read.
+load_config reads the file's key=value lines through tables, as a dataset
+file is read, so a bad byte or line is a ConfigError 'FILE line N: reason'.
+generate reads the fields up to min_total_citations, the analysis commands
+the window, the floor and the rest; each bound is checked when a SynthSpec
+is built, so every command refuses every bad key, also one it does not read.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, _shown
-from .tables import strict_int
+from .errors import ConfigError, DataError, _shown
+from .tables import _at_line, _text, strict_int
 
 DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
 
@@ -64,6 +65,8 @@ class SynthSpec:
         if self.aagr_method not in ("arithmetic", "compound"):
             method = _shown(self.aagr_method)
             raise ConfigError(f"aagr_method must be arithmetic or compound, not {method}")
+        if type(self.terms) is not tuple or not all(type(t) is str for t in self.terms):
+            raise ConfigError(f"terms must be a tuple of words, not {_shown(self.terms)}")
         if not self.terms:
             raise ConfigError("terms must name at least one word")
 
@@ -96,26 +99,27 @@ def _coerce(key: str, raw: str):
 def load_config(path: Path | None) -> SynthSpec:
     """The settings of a file of key=value lines, or the defaults without one.
 
-    A leading byte-order mark is skipped, and a line ends at a line feed
-    only. Blank lines and # comments are ignored; a key given twice is an
-    error, and a rejected text is echoed cut short, like a rejected data cell.
+    Blank lines and # comments are ignored; a key given twice is an error,
+    and a rejected text is echoed cut short, like a rejected data cell.
     """
-    try:
-        lines = path.read_bytes().decode("utf-8-sig").split("\n") if path else []
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not valid UTF-8: {exc.reason}") from None
+    if path is None:
+        return SynthSpec()
     pairs: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {_shown(stripped)}")
-        key = key.strip()
-        if key in pairs:
-            raise ConfigError(f"{path}:{line_no}: config key {_shown(key)} given twice")
-        pairs[key] = value.strip()
+    line_no = 0
+    try:
+        with _text(path) as fh, _at_line(path, lambda: line_no):
+            for line_no, line in enumerate(map(str.strip, fh), start=1):
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"expected key=value, got {_shown(line)}")
+                key = key.strip()
+                if key in pairs:
+                    raise ValueError(f"config key {_shown(key)} given twice")
+                pairs[key] = value.strip()
+    except DataError as exc:  # the file's line errors are config errors
+        raise ConfigError(str(exc)) from None
     for key in pairs:
         if key not in _KEY_TYPES:
             raise ConfigError(f"unknown config key {_shown(key)}")

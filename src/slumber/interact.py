@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from operator import attrgetter
 from typing import Iterable
 
@@ -115,29 +116,12 @@ def interaction_matrix(
         families = grouped.get(pid)
         if not fields or not families:
             continue
-        first = earliest_family(families)
-        tech_ids = set()
-        for code in first.ipc_codes:
-            entry = index.lookup(code)
-            if entry is None:
-                continue
-            tech_ids.add(entry.wipo_field_id)
-            names[entry.wipo_field_id] = entry.wipo_field_name
-        if not tech_ids:
-            continue
-        for field in fields:
-            for tid in tech_ids:
-                weights[(field, tid)] += 1
-    cells = tuple(
-        InteractionCell(
-            field_of_study=field,
-            wipo_field_id=tid,
-            wipo_field_name=names[tid],
-            weight=w,
-        )
-        for (field, tid), w in sorted(weights.items())
-    )
-    return InteractionMatrix(cells=cells)
+        entries = filter(None, map(index.lookup, earliest_family(families).ipc_codes))
+        techs = {entry.wipo_field_id: entry.wipo_field_name for entry in entries}
+        names.update(techs)
+        weights.update(product(fields, techs))
+    cells = (InteractionCell(field, tid, names[tid], w) for (field, tid), w in sorted(weights.items()))
+    return InteractionMatrix(cells=tuple(cells))
 
 
 @dataclass(frozen=True, slots=True)

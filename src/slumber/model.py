@@ -1,26 +1,27 @@
 """Canonical data model shared by every analysis stage.
 
-All records are frozen dataclasses validated on construction, and each is
-the one home of its value rules: it refuses a value that write_dataset would
-write and load_dataset not read back equal, by the cell rules of tables or a
-context's JSON types, so the value fails where it is made. A loaded Dataset
-is treated as immutable. Every record but Dataset is slotted, so it
-has no __dict__ (read one with dataclasses.asdict, not vars). The values
-every analysis derives from a Dataset (its IPC lookup, each paper's curve
-profile and each paper's citing patent families) are cached properties:
-computed on first use and kept on that Dataset instance. A copy made with
-dataclasses.replace starts with an empty cache.
+All records are frozen dataclasses validated on construction, and each is the
+one home of its value rules: it refuses a value that write_dataset would write
+and load_dataset not read back equal, by the cell rules of tables or a
+context's JSON types, so the value fails where it is made. An integer field
+takes an int, not a float or a bool, and an IPC prefix is not blank. A loaded
+Dataset is treated as immutable. Every record but Dataset is slotted, so it has
+no __dict__ (read one with dataclasses.asdict, not vars). The values every
+analysis derives from a Dataset (its IPC lookup, each paper's curve profile and
+each paper's citing patent families) are cached properties: computed on first
+use and kept on that Dataset instance. A copy made with dataclasses.replace
+starts with an empty cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import lt
+from operator import countOf, lt
 from typing import TYPE_CHECKING
 
 from .errors import _shown
-from .tables import SEP, refuse_unwritable
+from .tables import SEP, not_an_integer, refuse_unwritable
 
 if TYPE_CHECKING:
     from .interact import IpcIndex
@@ -40,6 +41,8 @@ class FieldOfStudy:
         if SEP in self.name:
             raise ValueError(f"field of study name must not contain {SEP!r}")
         refuse_unwritable("field of study name", self.name)
+        if type(self.level) is not int:
+            raise not_an_integer("field of study level", self.level)
         if not 0 <= self.level <= 5:
             raise ValueError(f"field of study level {self.level} outside 0..5")
 
@@ -60,6 +63,8 @@ class PaperRecord:
         if "" in texts:  # an empty cell reads back as None
             raise ValueError("title, doi and pmid must be None or non-empty")
         refuse_unwritable("paper_id, title, doi and pmid", self.paper_id + "".join(filter(None, texts)))
+        if type(self.pub_year) is not int:
+            raise not_an_integer("pub_year", self.pub_year)
         # No upper bound: a paper after the dataset's window end is a
         # validation warning, not an unreadable record.
         if self.pub_year < MIN_PUB_YEAR:
@@ -81,8 +86,14 @@ class PatentFamilyRecord:
     def __post_init__(self) -> None:
         if not self.family_id:
             raise ValueError("family_id must be non-empty")
-        if not self.filing_years:
+        if type(self.earliest_priority_year) is not int:
+            raise not_an_integer("earliest_priority_year", self.earliest_priority_year)
+        if type(self.forward_citation_count) is not int:
+            raise not_an_integer("forward_citation_count", self.forward_citation_count)
+        if not (years := self.filing_years):
             raise ValueError("filing_years must be non-empty")
+        if countOf(map(type, years), int) != len(years):
+            raise not_an_integer("filing_years", next(y for y in years if type(y) is not int))
         if self.forward_citation_count < 0:
             raise ValueError("forward_citation_count must be non-negative")
         codes = "".join(self.ipc_codes)
@@ -112,8 +123,12 @@ class ConcordanceEntry:
     def __post_init__(self) -> None:
         if not self.ipc_prefix:
             raise ValueError("ipc_prefix must be non-empty")
+        if self.ipc_prefix.isspace():  # normalized, it is "", which every IPC code starts with
+            raise ValueError(f"ipc_prefix {_shown(self.ipc_prefix)} is blank")
         text = self.ipc_prefix + self.wipo_field_name + self.sector
         refuse_unwritable("ipc_prefix, wipo_field_name and sector", text)
+        if type(self.wipo_field_id) is not int:
+            raise not_an_integer("wipo_field_id", self.wipo_field_id)
         if not 1 <= self.wipo_field_id <= 35:
             raise ValueError(f"wipo_field_id {self.wipo_field_id} outside 1..35")
 
@@ -153,6 +168,10 @@ class CitationSeries:
     values: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.base_year) is not int:
+            raise not_an_integer("base_year", self.base_year)
+        if type(self.t_m) is not int:
+            raise not_an_integer("t_m", self.t_m)
         if self.t_m < 0:
             raise ValueError(f"window length t_m {self.t_m} is negative")
         offsets, values = self.offsets, self.values
@@ -160,6 +179,10 @@ class CitationSeries:
             raise ValueError("offsets and values must have the same length")
         if not offsets:
             return
+        entries = offsets + values  # both tuples' types in one pass
+        if countOf(map(type, entries), int) != len(entries):
+            i = next(i for i, v in enumerate(entries) if type(v) is not int)
+            raise not_an_integer("offsets" if i < len(offsets) else "values", entries[i])
         if offsets[0] < 0 or offsets[-1] > self.t_m:
             raise ValueError(f"year offsets must lie in [0, {self.t_m}]")
         if not all(map(lt, offsets, offsets[1:])):

@@ -7,10 +7,10 @@ Blank lines are skipped; every other row must have exactly as many cells as
 the header, since an unquoted delimiter inside a cell would otherwise shift
 or drop values.
 
-Both readers read a file once and check its bytes whole before any row: a
-file that is not UTF-8, or that holds a NUL or a carriage return outside a
-CRLF line end, is refused at the line of the first such byte. So CRLF files
-read as '\n' ones do, and every error counts lines as `wc -l` does.
+Both readers, and config.load_config, read a file once through _text, which
+checks its bytes whole first: bytes that are not UTF-8, a NUL or a carriage
+return outside a CRLF line end are refused at the line of the first one. So
+CRLF files read as '\n' ones do, and every error counts lines as `wc -l` does.
 
 JSON-lines files hold one object per line; blank lines are skipped on
 reading, and writing sorts the keys and keeps non-ASCII characters as they are.
@@ -29,7 +29,8 @@ with block, and a ValueError raised in it, by the reader (a wrong row width,
 bad JSON) or by the code that consumes the rows (a cell it cannot parse, a
 record it cannot build), leaves the block as DataError 'FILE line N: reason',
 N the first line of the row being read. So a consumer raises a plain ValueError
-and never counts lines.
+and never counts lines. _at_line makes that error, for a refused byte and a
+bad config line as well, so every input file names its errors alike.
 """
 
 from __future__ import annotations
@@ -81,7 +82,12 @@ def strict_int(name: str, text: str) -> int:
             # More digits than the int-string limit; Python's own text for it
             # differs between versions.
             pass
-    raise ValueError(f"{name} {_shown(text)} is not an integer")
+    raise not_an_integer(name, text)
+
+
+def not_an_integer(name: str, value: object) -> ValueError:
+    """strict_int's error, also for a record's integer field holding another type than int."""
+    return ValueError(f"{name} {_shown(value)} is not an integer")
 
 
 SEP = ";"  # joins a packed cell's entries
@@ -158,35 +164,32 @@ def _at_line(path: Path, line_num: Callable[[], int]) -> Iterator[None]:
     """A ValueError or csv.Error leaves the block as DataError 'FILE line N: reason', N = line_num()."""
     try:
         yield
-    except csv.Error as exc:
-        raise DataError(f"{path.name} line {line_num()}: unreadable row: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{path.name} line {line_num()}: {exc}") from None
+    except (csv.Error, ValueError) as exc:
+        reason = f"unreadable row: {exc}" if isinstance(exc, csv.Error) else exc
+        raise DataError(f"{path.name} line {line_num()}: {reason}") from None
 
 
 def _text(path: Path) -> io.TextIOWrapper:
     """The file's text for one reader, from one read of its bytes, which are checked first.
 
-    Refused in this order: bytes that are not UTF-8; a NUL, which Python
-    3.10's csv module refuses and later versions read; a lone carriage
-    return, which a reader would take for a line end that `wc -l` does not.
+    Refused at their line, in this order: bytes that are not UTF-8; a NUL,
+    which Python 3.10's csv module refuses and later versions read; a lone
+    carriage return, which a reader would take for a line end `wc -l` does not.
     """
     data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _refused(path, data, exc.start, f"not valid UTF-8: {exc.reason}") from None
-    if (at := data.find(b"\0")) >= 0:
-        raise _refused(path, data, at, "unreadable row: line contains NUL")
-    if lone_cr := re.search(rb"\r(?!\n)", data):
-        raise _refused(path, data, lone_cr.start(), "unreadable row: carriage return outside a CRLF line end")
+    at = 0  # the offset of the byte refused
+    with _at_line(path, lambda: data.count(b"\n", 0, at) + 1):
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = exc.start
+            raise ValueError(f"not valid UTF-8: {exc.reason}") from None
+        if (at := data.find(b"\0")) >= 0:
+            raise ValueError("unreadable row: line contains NUL")
+        if lone_cr := re.search(rb"\r(?!\n)", data):
+            at = lone_cr.start()
+            raise ValueError("unreadable row: carriage return outside a CRLF line end")
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
-
-
-def _refused(path: Path, data: bytes, at: int, reason: str) -> DataError:
-    """DataError 'FILE line N: reason', N the line of the file's byte `at`."""
-    line_no = data.count(b"\n", 0, at) + 1
-    return DataError(f"{path.name} line {line_no}: {reason}")
 
 
 def write_rows(

@@ -10,6 +10,7 @@ import math
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +28,8 @@ from slumber.model import (
     PaperRecord,
     PatentFamilyRecord,
 )
-from slumber.stats import AagrResult
+from slumber.patent import EARLIER, LAG_FROM_PUBLICATION, LATER, SAME, PatentIndicators
+from slumber.stats import AagrResult, TrendWindow
 from slumber.synth import DELAYED, INSTANT, LINEAR, NOISE
 from slumber.tables import read_rows
 
@@ -200,6 +202,57 @@ def field_distribution(dataset: Dataset, paper_ids: Iterable[str]) -> FieldDistr
     return FieldDistribution(tuple(sorted(counts.items())), len(ids))
 
 
+def indicators(dataset: Dataset, paper_ids: Iterable[str]) -> dict[str, PatentIndicators]:
+    """patent.compute_indicators by one family lookup per link, with the turning year of profile_dense.
+
+    A paper's citing families are those its links name, each once. The
+    earliest is the least by (earliest_priority_year, family_id); the latest
+    filing year is the greatest of any citing family.
+    """
+    result = {}
+    for pid in paper_ids:
+        links = [link for link in dataset.links if link.paper_id == pid]
+        families = {link.family_id: dataset.patents[link.family_id] for link in links}
+        first = earliest_citing_family(dataset, pid)
+        if first is None:
+            result[pid] = PatentIndicators(pid, 0)
+            continue
+        start = first.earliest_priority_year
+        latest = max(year for family in families.values() for year in family.filing_years)
+        relative = start - profile_dense(dataset.series[pid]).turning_year
+        timing = EARLIER if relative < 0 else SAME if relative == 0 else LATER
+        lag = start - dataset.papers[pid].pub_year
+        result[pid] = PatentIndicators(
+            pid, len(families), first.family_id, start, latest, latest - start,
+            first.forward_citation_count, lag, relative, timing,
+        )
+    return result
+
+
+def lag_trend(
+    inds: Iterable[PatentIndicators], dataset: Dataset, mode: str, width: int
+) -> list[TrendWindow]:
+    """patent.lag_trend_points, then stats.moving_window_mean, by a scan over every year of each window.
+
+    A linked paper gives the point (publication year, lag): years from
+    publication to its earliest family's priority, or in turning mode from
+    that priority back to the turning year. A window of `width` years is
+    kept when a point falls in it; starts run from the first year with a
+    point to the last such year less width - 1.
+    """
+    by_year: dict[int, list[float]] = {}
+    for ind in inds:
+        if ind.n_families:
+            lag = ind.first_citation_lag if mode == LAG_FROM_PUBLICATION else -ind.relative_timing
+            by_year.setdefault(dataset.papers[ind.paper_id].pub_year, []).append(float(lag))
+    windows = []
+    for start in range(min(by_year, default=0), max(by_year, default=-1) - width + 2):
+        values = [v for year in range(start, start + width) for v in sorted(by_year.get(year, ()))]
+        if values:
+            windows.append(TrendWindow(start, start + width - 1, sum(values) / len(values), len(values)))
+    return windows
+
+
 def read_citations_dense(
     path: Path, papers: dict[str, PaperRecord], window_end: int
 ) -> dict[str, CitationSeries]:
@@ -244,10 +297,14 @@ def read_citations_dense(
 def cohort_assignments(
     profiles: Mapping[str, CurveProfile], paper_ids: list[str], fraction: float
 ) -> list[CohortAssignment]:
-    """cohort.select_cohorts' records, ranked by the key (-bcp, paper_id)."""
+    """cohort.select_cohorts' records, ranked by the key (-bcp, paper_id).
+
+    Each cohort holds the ceiling of the exact product of n and the fraction
+    as written (its shortest decimal text), so 0.07 of 100 papers is 7.
+    """
     ranked = sorted(paper_ids, key=lambda pid: (-profiles[pid].bcp, pid))
     n = len(ranked)
-    size = math.ceil(fraction * n)
+    size = math.ceil(Fraction(str(fraction)) * n)
     ir_cut = max(n - size, size)
     return [
         CohortAssignment(

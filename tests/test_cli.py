@@ -801,6 +801,22 @@ def test_empty_required_text_exits_1(tmp_path, demo_dir, capsys, name, old, new,
     assert (code, stdout, err.splitlines()) == (1, "", [line])
 
 
+def test_a_blank_ipc_prefix_is_refused_at_its_line(tmp_path, demo_dir, capsys):
+    """Normalized, a blank prefix is '', which every IPC code starts with: it would map every unmapped code."""
+    ds_copy = tmp_path / "ds"
+    shutil.copytree(demo_dir, ds_copy)
+    path = ds_copy / "concordance.tsv"
+    rows = [row for row in path.read_bytes().splitlines(keepends=True) if not row.startswith(b"H01L\t")]
+    path.write_bytes(b"".join(rows))
+    code, stdout, _ = run(capsys, "validate", "--dataset", str(ds_copy))
+    assert (code, stdout.splitlines()[-1]) == (0, "0 errors, 1 warnings")
+    assert "IPC code 'H01L29/06' matches no concordance prefix" in stdout
+    path.write_bytes(b"".join(rows) + b" \t35\tCatch-all\tOther fields\n")
+    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
+    line = f"error: concordance.tsv line {len(rows) + 1}: ipc_prefix ' ' is blank"
+    assert (code, stdout, err.splitlines()) == (1, "", [line])
+
+
 def test_single_year_window_warns(tmp_path, demo_dir, capsys):
     """A paper published in the window's last year has no curve, which validation warns about."""
     ds_copy = tmp_path / "ds"
@@ -962,7 +978,7 @@ def test_repeated_config_key_exits_1(tmp_path, demo_dir, capsys):
         capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
     )
     assert code == 1
-    assert err.splitlines() == [f"error: {cfg}:3: config key 'fraction' given twice"]
+    assert err.splitlines() == ["error: run.cfg line 3: config key 'fraction' given twice"]
 
 
 LONG = "x" * 5000
@@ -973,8 +989,8 @@ LONG_SHOWN = "'" + "x" * 40 + "'… (5000 characters)"
     "settings, line",
     [
         pytest.param(f"{LONG}=1\n", f"unknown config key {LONG_SHOWN}", id="unknown-key"),
-        pytest.param(f"{LONG}=1\n{LONG}=2\n", "{cfg}:2: config key " + LONG_SHOWN + " given twice", id="repeat"),
-        pytest.param(f"{LONG}\n", "{cfg}:1: expected key=value, got " + LONG_SHOWN, id="no-equals"),
+        pytest.param(f"{LONG}=1\n{LONG}=2\n", f"run.cfg line 2: config key {LONG_SHOWN} given twice", id="repeat"),
+        pytest.param(f"{LONG}\n", f"run.cfg line 1: expected key=value, got {LONG_SHOWN}", id="no-equals"),
         pytest.param(f"pub_from={LONG}\n", f"config key 'pub_from' takes an integer, not {LONG_SHOWN}", id="int"),
         pytest.param(f"fraction={LONG}\n", f"config key 'fraction' has non-numeric value {LONG_SHOWN}", id="float"),
         pytest.param(
@@ -989,7 +1005,7 @@ def test_long_config_text_is_cut_short(tmp_path, demo_dir, capsys, settings, lin
         capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
     )
     assert code == 1
-    assert err.splitlines()[-1] == "error: " + line.format(cfg=cfg)
+    assert err.splitlines()[-1] == "error: " + line
     assert all(len(text.encode("utf-8")) < 200 for text in err.splitlines())
 
 
@@ -1000,7 +1016,28 @@ def test_config_file_not_utf8_exits_1(tmp_path, demo_dir, capsys):
         capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
     )
     assert code == 1
-    assert err.splitlines() == [f"error: {cfg}: not valid UTF-8: invalid continuation byte"]
+    assert err.splitlines() == ["error: run.cfg line 2: not valid UTF-8: invalid continuation byte"]
+
+
+LONE_CR = "unreadable row: carriage return outside a CRLF line end"
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"terms = dis\0pute\n", "run.cfg line 1: unreadable row: line contains NUL"),
+        (b"fraction=0.5\rwindow_width=3\r", f"run.cfg line 1: {LONE_CR}"),
+        (b"\xef\xbb\xbffraction=0.5\r\n\r\nterms=a\rb\n", f"run.cfg line 3: {LONE_CR}"),
+    ],
+    ids=["nul", "cr-only", "lone-cr-after-bom-and-crlf"],
+)
+def test_config_file_bytes_are_refused_as_a_dataset_file_is(tmp_path, demo_dir, capsys, data, line):
+    """A config file goes through the dataset files' byte check, and its errors name the line alike."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(data)
+    code, _, err = run(capsys, "validate", "--dataset", str(demo_dir), "--config", str(cfg))
+    assert code == 1
+    assert err.splitlines() == [f"error: {line}"]
 
 
 def test_config_parsing_units():
@@ -1015,6 +1052,13 @@ def test_config_parsing_units():
         SynthSpec(aagr_method="sideways")
     with pytest.raises(ConfigError):
         SynthSpec(terms=())
+
+
+@pytest.mark.parametrize("terms", ["dispute", ["dispute"], ("dispute", 1), (b"dispute",)])
+def test_terms_must_be_a_tuple_of_words(terms):
+    """A string would be iterated letter by letter: flag_contexts would match 'e' in 'Table e shows it'."""
+    with pytest.raises(ConfigError, match=r"^terms must be a tuple of words, not "):
+        SynthSpec(terms=terms)
 
 
 def test_load_config_coerces_synth_keys(tmp_path):

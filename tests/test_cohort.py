@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import re
 from collections import Counter
@@ -139,7 +140,8 @@ def test_ranking_matches_the_id_tiebreak_key():
             for pid, b in sorted(zip(ids, bcps))
         }
         vars(ds)["profiles"] = profiles  # the slot where Dataset caches its profiles
-        for fraction in (0.05, 1 / 3, 0.5):
+        # At 0.28 a float product drifts up for n = 25.
+        for fraction in (0.05, 0.28, 1 / 3, 0.5):
             result = cohort.select_cohorts(ds, 1990, 2004, 1, fraction=fraction)
             expected = reference.cohort_assignments(profiles, ids, fraction)
             assert list(result.assignments) == expected
@@ -148,6 +150,15 @@ def test_ranking_matches_the_id_tiebreak_key():
         if n == 1:
             # The cuts meet: the one paper is DR and IR is empty.
             assert result.members(cohort.IR) == ()
+
+
+def test_cohort_size_is_the_ceiling_of_the_written_fraction():
+    """In floats 0.07 * 100 is 7.000000000000001, whose ceiling would take 8 papers, not 7."""
+    assert math.ceil(0.07 * 100) == 8
+    ds = make_ds({f"p{i:03d}": (2000, late_counts(5 + i)) for i in range(100)})
+    for fraction, size in ((0.07, 7), (0.14, 14), (0.28, 28), (0.01, 1), (0.05, 5), (0.5, 50)):
+        result = cohort.select_cohorts(ds, 1990, 2004, 1, fraction=fraction)
+        assert (len(result.members(cohort.DR)), len(result.members(cohort.IR))) == (size, size)
 
 
 def test_fraction_bounds():

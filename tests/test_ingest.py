@@ -675,37 +675,52 @@ UNWRITABLE = {
     "title, doi and pmid must be None or non-empty",
     "sentence must be non-empty",
 }
-# The context type messages echo the value.
-MISTYPED = re.compile(r"(citing_id|cited_paper_id|sentence) .+ is not a JSON string|year .+ is not a JSON integer")
+# The type messages, and the blank-prefix one, echo the value.
+MISTYPED = re.compile(
+    r"(citing_id|cited_paper_id|sentence) .+ is not a JSON string|year .+ is not a JSON integer"
+    r"|(field of study level|pub_year|base_year|offsets|values|earliest_priority_year|filing_years"
+    r"|forward_citation_count|wipo_field_id) .+ is not an integer|ipc_prefix .+ is blank"
+)
 
 
 @st.composite
 def dataset_values(draw):
-    """The values of every record of a dataset, as plain tuples, for records_of."""
+    """The values of every record of a dataset, as plain tuples, for records_of.
+
+    In half the datasets an integer field may draw a float or a bool instead,
+    which the records refuse: written as '1990.0' or 'True', it would be
+    refused at load.
+    """
     window_end = 2015
-    fields = st.lists(st.tuples(NONEMPTY_TEXT, st.integers(0, 5)), max_size=3)
+    loose = draw(st.booleans())
+
+    def whole(ints):
+        return ints | ints.map(float) | st.booleans() if loose else ints
+
+    fields = st.lists(st.tuples(NONEMPTY_TEXT, whole(st.integers(0, 5))), max_size=3)
     optional = st.none() | CELL_TEXT
     papers = draw(
         st.dictionaries(
             NONEMPTY_TEXT,
-            st.tuples(st.integers(1800, window_end + 2), optional, optional, optional, fields),
+            st.tuples(whole(st.integers(1800, window_end + 2)), optional, optional, optional, fields),
             max_size=4,
         )
     )
     series = {}
     for pid, (pub_year, *_) in papers.items():
         if pub_year <= window_end:
-            t_m = window_end - pub_year
-            offsets = sorted(draw(st.sets(st.integers(0, t_m), max_size=4)))
-            values = [draw(st.integers(1, 10**6)) for _ in offsets]
+            t_m = window_end - int(pub_year)
+            offsets = sorted(draw(st.sets(whole(st.integers(0, t_m)), max_size=4)))
+            values = [draw(whole(st.integers(1, 10**6))) for _ in offsets]
             series[pid] = (pub_year, t_m, tuple(offsets), tuple(values))
-    ints = st.integers(-(10**6), 10**6)
+    ints = whole(st.integers(-(10**6), 10**6))
     filings, codes = st.lists(ints, min_size=1, max_size=3), st.lists(NONEMPTY_TEXT, max_size=3)
     patents = draw(
-        st.dictionaries(NONEMPTY_TEXT, st.tuples(ints, filings, st.integers(0, 10**6), codes), max_size=4)
+        st.dictionaries(NONEMPTY_TEXT, st.tuples(ints, filings, whole(st.integers(0, 10**6)), codes), max_size=4)
     )
     links = draw(st.lists(st.tuples(NONEMPTY_TEXT, NONEMPTY_TEXT), max_size=4))
-    concordance = draw(st.lists(st.tuples(NONEMPTY_TEXT, st.integers(1, 35), CELL_TEXT, CELL_TEXT), max_size=4))
+    entry = st.tuples(NONEMPTY_TEXT, whole(st.integers(1, 35)), CELL_TEXT, CELL_TEXT)
+    concordance = draw(st.lists(entry, max_size=4))
     # Half the contexts have their JSON types; the other half draw any type.
     json_value = CELL_TEXT | ints | st.booleans() | st.none()
     context = st.tuples(CELL_TEXT, CELL_TEXT, ints, NONEMPTY_TEXT) | st.tuples(*[json_value] * 4)
@@ -742,6 +757,10 @@ def records_of(values) -> Dataset:
 @example((2015, {}, {}, {}, [], [], [("c", "p", True, "s")]))
 @example((2015, {}, {}, {}, [], [], [(None, "p", 2003, "s")]))
 @example((2015, {"p1": (2000, "", None, None, [])}, {}, {}, [], [], None))
+@example((2015, {"p1": (1990.0, None, None, None, [])}, {}, {}, [], [], None))
+@example((2015, {}, {}, {"f": (1990.5, [1991.0], True, [])}, [], [], None))
+@example((2015, {}, {"p1": (2000, 15, (1, 2), (3, True))}, {}, [], [], None))
+@example((2015, {}, {}, {}, [], [(" \t", 35, "Catch-all", "Other fields")], None))
 def test_write_dataset_then_load_dataset_returns_equal_records(tmp_path_factory, values):
     """What write_dataset writes, load_dataset reads back as equal records.
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import reference
 from fixture_builders import DR_BIOLOGY, IR_BIOLOGY
-from slumber import ingest, interact
+from slumber import ingest, interact, patent, stats
 from slumber.model import (
     ConcordanceEntry,
     Dataset,
@@ -98,7 +98,7 @@ def test_a_code_looked_up_twice_is_probed_once(monkeypatch):
     assert probes == ["G01N33/48", "Z99Z9/99"]
 
 
-PREFIX_POOL = ("A", "A6", "A61", "A61B", "A61B5", "A61B5/0", "G01N", "G01N33", "C12N", "")
+PREFIX_POOL = ("A", "A6", "A61", "A61B", "A61B5", "A61B5/0", "G01N", "G01N33", "C12N")
 CODE_POOL = ("A61B5/00", "A61B6/00", "A62C3/00", "G01N33/48", "G01N27/00", "C12N15/09", "Z99Z9/99", "B01D1/00")
 
 
@@ -115,13 +115,12 @@ def spelling(draw, text: str) -> str:
 def concordances(draw) -> tuple[ConcordanceEntry, ...]:
     """Nested and repeated prefixes, spelled variously, with few distinct field ids.
 
-    A blank prefix normalizes to "" and so matches every code.
+    No prefix is blank: normalized, it would match every code, so the entry
+    refuses it.
     """
     entries = []
     for i in range(draw(st.integers(0, 12))):
         prefix = draw(spelling(draw(st.sampled_from(PREFIX_POOL))))
-        if not prefix:
-            prefix = draw(st.sampled_from((" ", "\t", "A")))
         field_id = draw(st.integers(min_value=1, max_value=4))
         entries.append(ConcordanceEntry(prefix, field_id, f"field {field_id} entry {i}", "sector"))
     return tuple(entries)
@@ -148,26 +147,42 @@ def linked_datasets(draw) -> tuple[Dataset, list[str]]:
     Fields of study come at levels 0 and 1, repeats included; families tie on
     their priority year, and their ids sort apart from their draw order; links
     and reported ids repeat. Each prefix has its own field id, and its entry's
-    name follows from that id, as the report keys names by id.
+    name follows from that id, as the report keys names by id. Every paper
+    has a curve, and a family's priority may come before, at or after a
+    paper's publication and turning years.
     """
+    window_end = 1982
     pids = [f"p{i}" for i in range(draw(st.integers(2, 4)))]
     field = st.builds(FieldOfStudy, st.sampled_from(("bio", "chem", "med")), st.integers(0, 1))
     fields = st.lists(field, max_size=3).map(tuple)
-    papers = {pid: PaperRecord(pid, 1980, fields_of_study=draw(fields)) for pid in pids}
-    family = st.tuples(st.integers(1990, 1991), st.lists(CODE_TEXT, min_size=1, max_size=3).map(tuple))
+    papers = {pid: PaperRecord(pid, draw(st.integers(1976, 1981)), fields_of_study=draw(fields)) for pid in pids}
+    series = {}
+    for pid, paper in papers.items():
+        t_m = window_end - paper.pub_year
+        counts = draw(st.lists(st.integers(0, 3), min_size=t_m + 1, max_size=t_m + 1).filter(any))
+        series[pid] = reference.series_from_counts(pid, paper.pub_year, counts)
+    family = st.tuples(
+        st.integers(1977, 1980),
+        st.lists(st.integers(0, 3), max_size=2),
+        st.integers(0, 2),
+        st.lists(CODE_TEXT, min_size=1, max_size=3).map(tuple),
+    )
     drawn = draw(st.dictionaries(st.text("fg1", min_size=1, max_size=2), family, min_size=2, max_size=6))
-    families = {fid: fam(fid, year, codes) for fid, (year, codes) in drawn.items()}
+    families = {
+        fid: PatentFamilyRecord(fid, year, (year, *sorted(year + d for d in later)), forward, codes)
+        for fid, (year, later, forward, codes) in drawn.items()
+    }
     link = st.tuples(st.sampled_from(pids), st.sampled_from(list(families)))
     links = draw(st.lists(link, min_size=3, max_size=12))
     prefixes = draw(st.lists(PREFIX_TEXT, min_size=1, max_size=4, unique=True))
     field_ids = draw(st.permutations(range(1, len(prefixes) + 1)))
     dataset = Dataset(
         papers=papers,
-        series={},
+        series=series,
         patents=families,
         links=tuple(PatentCitationLink(*link) for link in links),
         concordance=tuple(ConcordanceEntry(p, i, f"field {i}", "sector") for p, i in zip(prefixes, field_ids)),
-        window_end=1982,
+        window_end=window_end,
         contexts=None,
     )
     return dataset, draw(st.lists(st.sampled_from(pids), min_size=1, max_size=10))
@@ -180,6 +195,19 @@ def test_interactions_and_field_counts_match_a_naive_count(drawn):
     matrix = interact.interaction_matrix(dataset, paper_ids)
     assert list(matrix.cells) == reference.interaction_cells(dataset, paper_ids)
     assert interact.field_distribution(dataset, paper_ids) == reference.field_distribution(dataset, paper_ids)
+
+
+@given(linked_datasets())
+def test_indicators_and_lag_trends_match_a_naive_pass(drawn):
+    """compute_indicators against one family lookup per link; the lag trends against a dense year scan."""
+    dataset, paper_ids = drawn
+    indicators = patent.compute_indicators(dataset, paper_ids)
+    assert indicators == reference.indicators(dataset, paper_ids)
+    for mode in (patent.LAG_FROM_PUBLICATION, patent.LAG_FROM_TURNING):
+        points = patent.lag_trend_points(indicators.values(), dataset, mode)
+        for width in (1, 2, 3):
+            windows = stats.moving_window_mean(points, width)
+            assert list(windows) == reference.lag_trend(indicators.values(), dataset, mode, width)
 
 
 def test_singleton_matrix():

@@ -77,6 +77,18 @@ def test_from_counts_rejects_negative_and_empty_counts():
         (lambda: model.CitationContextRecord("c", "p", True, "s"), "^year True is not a JSON integer$"),
         (lambda: model.CitationContextRecord(None, "p", 2003, "s"), "^citing_id None is not a JSON string$"),
         (lambda: model.CitationContextRecord("c", "p", 2003, 7), "^sentence 7 is not a JSON string$"),
+        (lambda: model.FieldOfStudy("arts", 0.0), "^field of study level 0.0 is not an integer$"),
+        (lambda: model.PaperRecord("p", 1990.0), "^pub_year 1990.0 is not an integer$"),
+        (lambda: model.PaperRecord("p", True), "^pub_year True is not an integer$"),
+        (lambda: model.PatentFamilyRecord("f", 1990.5, (1991.0,), True), "^earliest_priority_year 1990.5 is not an"),
+        (lambda: model.PatentFamilyRecord("f", 1990, (1991, 1992.0), 0), "^filing_years 1992.0 is not an integer$"),
+        (lambda: model.PatentFamilyRecord("f", 1990, (1991,), False), "^forward_citation_count False is not an"),
+        (lambda: model.ConcordanceEntry("A61K", 16.0, "Pharma", "Chemistry"), "^wipo_field_id 16.0 is not an"),
+        (lambda: model.ConcordanceEntry(" \t", 35, "Catch-all", "Other fields"), r"^ipc_prefix ' \\t' is blank$"),
+        (lambda: CitationSeries("p", 2000.0, 3), "^base_year 2000.0 is not an integer$"),
+        (lambda: CitationSeries("p", 2000, True), "^t_m True is not an integer$"),
+        (lambda: CitationSeries("p", 2000, 3, (1, 2.0), (1, 1)), "^offsets 2.0 is not an integer$"),
+        (lambda: CitationSeries("p", 2000, 3, (1, 2), (1, True)), "^values True is not an integer$"),
     ],
     ids=[
         "field-semicolon",
@@ -97,6 +109,18 @@ def test_from_counts_rejects_negative_and_empty_counts():
         "context-year-bool",
         "context-citing-id-null",
         "context-sentence-number",
+        "field-level-float",
+        "pub-year-float",
+        "pub-year-bool",
+        "priority-float",
+        "filing-year-float",
+        "forward-count-bool",
+        "field-id-float",
+        "blank-prefix",
+        "base-year-float",
+        "t-m-bool",
+        "offset-float",
+        "count-bool",
     ],
 )
 def test_records_refuse_what_the_files_cannot_hold(build, message):
@@ -105,7 +129,8 @@ def test_records_refuse_what_the_files_cannot_hold(build, message):
     A carriage return or NUL is refused in every text written to a CSV cell:
     the csv module leaves a lone carriage return unquoted before Python 3.13.
     An empty title, doi or pmid would read back as None, and a context value
-    of another type than its JSON one would be refused at load.
+    of another type than its JSON one would be refused at load, as would a
+    float or a bool in an integer field. A blank IPC prefix would match every code.
     """
     with pytest.raises(ValueError, match=message):
         build()
