@@ -2,9 +2,10 @@
 
 The analysis commands read `--dataset DIR` and write reports under
 `--out DIR`; `validate` reads a dataset and writes nothing, and `synth`
-writes a dataset under `--out DIR`. Every command reads its settings from
-`--config FILE` through config.load_config. Exit codes: 0 success, 1 bad
-data or configuration, 2 I/O failure, or a command line that does not parse.
+writes a dataset under `--out DIR`. Before any file is read, the settings
+file `--config FILE` (config.load_config) included, main checks the flags
+the command table names. Exit codes: 0 success, 1 bad data or configuration
+(a missing flag too), 2 I/O failure, or a command line that does not parse.
 
 Each analysis command builds its own report rows in a fixed column order and
 writes them with the tables module. Every float is rendered with
@@ -45,16 +46,10 @@ from .tables import write_json_lines, write_rows
 DEGENERATE_LABEL = "DegeneratePool"
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise ConfigError(f"this command requires {flag}")
-    return value
-
-
 def _load_and_validate(args) -> tuple[SynthSpec, Dataset, ValidationReport]:
     """The settings, then the `--dataset` they read, then the dataset's validation report."""
     config = load_config(args.config)
-    dataset = ingest.load_dataset(_require(args.dataset, "--dataset"), config.window_end)
+    dataset = ingest.load_dataset(args.dataset, config.window_end)
     return config, dataset, ingest.validate_dataset(dataset)
 
 
@@ -90,7 +85,7 @@ class Run:
             for issue in report.errors():
                 print(f"error {_issue_text(issue)}")
             raise DataError(f"dataset failed validation with {len(report.errors())} errors")
-        self.out = Path(_require(args.out, "--out"))
+        self.out = args.out
         self.out.mkdir(parents=True, exist_ok=True)
 
     @cached_property
@@ -273,10 +268,9 @@ def cmd_synth(args) -> int:
     spec = load_config(args.config)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    out = Path(_require(args.out, "--out"))
     result = synth.generate(spec)
-    ingest.write_dataset(result.dataset, out)
-    print(f"wrote dataset with {spec.n_papers} papers to {out}")
+    ingest.write_dataset(result.dataset, args.out)
+    print(f"wrote dataset with {spec.n_papers} papers to {args.out}")
     return 0
 
 
@@ -300,20 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Delayed- vs instant-recognition citation analytics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, blurb in (
-        ("profile", cmd_profile, "per-paper curve profiles"),
-        ("cohort", cmd_cohort, "rank papers and pick the DR/IR cohorts"),
-        ("patents", cmd_patents, "per-paper patent-linkage indicators"),
-        ("table1", cmd_table1, "DR vs IR binary-indicator comparison"),
-        ("lag-trend", cmd_lag_trend, "moving-window lag trends and summaries"),
-        ("interactions", cmd_interactions, "field-of-study x technology-field matrices"),
-        ("aagr", cmd_aagr, "per-paper citation growth from the turning year"),
-        ("flag-contexts", cmd_flag_contexts, "flag citation sentences by term list"),
-        ("synth", cmd_synth, "generate a synthetic dataset directory"),
-        ("validate", cmd_validate, "check a dataset and print issues"),
+    analysis = ("dataset", "out")  # the flags each command needs, which main checks first
+    for name, handler, required, blurb in (
+        ("profile", cmd_profile, analysis, "per-paper curve profiles"),
+        ("cohort", cmd_cohort, analysis, "rank papers and pick the DR/IR cohorts"),
+        ("patents", cmd_patents, analysis, "per-paper patent-linkage indicators"),
+        ("table1", cmd_table1, analysis, "DR vs IR binary-indicator comparison"),
+        ("lag-trend", cmd_lag_trend, analysis, "moving-window lag trends and summaries"),
+        ("interactions", cmd_interactions, analysis, "field-of-study x technology-field matrices"),
+        ("aagr", cmd_aagr, analysis, "per-paper citation growth from the turning year"),
+        ("flag-contexts", cmd_flag_contexts, analysis, "flag citation sentences by term list"),
+        ("synth", cmd_synth, ("out",), "generate a synthetic dataset directory"),
+        ("validate", cmd_validate, ("dataset",), "check a dataset and print issues"),
     ):
         p = sub.add_parser(name, parents=[shared], help=blurb)
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, required=required)
     sub.choices["synth"].add_argument("--seed", type=int, default=None, help="random seed")
     return parser
 
@@ -324,6 +319,8 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        if missing := [flag for flag in args.required if getattr(args, flag) is None]:
+            raise ConfigError(f"this command requires --{missing[0]}")  # before any file is read
         if args.command in ("synth", "validate"):
             return args.func(args)
         args.func(Run(args))

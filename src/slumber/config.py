@@ -3,8 +3,8 @@
 load_config reads the file's key=value lines through tables, as a dataset
 file is read, so a bad byte or line is a ConfigError 'FILE line N: reason'.
 generate reads the fields up to min_total_citations, the analysis commands
-the window, the floor and the rest; each bound is checked when a SynthSpec
-is built, so every command refuses every bad key, also one it does not read.
+the rest. Each bound and each `terms` rule is checked when a SynthSpec is
+built, so every command refuses every bad key, also one it does not read.
 """
 
 from __future__ import annotations
@@ -69,6 +69,11 @@ class SynthSpec:
             raise ConfigError(f"terms must be a tuple of words, not {_shown(self.terms)}")
         if not self.terms:
             raise ConfigError("terms must name at least one word")
+        folded = set()  # flag_contexts matches a term whatever its case
+        for term in self.terms:
+            if term.casefold() in folded:
+                raise ConfigError(f"terms lists {_shown(term)} twice, ignoring case")
+            folded.add(term.casefold())
 
 
 # Each config key's type, from the default of the SynthSpec field it fills.

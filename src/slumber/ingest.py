@@ -1,15 +1,16 @@
 """Readers, writers, and validation for the on-disk dataset layout.
 
-A dataset directory holds papers.csv, citations.csv (sparse: a row per
-paper and cited year; missing years are 0), patents.csv, links.csv,
-concordance.tsv (tab-separated) and, optionally, contexts.jsonl (one object
-per line with the fields of CitationContextRecord). The *_COLUMNS constants
-below name each table's columns; the file format itself, with its packed
-cells fields_of_study (name@level pairs), filing_years and ipc_codes, belongs
-to the tables module. Writers emit sorted rows, so rewriting an unchanged
-dataset is byte-identical. A CitationSeries stays sparse in memory too:
-read_citations builds each one straight from its paper's rows, with no list
-over the window's years, and write_citations writes just the cited years.
+A dataset directory holds papers.csv, citations.csv (sparse: a row per paper
+and cited year; missing years are 0), patents.csv, links.csv, concordance.tsv
+(tab-separated) and, optionally, contexts.jsonl (one object per line with the
+fields of CitationContextRecord). The *_COLUMNS constants below name each
+table's columns; the file format itself, with its packed cells fields_of_study
+(name@level pairs), filing_years and ipc_codes, belongs to the tables module.
+Writers emit sorted rows, so rewriting an unchanged dataset is byte-identical,
+and write_dataset deletes an old contexts.jsonl when the dataset has none. A
+CitationSeries stays sparse in memory too: read_citations builds each one
+straight from its paper's rows, with no list over the window's years, and
+write_citations writes just the cited years.
 
 Each integer column parses with tables.strict_int, as does each level of a
 fields_of_study cell. Every such column goes through a tables._CellMemo, the
@@ -19,7 +20,8 @@ _MEMO_CAP distinct cells is parsed once, and a repeat is one dict lookup.
 Each parser reads its file in one tables reader block and raises a plain
 ValueError for a bad row, which the reader turns into DataError 'FILE line
 N: reason' (exit code 1); missing or unreadable files raise OSError (2).
-The records refuse what a cell cannot carry, and a context of a wrong JSON type.
+The records refuse what a cell cannot carry, a context of a wrong JSON type,
+and an ipc_prefix that model.normalize_ipc leaves blank.
 """
 
 from __future__ import annotations
@@ -295,8 +297,11 @@ def write_dataset(dataset: Dataset, directory: str | Path) -> None:
     write_patents(dataset.patents.values(), root / PATENTS_FILE)
     write_links(dataset.links, root / LINKS_FILE)
     write_concordance(dataset.concordance, root / CONCORDANCE_FILE)
-    if dataset.contexts is not None:
-        write_contexts(dataset.contexts, root / CONTEXTS_FILE)
+    contexts = root / CONTEXTS_FILE
+    if dataset.contexts is None:
+        contexts.unlink(missing_ok=True)  # an old file would load back as this dataset's
+    else:
+        write_contexts(dataset.contexts, contexts)
 
 
 def validate_dataset(dataset: Dataset) -> ValidationReport:

@@ -1,11 +1,11 @@
 """Science-technology field interactions.
 
 IPC codes map to technology fields through longest-prefix concordance
-matching (codes and prefixes are compared uppercased with whitespace
-removed). For each paper the cross product of its distinct top-level fields
-of study and the distinct technology fields of its earliest citing patent
-family contributes weight 1 per pair; the matrix sums these over papers, so
-total weight is conserved as the sum over papers of |fields| * |tech fields|.
+matching (codes and prefixes compare as model.normalize_ipc gives them). For
+each paper the cross product of its distinct top-level fields of study and
+the distinct technology fields of its earliest citing patent family
+contributes weight 1 per pair; the matrix sums these over papers, so total
+weight is conserved as the sum over papers of |fields| * |tech fields|.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterable
 
-from .model import ConcordanceEntry, Dataset
+from .model import ConcordanceEntry, Dataset, normalize_ipc
 from .patent import earliest_family
 from .tables import _CellMemo
 
 UNCLASSIFIED = "unclassified"
-
-
-def normalize_ipc(code: str) -> str:
-    """Uppercase and strip all whitespace, e.g. 'a61k 31/00' -> 'A61K31/00'."""
-    return "".join(code.split()).upper()
 
 
 class IpcIndex:

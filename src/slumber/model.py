@@ -4,13 +4,13 @@ All records are frozen dataclasses validated on construction, and each is the
 one home of its value rules: it refuses a value that write_dataset would write
 and load_dataset not read back equal, by the cell rules of tables or a
 context's JSON types, so the value fails where it is made. An integer field
-takes an int, not a float or a bool, and an IPC prefix is not blank. A loaded
-Dataset is treated as immutable. Every record but Dataset is slotted, so it has
-no __dict__ (read one with dataclasses.asdict, not vars). The values every
-analysis derives from a Dataset (its IPC lookup, each paper's curve profile and
-each paper's citing patent families) are cached properties: computed on first
-use and kept on that Dataset instance. A copy made with dataclasses.replace
-starts with an empty cache.
+takes an int, not a float or a bool, and an IPC prefix is not blank under
+normalize_ipc. A loaded Dataset is treated as immutable. Every record but
+Dataset is slotted, so it has no __dict__ (read one with dataclasses.asdict,
+not vars). The values every analysis derives from a Dataset (its IPC lookup,
+each paper's curve profile and each paper's citing patent families) are cached
+properties: computed on first use and kept on that Dataset instance. A copy
+made with dataclasses.replace starts with an empty cache.
 """
 
 from __future__ import annotations
@@ -113,6 +113,11 @@ class PatentCitationLink:
         refuse_unwritable("link ids", self.paper_id + self.family_id)
 
 
+def normalize_ipc(code: str) -> str:
+    """Uppercase and strip all whitespace, e.g. 'a61k 31/00' -> 'A61K31/00'."""
+    return "".join(code.split()).upper()
+
+
 @dataclass(frozen=True, slots=True)
 class ConcordanceEntry:
     ipc_prefix: str
@@ -121,9 +126,7 @@ class ConcordanceEntry:
     sector: str
 
     def __post_init__(self) -> None:
-        if not self.ipc_prefix:
-            raise ValueError("ipc_prefix must be non-empty")
-        if self.ipc_prefix.isspace():  # normalized, it is "", which every IPC code starts with
+        if not normalize_ipc(self.ipc_prefix):  # every IPC code would start with it
             raise ValueError(f"ipc_prefix {_shown(self.ipc_prefix)} is blank")
         text = self.ipc_prefix + self.wipo_field_name + self.sector
         refuse_unwritable("ipc_prefix, wipo_field_name and sector", text)

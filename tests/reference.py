@@ -21,6 +21,7 @@ from slumber.errors import DataError, _shown
 from slumber.ingest import CITATION_COLUMNS
 from slumber.interact import UNCLASSIFIED, FieldDistribution, InteractionCell, normalize_ipc
 from slumber.model import (
+    CitationContextRecord,
     CitationSeries,
     ConcordanceEntry,
     CurveProfile,
@@ -315,6 +316,91 @@ def cohort_assignments(
         )
         for i, pid in enumerate(ranked)
     ]
+
+
+def flagged_contexts(
+    contexts: Iterable[CitationContextRecord], terms: Sequence[str]
+) -> list[tuple[CitationContextRecord, tuple[str, ...]]]:
+    """ingest.flag_contexts by a scan of every position of each sentence, without re.
+
+    A term is found where the lowercased sentence holds the lowercased term
+    and neither neighbour is a word character (str.isalnum() or '_').
+    Lowercasing keeps every position only in ASCII, so the tests draw ASCII.
+    """
+
+    def found(sentence: str, term: str) -> bool:
+        text, word, n = sentence.lower(), term.lower(), len(term)
+        for i in range(len(text) - n + 1):
+            neighbours = text[max(i - 1, 0) : i] + text[i + n : i + n + 1]
+            if text[i : i + n] == word and not any(c.isalnum() or c == "_" for c in neighbours):
+                return True
+        return False
+
+    flagged = []
+    for rec in contexts:
+        matched = tuple(term for term in terms if found(rec.sentence, term))
+        if matched:
+            flagged.append((rec, matched))
+    return flagged
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".6f")
+
+
+def profiled_ids(dataset: Dataset) -> list[str]:
+    """The papers with a curve, by id: some citation, and a window of two years or more."""
+    return sorted(pid for pid, s in dataset.series.items() if sum(dense_counts(s)) and s.t_m >= 1)
+
+
+def profile_rows(dataset: Dataset) -> list[tuple]:
+    """The `profile` report's rows, each from profile_dense."""
+    rows = []
+    for pid in profiled_ids(dataset):
+        series = dataset.series[pid]
+        prof = profile_dense(series)
+        rows.append((
+            pid, dataset.papers[pid].pub_year, series.t_m, sum(dense_counts(series)),
+            _fmt(prof.bcp), prof.turning_t, prof.turning_year, prof.turning_type,
+        ))
+    return rows
+
+
+def cohort_rows(
+    dataset: Dataset, pub_from: int, pub_to: int, min_total_citations: int, fraction: float
+) -> list[tuple]:
+    """The `cohort` report's rows: cohort_assignments over the profiled papers in the window and at the floor.
+
+    No eligible paper raises DataError, as the command does.
+    """
+    ids = [
+        pid
+        for pid in profiled_ids(dataset)
+        if pub_from <= dataset.papers[pid].pub_year <= pub_to
+        and sum(dense_counts(dataset.series[pid])) >= min_total_citations
+    ]
+    if not ids:
+        raise DataError("no paper satisfies the eligibility filter")
+    profiles = {pid: profile_dense(dataset.series[pid]) for pid in ids}
+    return [(a.paper_id, a.rank, _fmt(a.bcp), a.cohort) for a in cohort_assignments(profiles, ids, fraction)]
+
+
+def aagr_rows(dataset: Dataset, method: str) -> list[tuple]:
+    """The `aagr` report's rows: aagr_dense over every year from each turning year to the window end.
+
+    A paper whose growth rate raises DataError is left out, as the command skips it.
+    """
+    rows = []
+    for pid in profiled_ids(dataset):
+        series = dataset.series[pid]
+        years = [(series.base_year + t, c) for t, c in enumerate(dense_counts(series))]
+        try:
+            res = aagr_dense(years, profile_dense(series).turning_year, dataset.window_end, method)
+        except DataError:
+            continue
+        growth = _fmt(res.value_percent)
+        rows.append((pid, res.base_year, res.end_year, res.method, growth, res.skipped_years))
+    return rows
 
 
 def delayed_counts_dense(rng: random.Random, t_m: int) -> list[int]:

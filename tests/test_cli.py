@@ -12,16 +12,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
+from fixture_builders import linked_datasets
 from slumber import cli, curve, ingest, patent
 from slumber.config import SynthSpec, _coerce, load_config
-from slumber.errors import ConfigError
-from slumber.model import CitationSeries
+from slumber.errors import ConfigError, DataError
+from slumber.model import CitationContextRecord, CitationSeries, Dataset
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -780,7 +784,7 @@ def test_a_row_error_names_the_line_the_row_starts_on(tmp_path, demo_dir, capsys
             "error: papers.csv line 2: field of study name must be non-empty",
         ),
         ("patents.csv", b"\nf00000,", b"\n,", "error: patents.csv line 2: family_id must be non-empty"),
-        ("concordance.tsv", b"\nA61B\t", b"\n\t", "error: concordance.tsv line 2: ipc_prefix must be non-empty"),
+        ("concordance.tsv", b"\nA61B\t", b"\n\t", "error: concordance.tsv line 2: ipc_prefix '' is blank"),
         (
             "contexts.jsonl",
             b'"sentence": "These measurements contradict the rate constants from p00006."',
@@ -801,7 +805,8 @@ def test_empty_required_text_exits_1(tmp_path, demo_dir, capsys, name, old, new,
     assert (code, stdout, err.splitlines()) == (1, "", [line])
 
 
-def test_a_blank_ipc_prefix_is_refused_at_its_line(tmp_path, demo_dir, capsys):
+@pytest.mark.parametrize("blank", [" ", "\u3000 "])
+def test_a_blank_ipc_prefix_is_refused_at_its_line(tmp_path, demo_dir, capsys, blank):
     """Normalized, a blank prefix is '', which every IPC code starts with: it would map every unmapped code."""
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
@@ -811,9 +816,9 @@ def test_a_blank_ipc_prefix_is_refused_at_its_line(tmp_path, demo_dir, capsys):
     code, stdout, _ = run(capsys, "validate", "--dataset", str(ds_copy))
     assert (code, stdout.splitlines()[-1]) == (0, "0 errors, 1 warnings")
     assert "IPC code 'H01L29/06' matches no concordance prefix" in stdout
-    path.write_bytes(b"".join(rows) + b" \t35\tCatch-all\tOther fields\n")
+    path.write_bytes(b"".join(rows) + f"{blank}\t35\tCatch-all\tOther fields\n".encode())
     code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
-    line = f"error: concordance.tsv line {len(rows) + 1}: ipc_prefix ' ' is blank"
+    line = f"error: concordance.tsv line {len(rows) + 1}: ipc_prefix {blank!r} is blank"
     assert (code, stdout, err.splitlines()) == (1, "", [line])
 
 
@@ -920,6 +925,8 @@ def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, li
         ("terms = dispute,,contradict,\n", "error: config key 'terms' has an empty entry: 'dispute,,contradict,'"),
         ("terms = , dispute\n", "error: config key 'terms' has an empty entry: ', dispute'"),
         ("terms =\n", "error: terms must name at least one word"),
+        # flag_contexts matches a term whatever its case, so a repeat would be reported twice.
+        ("terms = dispute, Dispute\n", "error: terms lists 'Dispute' twice, ignoring case"),
     ],
 )
 def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command, settings, line):
@@ -930,7 +937,7 @@ def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command
     missing = tmp_path / "missing"
     code, _, err = run(capsys, command, "--dataset", str(missing), "--out", str(out), "--config", str(cfg))
     assert code == 1
-    assert err.splitlines()[-1] == line
+    assert err.splitlines() == [line]
     assert not out.exists()
 
 
@@ -951,10 +958,24 @@ def test_unparsable_command_line_exits_2(tmp_path, demo_dir, capsys):
     assert "unrecognized arguments: --confg x" in capsys.readouterr().err
 
 
-def test_missing_required_flag_exits_1(tmp_path, capsys):
-    code, _, err = run(capsys, "profile", "--out", str(tmp_path / "out"))
-    assert code == 1
-    assert "--dataset" in err
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ("profile --out {tmp}/out", "--dataset"),
+        ("table1 --dataset {tmp}/missing", "--out"),
+        ("table1 --dataset {demo} --config {tmp}/missing.cfg", "--out"),
+        ("validate --out {tmp}/out", "--dataset"),
+        ("synth --seed 1", "--out"),
+    ],
+)
+def test_missing_required_flag_exits_1_before_any_file_is_read(
+    tmp_path, demo_dir, capsys, monkeypatch, argv, flag
+):
+    """A missing dataset directory or config file would exit 2; an existing dataset is not loaded."""
+    monkeypatch.setattr(ingest, "load_dataset", None)
+    code, stdout, err = run(capsys, *argv.format(tmp=tmp_path, demo=demo_dir).split())
+    assert (code, stdout, err.splitlines()) == (1, "", [f"error: this command requires {flag}"])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_config_key_exits_1(tmp_path, demo_dir, capsys):
@@ -1052,6 +1073,8 @@ def test_config_parsing_units():
         SynthSpec(aagr_method="sideways")
     with pytest.raises(ConfigError):
         SynthSpec(terms=())
+    with pytest.raises(ConfigError, match=r"^terms lists 'DISPUTE' twice, ignoring case$"):
+        SynthSpec(terms=("dispute", "refute", "DISPUTE", "Refute"))
 
 
 @pytest.mark.parametrize("terms", ["dispute", ["dispute"], ("dispute", 1), (b"dispute",)])
@@ -1152,6 +1175,87 @@ def test_reports_are_byte_identical_across_runs(tmp_path, table1_dir, half_confi
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# ASCII pieces of drawn sentences: joined with no gap they give longer words,
+# and a digit or '_' beside a term.
+SENTENCE_PIECES = st.sampled_from(
+    ("dispute", "DISPUTES", "9dispute", "Refute", "_refute", "refute", "in", "contrast", "x", "_")
+)
+GAPS = st.sampled_from(("", " ", "", "  ", ",", "-"))
+TERMS = ("refute", "dispute", "in contrast", "contrast")
+
+
+@st.composite
+def report_cases(draw) -> tuple[Dataset, dict[str, object]]:
+    """A drawn dataset with drawn contexts, or none, and the settings of a run over it.
+
+    Some contexts cite a paper the dataset lacks, which validation only warns about.
+    """
+    dataset, _ = draw(linked_datasets())
+    sentence = st.lists(st.tuples(GAPS, SENTENCE_PIECES), min_size=1, max_size=8).map(
+        lambda parts: "".join(gap + piece for gap, piece in parts)
+    )
+    cited = st.sampled_from([*dataset.papers, "p9"])
+    year = st.integers(1976, 1990)
+    context = st.builds(CitationContextRecord, st.sampled_from(("c0", "c1")), cited, year, sentence)
+    contexts = tuple(draw(st.lists(context, max_size=10)))
+    if not contexts and draw(st.booleans()):
+        contexts = None
+    words = draw(st.lists(st.sampled_from(TERMS), min_size=1, max_size=4, unique=True))
+    terms = tuple(draw(st.sampled_from((word, word.upper(), word.title()))) for word in words)
+    config = {
+        "window_end": dataset.window_end,
+        "pub_from": draw(st.integers(1975, 1978)),
+        "pub_to": draw(st.integers(1979, 1981)),
+        "min_total_citations": draw(st.integers(1, 6)),
+        "fraction": draw(st.sampled_from((0.01, 0.25, 0.3, 0.5))),
+        "aagr_method": draw(st.sampled_from(("arithmetic", "compound"))),
+        "terms": terms,
+    }
+    return replace(dataset, contexts=contexts), config
+
+
+PROFILE_COLUMNS = (
+    "paper_id", "pub_year", "t_m", "total_citations", "bcp", "turning_t", "turning_year", "turning_type"
+)
+COHORT_COLUMNS = ("paper_id", "rank", "bcp", "cohort")
+AAGR_COLUMNS = ("paper_id", "base_year", "end_year", "method", "aagr_percent", "skipped_years")
+
+
+def csv_text(columns: tuple[str, ...], rows: list[tuple]) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
+
+
+@settings(max_examples=50, deadline=None)
+@given(report_cases())
+def test_reports_match_naive_rows_on_drawn_datasets(case):
+    """profile, cohort, aagr and flag-contexts, run in-process on a written dataset, against reference.py."""
+    dataset, config = case
+    expected = {
+        "profiles.csv": csv_text(PROFILE_COLUMNS, reference.profile_rows(dataset)),
+        "aagr.csv": csv_text(AAGR_COLUMNS, reference.aagr_rows(dataset, config["aagr_method"])),
+        "flagged_contexts.jsonl": "".join(
+            json.dumps({**asdict(rec), "matched_terms": list(matched)}, sort_keys=True) + "\n"
+            for rec, matched in reference.flagged_contexts(dataset.contexts or (), config["terms"])
+        ),
+    }
+    cohort = (config["pub_from"], config["pub_to"], config["min_total_citations"], config["fraction"])
+    with contextlib.suppress(DataError):  # no eligible paper: cohort exits 1 and writes nothing
+        expected["cohort.csv"] = csv_text(COHORT_COLUMNS, reference.cohort_rows(dataset, *cohort))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ingest.write_dataset(dataset, root / "ds")
+        settings_text = "".join(f"{k} = {', '.join(v) if k == 'terms' else v}\n" for k, v in config.items())
+        (root / "run.cfg").write_text(settings_text, encoding="utf-8")
+        argv = ["--dataset", str(root / "ds"), "--out", str(root / "out"), "--config", str(root / "run.cfg")]
+        codes = []
+        for command in ("profile", "cohort", "aagr", "flag-contexts"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main([command, *argv]))
+        assert codes == [0, 0 if "cohort.csv" in expected else 1, 0, 0]
+        written = {path.name: path.read_text(encoding="utf-8") for path in (root / "out").iterdir()}
+    assert written == expected
 
 
 ANALYSIS_COMMANDS = (

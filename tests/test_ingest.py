@@ -799,6 +799,16 @@ def test_contexts_file_is_optional(tmp_path, table1):
     assert ingest.load_dataset(out, table1.window_end).contexts is None
 
 
+def test_writing_a_dataset_without_contexts_removes_an_old_contexts_file(tmp_path, demo_dir):
+    """A directory rewritten with contexts=None reads back without the old file's contexts."""
+    ds = ingest.load_dataset(demo_dir, 2015)
+    assert ds.contexts
+    ingest.write_dataset(ds, tmp_path)
+    ingest.write_dataset(dataclasses.replace(ds, contexts=None), tmp_path)
+    assert not (tmp_path / ingest.CONTEXTS_FILE).exists()
+    assert ingest.load_dataset(tmp_path, 2015).contexts is None
+
+
 def test_validator_clean_fixture(table1):
     report = ingest.validate_dataset(table1)
     assert report.issues == ()

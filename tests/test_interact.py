@@ -8,7 +8,7 @@ import random
 from hypothesis import given, strategies as st
 
 import reference
-from fixture_builders import DR_BIOLOGY, IR_BIOLOGY
+from fixture_builders import DR_BIOLOGY, IR_BIOLOGY, linked_datasets
 from slumber import ingest, interact, patent, stats
 from slumber.model import (
     ConcordanceEntry,
@@ -133,59 +133,6 @@ def test_prefix_index_matches_linear_scan(concordance, codes):
         # Each code again, after the others: the kept answer, None included.
         for code in codes + codes[::-1]:
             assert index.lookup(code) is reference.wipo_field_for(code, entries)
-
-
-# Tiny alphabets, so that drawn prefixes nest and some drawn codes match none.
-PREFIX_TEXT = st.text("AB", min_size=1, max_size=2)
-CODE_TEXT = st.text("AB1", min_size=1, max_size=3)
-
-
-@st.composite
-def linked_datasets(draw) -> tuple[Dataset, list[str]]:
-    """A small valid dataset of papers, families, links and concordance, and the paper ids to report on.
-
-    Fields of study come at levels 0 and 1, repeats included; families tie on
-    their priority year, and their ids sort apart from their draw order; links
-    and reported ids repeat. Each prefix has its own field id, and its entry's
-    name follows from that id, as the report keys names by id. Every paper
-    has a curve, and a family's priority may come before, at or after a
-    paper's publication and turning years.
-    """
-    window_end = 1982
-    pids = [f"p{i}" for i in range(draw(st.integers(2, 4)))]
-    field = st.builds(FieldOfStudy, st.sampled_from(("bio", "chem", "med")), st.integers(0, 1))
-    fields = st.lists(field, max_size=3).map(tuple)
-    papers = {pid: PaperRecord(pid, draw(st.integers(1976, 1981)), fields_of_study=draw(fields)) for pid in pids}
-    series = {}
-    for pid, paper in papers.items():
-        t_m = window_end - paper.pub_year
-        counts = draw(st.lists(st.integers(0, 3), min_size=t_m + 1, max_size=t_m + 1).filter(any))
-        series[pid] = reference.series_from_counts(pid, paper.pub_year, counts)
-    family = st.tuples(
-        st.integers(1977, 1980),
-        st.lists(st.integers(0, 3), max_size=2),
-        st.integers(0, 2),
-        st.lists(CODE_TEXT, min_size=1, max_size=3).map(tuple),
-    )
-    drawn = draw(st.dictionaries(st.text("fg1", min_size=1, max_size=2), family, min_size=2, max_size=6))
-    families = {
-        fid: PatentFamilyRecord(fid, year, (year, *sorted(year + d for d in later)), forward, codes)
-        for fid, (year, later, forward, codes) in drawn.items()
-    }
-    link = st.tuples(st.sampled_from(pids), st.sampled_from(list(families)))
-    links = draw(st.lists(link, min_size=3, max_size=12))
-    prefixes = draw(st.lists(PREFIX_TEXT, min_size=1, max_size=4, unique=True))
-    field_ids = draw(st.permutations(range(1, len(prefixes) + 1)))
-    dataset = Dataset(
-        papers=papers,
-        series=series,
-        patents=families,
-        links=tuple(PatentCitationLink(*link) for link in links),
-        concordance=tuple(ConcordanceEntry(p, i, f"field {i}", "sector") for p, i in zip(prefixes, field_ids)),
-        window_end=window_end,
-        contexts=None,
-    )
-    return dataset, draw(st.lists(st.sampled_from(pids), min_size=1, max_size=10))
 
 
 @given(linked_datasets())
