@@ -9,6 +9,7 @@ built, so every command refuses every bad key, also one it does not read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -16,6 +17,11 @@ from .errors import ConfigError, DataError, _shown
 from .tables import _at_line, _text, strict_int
 
 DEFAULT_DISPUTE_TERMS = ("contradict", "contrast", "disagree", "dispute", "inconsistent")
+
+
+def term_pattern(term: str) -> re.Pattern[str]:
+    """The pattern ingest.flag_contexts finds a term by: a whole word, whatever its case."""
+    return re.compile(rf"(?<!\w){re.escape(term)}(?!\w)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -69,11 +75,12 @@ class SynthSpec:
             raise ConfigError(f"terms must be a tuple of words, not {_shown(self.terms)}")
         if not self.terms:
             raise ConfigError("terms must name at least one word")
-        folded = set()  # flag_contexts matches a term whatever its case
+        # A term an earlier one's pattern matches would be reported twice.
+        patterns: list[re.Pattern[str]] = []
         for term in self.terms:
-            if term.casefold() in folded:
+            if any(pattern.fullmatch(term) for pattern in patterns):
                 raise ConfigError(f"terms lists {_shown(term)} twice, ignoring case")
-            folded.add(term.casefold())
+            patterns.append(term_pattern(term))
 
 
 # Each config key's type, from the default of the SynthSpec field it fills.

@@ -27,14 +27,13 @@ and an ipc_prefix that model.normalize_ipc leaves blank.
 from __future__ import annotations
 
 import dataclasses
-import re
 from bisect import bisect_left
 from functools import partial
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .config import DEFAULT_DISPUTE_TERMS
+from .config import DEFAULT_DISPUTE_TERMS, term_pattern
 from .errors import _shown
 from .model import (
     CitationContextRecord,
@@ -371,7 +370,7 @@ def flag_contexts(
     the order given in `terms`. Substring hits inside longer words do not
     count ("disagreement" does not match "disagree").
     """
-    patterns = {t: re.compile(rf"(?<!\w){re.escape(t)}(?!\w)", re.IGNORECASE) for t in terms}
+    patterns = {t: term_pattern(t) for t in terms}
     flagged = []
     for rec in contexts:
         matched = tuple(t for t in terms if patterns[t].search(rec.sentence))

@@ -164,6 +164,8 @@ def two_family_paper() -> tuple[PaperRecord, list[PatentFamilyRecord]]:
 # Tiny alphabets, so that drawn prefixes nest and some drawn codes match none.
 PREFIX_TEXT = st.text("AB", min_size=1, max_size=2)
 CODE_TEXT = st.text("AB1", min_size=1, max_size=3)
+# The family ids of one or two of f, g and 1; drawn in shuffled order, they sort apart from it.
+FAMILY_IDS = sorted(a + b for a in "fg1" for b in ("", *"fg1"))
 
 
 @st.composite
@@ -193,10 +195,12 @@ def linked_datasets(draw) -> tuple[Dataset, list[str]]:
         st.integers(0, 2),
         st.lists(CODE_TEXT, min_size=1, max_size=3).map(tuple),
     )
-    drawn = draw(st.dictionaries(st.text("fg1", min_size=1, max_size=2), family, min_size=2, max_size=6))
+    n_families = draw(st.integers(2, 6))
+    ids = draw(st.permutations(FAMILY_IDS))[:n_families]
+    drawn = draw(st.lists(family, min_size=n_families, max_size=n_families))
     families = {
         fid: PatentFamilyRecord(fid, year, (year, *sorted(year + d for d in later)), forward, codes)
-        for fid, (year, later, forward, codes) in drawn.items()
+        for fid, (year, later, forward, codes) in zip(ids, drawn)
     }
     link = st.tuples(st.sampled_from(pids), st.sampled_from(list(families)))
     links = draw(st.lists(link, min_size=3, max_size=12))

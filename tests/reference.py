@@ -366,6 +366,19 @@ def profile_rows(dataset: Dataset) -> list[tuple]:
     return rows
 
 
+def patent_rows(dataset: Dataset) -> list[tuple]:
+    """The `patents` report's rows: indicators over the profiled papers, an empty cell for None."""
+    rows = []
+    for ind in indicators(dataset, profiled_ids(dataset)).values():
+        cells = (
+            ind.paper_id, ind.n_families, ind.earliest_filing_year, ind.latest_filing_year,
+            ind.durability_years, ind.forward_cites_of_earliest, ind.first_citation_lag,
+            ind.relative_timing, ind.timing_class,
+        )
+        rows.append(tuple("" if cell is None else cell for cell in cells))
+    return rows
+
+
 def cohort_rows(
     dataset: Dataset, pub_from: int, pub_to: int, min_total_citations: int, fraction: float
 ) -> list[tuple]:

@@ -1077,6 +1077,32 @@ def test_config_parsing_units():
         SynthSpec(terms=("dispute", "refute", "DISPUTE", "Refute"))
 
 
+@pytest.mark.parametrize(
+    "terms, refused",
+    [
+        # re ignores case one character at a time: no ß to SS, no ligature to its letters.
+        pytest.param(("straße", "STRASSE"), False, id="sharp-s"),
+        pytest.param(("ﬁ", "fi"), False, id="ligature"),
+        pytest.param(("dispute", "Dispute"), True, id="ascii"),
+        # ...but the long s matches s, and the Kelvin sign k.
+        pytest.param(("ſ", "s"), True, id="long-s"),
+        pytest.param(("\u212a", "k"), True, id="kelvin"),
+    ],
+)
+def test_repeated_terms_follow_the_matcher(terms, refused):
+    """A term is refused exactly when flag_contexts finds it as an earlier term."""
+    second = terms[1]
+    context = CitationContextRecord("c", "p", 1990, f"we {second} it")
+    found = [matched for _, matched in ingest.flag_contexts([context], terms)]
+    if refused:
+        with pytest.raises(ConfigError, match=rf"^terms lists '{second}' twice, ignoring case$"):
+            SynthSpec(terms=terms)
+        assert found == [terms]
+    else:
+        assert SynthSpec(terms=terms).terms == terms
+        assert found == [(second,)]
+
+
 @pytest.mark.parametrize("terms", ["dispute", ["dispute"], ("dispute", 1), (b"dispute",)])
 def test_terms_must_be_a_tuple_of_words(terms):
     """A string would be iterated letter by letter: flag_contexts would match 'e' in 'Table e shows it'."""
@@ -1221,6 +1247,10 @@ PROFILE_COLUMNS = (
 )
 COHORT_COLUMNS = ("paper_id", "rank", "bcp", "cohort")
 AAGR_COLUMNS = ("paper_id", "base_year", "end_year", "method", "aagr_percent", "skipped_years")
+PATENT_COLUMNS = (
+    "paper_id", "n_families", "earliest_filing_year", "latest_filing_year", "durability_years",
+    "forward_cites_of_earliest", "first_citation_lag", "relative_timing", "timing_class",
+)
 
 
 def csv_text(columns: tuple[str, ...], rows: list[tuple]) -> str:
@@ -1230,10 +1260,11 @@ def csv_text(columns: tuple[str, ...], rows: list[tuple]) -> str:
 @settings(max_examples=50, deadline=None)
 @given(report_cases())
 def test_reports_match_naive_rows_on_drawn_datasets(case):
-    """profile, cohort, aagr and flag-contexts, run in-process on a written dataset, against reference.py."""
+    """profile, cohort, patents, aagr and flag-contexts in-process on a written dataset, against reference.py."""
     dataset, config = case
     expected = {
         "profiles.csv": csv_text(PROFILE_COLUMNS, reference.profile_rows(dataset)),
+        "patent_indicators.csv": csv_text(PATENT_COLUMNS, reference.patent_rows(dataset)),
         "aagr.csv": csv_text(AAGR_COLUMNS, reference.aagr_rows(dataset, config["aagr_method"])),
         "flagged_contexts.jsonl": "".join(
             json.dumps({**asdict(rec), "matched_terms": list(matched)}, sort_keys=True) + "\n"
@@ -1250,10 +1281,10 @@ def test_reports_match_naive_rows_on_drawn_datasets(case):
         (root / "run.cfg").write_text(settings_text, encoding="utf-8")
         argv = ["--dataset", str(root / "ds"), "--out", str(root / "out"), "--config", str(root / "run.cfg")]
         codes = []
-        for command in ("profile", "cohort", "aagr", "flag-contexts"):
+        for command in ("profile", "cohort", "patents", "aagr", "flag-contexts"):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(cli.main([command, *argv]))
-        assert codes == [0, 0 if "cohort.csv" in expected else 1, 0, 0]
+        assert codes == [0, 0 if "cohort.csv" in expected else 1, 0, 0, 0]
         written = {path.name: path.read_text(encoding="utf-8") for path in (root / "out").iterdir()}
     assert written == expected
 
