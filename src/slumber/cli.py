@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from bisect import bisect_left
 from dataclasses import replace
 from functools import cached_property
 from operator import attrgetter
@@ -239,12 +238,8 @@ def cmd_aagr(run: Run) -> None:
     dataset, method = run.dataset, run.config.aagr_method
     rows = []
     for pid, prof in dataset.profiles.items():
-        series = dataset.series[pid]
-        # Only the years from the turning year on enter the growth rate.
-        start = bisect_left(series.offsets, prof.turning_t)
-        counts = zip([series.base_year + t for t in series.offsets[start:]], series.values[start:])
         try:
-            res = aagr(counts, prof.turning_year, dataset.window_end, method)
+            res = aagr(dataset.series[pid].year_counts(), prof.turning_year, dataset.window_end, method)
         except DataError as exc:
             _warn(f"{_id_text(pid)}: {exc}; skipped")
             continue

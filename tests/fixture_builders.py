@@ -161,8 +161,9 @@ def two_family_paper() -> tuple[PaperRecord, list[PatentFamilyRecord]]:
     return paper, families
 
 
-# Tiny alphabets, so that drawn prefixes nest and some drawn codes match none.
-PREFIX_TEXT = st.text("AB", min_size=1, max_size=2)
+# Tiny alphabets, so that drawn prefixes nest and some drawn codes match none;
+# the prefixes are every text of one or two of A and B.
+PREFIXES = sorted(a + b for a in "AB" for b in ("", *"AB"))
 CODE_TEXT = st.text("AB1", min_size=1, max_size=3)
 # The family ids of one or two of f, g and 1; drawn in shuffled order, they sort apart from it.
 FAMILY_IDS = sorted(a + b for a in "fg1" for b in ("", *"fg1"))
@@ -186,8 +187,10 @@ def linked_datasets(draw) -> tuple[Dataset, list[str]]:
     papers = {pid: PaperRecord(pid, draw(st.integers(1976, 1981)), fields_of_study=draw(fields)) for pid in pids}
     series = {}
     for pid, paper in papers.items():
-        t_m = window_end - paper.pub_year
-        counts = draw(st.lists(st.integers(0, 3), min_size=t_m + 1, max_size=t_m + 1).filter(any))
+        n_years = window_end - paper.pub_year + 1
+        counts = draw(st.lists(st.integers(0, 3), min_size=n_years, max_size=n_years))
+        # One year forced to a citation, so that no draw is retried for an all-zero series.
+        counts[draw(st.integers(0, n_years - 1))] = draw(st.integers(1, 3))
         series[pid] = series_from_counts(pid, paper.pub_year, counts)
     family = st.tuples(
         st.integers(1977, 1980),
@@ -204,7 +207,7 @@ def linked_datasets(draw) -> tuple[Dataset, list[str]]:
     }
     link = st.tuples(st.sampled_from(pids), st.sampled_from(list(families)))
     links = draw(st.lists(link, min_size=3, max_size=12))
-    prefixes = draw(st.lists(PREFIX_TEXT, min_size=1, max_size=4, unique=True))
+    prefixes = draw(st.permutations(PREFIXES))[: draw(st.integers(1, 4))]
     field_ids = draw(st.permutations(range(1, len(prefixes) + 1)))
     dataset = Dataset(
         papers=papers,

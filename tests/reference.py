@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
+from statistics import NormalDist
 from typing import Iterable, Mapping, Sequence
 
 from slumber.cohort import DR, IR, NONE, CohortAssignment
@@ -29,7 +30,7 @@ from slumber.model import (
     PaperRecord,
     PatentFamilyRecord,
 )
-from slumber.patent import EARLIER, LAG_FROM_PUBLICATION, LATER, SAME, PatentIndicators
+from slumber.patent import EARLIER, LAG_FROM_PUBLICATION, LAG_FROM_TURNING, LATER, SAME, PatentIndicators
 from slumber.stats import AagrResult, TrendWindow
 from slumber.synth import DELAYED, INSTANT, LINEAR, NOISE
 from slumber.tables import read_rows
@@ -379,12 +380,12 @@ def patent_rows(dataset: Dataset) -> list[tuple]:
     return rows
 
 
-def cohort_rows(
+def eligible_assignments(
     dataset: Dataset, pub_from: int, pub_to: int, min_total_citations: int, fraction: float
-) -> list[tuple]:
-    """The `cohort` report's rows: cohort_assignments over the profiled papers in the window and at the floor.
+) -> list[CohortAssignment]:
+    """cohort_assignments over the profiled papers in the window and at the floor.
 
-    No eligible paper raises DataError, as the command does.
+    No eligible paper raises DataError, as the commands that read cohorts do.
     """
     ids = [
         pid
@@ -395,7 +396,112 @@ def cohort_rows(
     if not ids:
         raise DataError("no paper satisfies the eligibility filter")
     profiles = {pid: profile_dense(dataset.series[pid]) for pid in ids}
-    return [(a.paper_id, a.rank, _fmt(a.bcp), a.cohort) for a in cohort_assignments(profiles, ids, fraction)]
+    return cohort_assignments(profiles, ids, fraction)
+
+
+def cohort_rows(dataset: Dataset, *cohort_settings) -> list[tuple]:
+    """The `cohort` report's rows, from eligible_assignments(dataset, *cohort_settings)."""
+    return [(a.paper_id, a.rank, _fmt(a.bcp), a.cohort) for a in eligible_assignments(dataset, *cohort_settings)]
+
+
+def cohort_ids(dataset: Dataset, *cohort_settings) -> dict[str, list[str]]:
+    """The paper ids of cohorts DR and IR, in rank order, from eligible_assignments."""
+    assignments = eligible_assignments(dataset, *cohort_settings)
+    return {cohort: [a.paper_id for a in assignments if a.cohort == cohort] for cohort in (DR, IR)}
+
+
+def wald_interval(k: int, n: int) -> tuple[float, float, float]:
+    """The rate k/n and its 95% Wald interval, p -/+ z * sqrt(p (1 - p) / n), clamped to [0, 1]."""
+    p = k / n
+    half = NormalDist().inv_cdf(0.975) * math.sqrt(p * (1 - p) / n)
+    return p, max(0.0, p - half), min(1.0, p + half)
+
+
+def comparison_rows(dataset: Dataset, *cohort_settings) -> list[tuple]:
+    """The `table1` report's rows: DR against IR on each binary indicator, from the textbook formulas.
+
+    The DR row carries the rate ratio (empty when IR has no event) and the
+    pooled two-proportion z test, z = (p1 - p2) / sqrt(p (1 - p) (1/n1 + 1/n2))
+    with p = (k1 + k2) / (n1 + n2) and two-sided P = erfc(|z| / sqrt 2). A
+    pooled rate of 0 or 1 leaves ratio and z empty and labels the p cell.
+    An empty IR cohort raises DataError, as the command does.
+    """
+    ids = cohort_ids(dataset, *cohort_settings)
+    if not ids[IR]:
+        raise DataError("IR cohort is empty")
+    inds = indicators(dataset, [*ids[DR], *ids[IR]])
+    tests = {
+        "linked": lambda ind: ind.n_families > 0,
+        "forward_cited": lambda ind: (ind.forward_cites_of_earliest or 0) > 0,
+        "durably_cited": lambda ind: (ind.durability_years or 0) > 0,
+    }
+    rows = []
+    for name, test in tests.items():
+        (k1, n1), (k2, n2) = ((sum(test(inds[pid]) for pid in ids[c]), len(ids[c])) for c in (DR, IR))
+        pooled = (k1 + k2) / (n1 + n2)
+        if pooled in (0, 1):
+            ratio, z_cell, p_cell = "", "", "DegeneratePool"
+        else:
+            z = (k1 / n1 - k2 / n2) / math.sqrt(pooled * (1 - pooled) * (1 / n1 + 1 / n2))
+            ratio = _fmt((k1 / n1) / (k2 / n2)) if k2 else ""
+            z_cell, p_cell = _fmt(z), _fmt(math.erfc(abs(z) / math.sqrt(2)))
+        rows.append((name, DR, k1, n1 - k1, *map(_fmt, wald_interval(k1, n1)), ratio, z_cell, p_cell))
+        rows.append((name, IR, k2, n2 - k2, *map(_fmt, wald_interval(k2, n2)), "", "", ""))
+    return rows
+
+
+def lag_rows(dataset: Dataset, width: int, *cohort_settings) -> tuple[list[tuple], list[tuple]]:
+    """The `lag-trend` reports' rows: lag_trend's windows, then min, max, median and sample sd.
+
+    DR lags run from publication and IR lags from the turning year; a cohort
+    with no linked paper has no rows. The median of an even count is the
+    mean of the middle two; the sd is empty for a single value.
+    """
+    ids = cohort_ids(dataset, *cohort_settings)
+    trend, summary = [], []
+    for cohort, mode in ((DR, LAG_FROM_PUBLICATION), (IR, LAG_FROM_TURNING)):
+        inds = list(indicators(dataset, ids[cohort]).values())
+        lags = sorted(
+            float(ind.first_citation_lag if mode == LAG_FROM_PUBLICATION else -ind.relative_timing)
+            for ind in inds
+            if ind.n_families
+        )
+        if not lags:
+            continue
+        for w in lag_trend(inds, dataset, mode, width):
+            trend.append((cohort, mode, w.start_year, w.end_year, _fmt(w.mean), w.n_obs))
+        n, mid = len(lags), len(lags) // 2
+        median = lags[mid] if n % 2 else (lags[mid - 1] + lags[mid]) / 2
+        mean = sum(lags) / n
+        sd = _fmt(math.sqrt(sum((x - mean) ** 2 for x in lags) / (n - 1))) if n > 1 else ""
+        summary.append((cohort, mode, n, _fmt(lags[0]), _fmt(lags[-1]), _fmt(median), sd))
+    return trend, summary
+
+
+def interaction_rows(dataset: Dataset, paper_ids: list[str]) -> dict[str, list[tuple]]:
+    """The rows of one cohort's `interactions` reports, by file stem.
+
+    interactions: interaction_cells. interaction_marginals: each field of
+    study's summed weight, by name, then each technology field's, by id.
+    field_distribution: field_distribution's counts with their share of the
+    cohort's papers.
+    """
+    cells = interaction_cells(dataset, paper_ids)
+    by_field: Counter[str] = Counter()
+    by_tech: Counter[int] = Counter()
+    for cell in cells:
+        by_field[cell.field_of_study] += cell.weight
+        by_tech[cell.wipo_field_id] += cell.weight
+    names = {cell.wipo_field_id: cell.wipo_field_name for cell in cells}
+    dist = field_distribution(dataset, paper_ids)
+    return {
+        "interactions": [(c.field_of_study, c.wipo_field_id, c.wipo_field_name, c.weight) for c in cells],
+        "interaction_marginals": [
+            *(("field_of_study", field, "", w) for field, w in sorted(by_field.items())),
+            *(("wipo_field", tid, names[tid], w) for tid, w in sorted(by_tech.items())),
+        ],
+        "field_distribution": [(f, count, _fmt(count / dist.total_papers)) for f, count in dist.counts],
+    }
 
 
 def aagr_rows(dataset: Dataset, method: str) -> list[tuple]:

@@ -86,12 +86,12 @@ def fixture_dir() -> Path:
 
 def half_config(tmp_path: Path) -> Path:
     cfg = tmp_path / "half.cfg"
-    cfg.write_text("fraction=0.5\n")
+    cfg.write_text("fraction=0.5\n", encoding="utf-8")
     return cfg
 
 
 def read_comparison(path: Path) -> dict[tuple[str, str], dict[str, str]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return {(r["indicator"], r["group"]): r for r in csv.DictReader(fh)}
 
 

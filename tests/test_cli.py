@@ -18,11 +18,12 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
-from fixture_builders import linked_datasets
+from fixture_builders import linked_datasets, table1_dataset
 from slumber import cli, curve, ingest, patent
+from slumber.cohort import DR, IR
 from slumber.config import SynthSpec, _coerce, load_config
 from slumber.errors import ConfigError, DataError
 from slumber.model import CitationContextRecord, CitationSeries, Dataset
@@ -35,14 +36,14 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 
 def read_rows(path: Path) -> list[dict[str, str]]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
 
 
 @pytest.fixture()
 def half_config(tmp_path) -> Path:
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# take the extreme halves\nfraction = 0.5\n")
+    cfg.write_text("# take the extreme halves\nfraction = 0.5\n", encoding="utf-8")
     return cfg
 
 
@@ -121,7 +122,7 @@ def test_table1_command_frozen_counts(tmp_path, table1_dir, half_config, capsys)
 def test_table1_degenerate_pool_keeps_rates_and_labels_p(tmp_path, capsys):
     # Every paper is linked and forward-cited, so two pooled rates are 1.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_papers = 60\nlink_density = 1.0\nfraction = 0.5\n")
+    cfg.write_text("n_papers = 60\nlink_density = 1.0\nfraction = 0.5\n", encoding="utf-8")
     ds, out = tmp_path / "ds", tmp_path / "out"
     assert run(capsys, "synth", "--seed", "42", "--out", str(ds), "--config", str(cfg))[0] == 0
     code, _, _ = run(capsys, "table1", "--dataset", str(ds), "--out", str(out), "--config", str(cfg))
@@ -140,7 +141,7 @@ def test_table1_degenerate_pool_keeps_rates_and_labels_p(tmp_path, capsys):
 def test_table1_with_an_empty_ir_cohort_exits_1(tmp_path, demo_dir, capsys):
     # One eligible paper: DR takes it and IR is left empty.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("fraction = 0.5\nmin_total_citations = 1\npub_from = 1971\npub_to = 1971\n")
+    cfg.write_text("fraction = 0.5\nmin_total_citations = 1\npub_from = 1971\npub_to = 1971\n", encoding="utf-8")
     argv = ("--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg))
     assert run(capsys, "cohort", *argv)[0] == 0
     code, _, err = run(capsys, "table1", *argv)
@@ -256,7 +257,7 @@ def test_flag_contexts_command(tmp_path, table1_dir, capsys):
     out = tmp_path / "out"
     code, _, _ = run(capsys, "flag-contexts", "--dataset", str(table1_dir), "--out", str(out))
     assert code == 0
-    lines = (out / "flagged_contexts.jsonl").read_text().splitlines()
+    lines = (out / "flagged_contexts.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 4
     for line in lines:
         obj = json.loads(line)
@@ -271,12 +272,12 @@ def test_flag_contexts_without_contexts_file(tmp_path, demo_dir, capsys):
     out = tmp_path / "out"
     code, _, err = run(capsys, "flag-contexts", "--dataset", str(ds_copy), "--out", str(out))
     assert code == 0
-    assert (out / "flagged_contexts.jsonl").read_text() == ""
+    assert (out / "flagged_contexts.jsonl").read_text(encoding="utf-8") == ""
 
 
 def test_synth_then_validate(tmp_path, capsys):
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text("n_papers=30\nlink_density=0.7\n")
+    cfg.write_text("n_papers=30\nlink_density=0.7\n", encoding="utf-8")
     ds_dir = tmp_path / "ds"
     code, stdout, _ = run(
         capsys, "synth", "--out", str(ds_dir), "--config", str(cfg), "--seed", "7"
@@ -302,7 +303,7 @@ def test_synth_then_validate(tmp_path, capsys):
 )
 def test_synth_refuses_a_spec_it_cannot_build(tmp_path, capsys, settings, line):
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text(settings)
+    cfg.write_text(settings, encoding="utf-8")
     out = tmp_path / "ds"
     code, _, err = run(capsys, "synth", "--out", str(out), "--config", str(cfg))
     assert code == 1
@@ -380,7 +381,7 @@ def test_load_dataset_opens_each_file_once(demo_dir, monkeypatch):
 def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
-    with open(ds_copy / "links.csv", "a", newline="") as fh:
+    with open(ds_copy / "links.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write("p00001,ghost-family\n")
     code, stdout, _ = run(capsys, "validate", "--dataset", str(ds_copy))
     assert code == 1
@@ -397,14 +398,14 @@ def cross_file_errors(tmp_path, demo_dir) -> Path:
     """A copy of data/demo with one validation error of each cross-file kind."""
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
-    with open(ds_copy / "links.csv", "a", newline="") as fh:
+    with open(ds_copy / "links.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write("p00001,ghost-family\nghost-paper,f00000\n")
-    with open(ds_copy / "concordance.tsv", "a", newline="") as fh:
+    with open(ds_copy / "concordance.tsv", "a", newline="", encoding="utf-8") as fh:
         fh.write("a61k\t7\tX\tY\n")
     patents = ds_copy / "patents.csv"
-    text = patents.read_text()
+    text = patents.read_text(encoding="utf-8")
     assert "\nf00001,2001,2001;2006;2009," in text
-    patents.write_text(text.replace("\nf00001,2001,", "\nf00001,2010,", 1))
+    patents.write_text(text.replace("\nf00001,2001,", "\nf00001,2010,", 1), encoding="utf-8")
     return ds_copy
 
 
@@ -438,10 +439,10 @@ def test_long_ids_in_validation_issues_are_cut_short(tmp_path, demo_dir, capsys)
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
     long_id = "q" * 5000
-    with open(ds_copy / "links.csv", "a", newline="") as fh:
+    with open(ds_copy / "links.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write(f"{long_id},f00000\n")
     context = {"cited_paper_id": long_id, "citing_id": "x", "sentence": "s", "year": 1990}
-    with open(ds_copy / "contexts.jsonl", "a") as fh:
+    with open(ds_copy / "contexts.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(context) + "\n")
     shown = "'" + "q" * 40 + "'… (5000 characters)"
     code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
@@ -459,9 +460,9 @@ def test_long_ids_in_validation_issues_are_cut_short(tmp_path, demo_dir, capsys)
     # aagr skips a paper whose only citations fall in the window's last year.
     ds_copy = tmp_path / "ds_aagr"
     shutil.copytree(demo_dir, ds_copy)
-    with open(ds_copy / "papers.csv", "a", newline="") as fh:
+    with open(ds_copy / "papers.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write(f"{long_id},2013,,,,\n")
-    with open(ds_copy / "citations.csv", "a", newline="") as fh:
+    with open(ds_copy / "citations.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write(f"{long_id},2015,5\n")
     code, stdout, err = run(capsys, "aagr", "--dataset", str(ds_copy), "--out", str(tmp_path / "out"))
     assert code == 0
@@ -474,7 +475,7 @@ def test_each_call_warns_on_its_own_stderr(tmp_path, demo_dir):
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
     context = {"cited_paper_id": "ghost", "citing_id": "x", "sentence": "s", "year": 1990}
-    with open(ds_copy / "contexts.jsonl", "a") as fh:
+    with open(ds_copy / "contexts.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(context) + "\n")
     warning = "WARNING slumber: ghost: context cites unknown paper 'ghost'"
     handlers = list(logging.getLogger().handlers)
@@ -515,7 +516,7 @@ def test_synth_seed_flag_overrides_config_file(tmp_path, capsys):
         ("file", "n_papers=30\nseed=7\n", ()),
     ):
         cfg = tmp_path / f"{tag}.cfg"
-        cfg.write_text(settings)
+        cfg.write_text(settings, encoding="utf-8")
         out = tmp_path / tag
         code, _, _ = run(capsys, "synth", "--out", str(out), "--config", str(cfg), *flags)
         assert code == 0
@@ -526,12 +527,12 @@ def test_synth_seed_flag_overrides_config_file(tmp_path, capsys):
 
 def test_config_keys_of_the_other_command_are_checked_and_ignored(tmp_path, demo_dir, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("n_papers = 7.5\n")
+    cfg.write_text("n_papers = 7.5\n", encoding="utf-8")
     out = tmp_path / "out"
     code, _, err = run(capsys, "profile", "--dataset", str(demo_dir), "--out", str(out), "--config", str(cfg))
     assert code == 1
     assert err.splitlines()[-1] == "error: config key 'n_papers' takes an integer, not '7.5'"
-    cfg.write_text("n_papers = 30\nfraction=0.5\n")
+    cfg.write_text("n_papers = 30\nfraction=0.5\n", encoding="utf-8")
     code, stdout, _ = run(capsys, "synth", "--out", str(tmp_path / "ds"), "--config", str(cfg))
     assert code == 0
     assert "30 papers" in stdout
@@ -826,9 +827,9 @@ def test_single_year_window_warns(tmp_path, demo_dir, capsys):
     """A paper published in the window's last year has no curve, which validation warns about."""
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
-    with open(ds_copy / "papers.csv", "a", newline="") as fh:
+    with open(ds_copy / "papers.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write("p99999,2015,,,,\n")
-    with open(ds_copy / "citations.csv", "a", newline="") as fh:
+    with open(ds_copy / "citations.csv", "a", newline="", encoding="utf-8") as fh:
         fh.write("p99999,2015,1\n")
     code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
     assert (code, err) == (0, "")
@@ -898,7 +899,7 @@ def test_integer_cells_are_ascii_digits_only(tmp_path, demo_dir, capsys, name, c
 )
 def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(settings)
+    cfg.write_text(settings, encoding="utf-8")
     code, _, err = run(
         capsys,
         "cohort",
@@ -932,7 +933,7 @@ def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, li
 def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command, settings, line):
     """Every command checks every key first, also one it does not read: a missing dataset would exit 2."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(settings)
+    cfg.write_text(settings, encoding="utf-8")
     out = tmp_path / "out"
     missing = tmp_path / "missing"
     code, _, err = run(capsys, command, "--dataset", str(missing), "--out", str(out), "--config", str(cfg))
@@ -980,7 +981,7 @@ def test_missing_required_flag_exits_1_before_any_file_is_read(
 
 def test_unknown_config_key_exits_1(tmp_path, demo_dir, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("fractoin=0.1\n")
+    cfg.write_text("fractoin=0.1\n", encoding="utf-8")
     code, _, err = run(
         capsys,
         "profile",
@@ -994,7 +995,7 @@ def test_unknown_config_key_exits_1(tmp_path, demo_dir, capsys):
 
 def test_repeated_config_key_exits_1(tmp_path, demo_dir, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("fraction=0.5\n# a comment\nfraction=0.01\n")
+    cfg.write_text("fraction=0.5\n# a comment\nfraction=0.01\n", encoding="utf-8")
     code, _, err = run(
         capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
     )
@@ -1021,7 +1022,7 @@ LONG_SHOWN = "'" + "x" * 40 + "'… (5000 characters)"
 )
 def test_long_config_text_is_cut_short(tmp_path, demo_dir, capsys, settings, line):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(settings)
+    cfg.write_text(settings, encoding="utf-8")
     code, _, err = run(
         capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
     )
@@ -1112,14 +1113,14 @@ def test_terms_must_be_a_tuple_of_words(terms):
 
 def test_load_config_coerces_synth_keys(tmp_path):
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text("n_papers = 75\nlink_density = 0.3\n")
+    cfg.write_text("n_papers = 75\nlink_density = 0.3\n", encoding="utf-8")
     spec = load_config(cfg)
     assert (spec.n_papers, spec.link_density, spec.seed) == (75, 0.3, 0)
     assert type(spec.n_papers) is int and type(spec.link_density) is float
-    cfg.write_text("n_papers = 7.5\n")
+    cfg.write_text("n_papers = 7.5\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="config key 'n_papers' takes an integer, not '7.5'"):
         load_config(cfg)
-    cfg.write_text("link_density = dense\n")
+    cfg.write_text("link_density = dense\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="config key 'link_density' has non-numeric value 'dense'"):
         load_config(cfg)
 
@@ -1172,14 +1173,15 @@ def test_config_lines_end_at_a_line_feed_only(tmp_path):
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "\n# comment line\npub_from = 1975\nfraction=0.02\nterms = refute, challenge\n"
+        "\n# comment line\npub_from = 1975\nfraction=0.02\nterms = refute, challenge\n",
+        encoding="utf-8"
     )
     config = load_config(cfg)
     assert config.pub_from == 1975
     assert config.fraction == 0.02
     assert config.terms == ("refute", "challenge")
     bad = tmp_path / "bad.cfg"
-    bad.write_text("just words\n")
+    bad.write_text("just words\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(bad)
 
@@ -1237,6 +1239,7 @@ def report_cases(draw) -> tuple[Dataset, dict[str, object]]:
         "min_total_citations": draw(st.integers(1, 6)),
         "fraction": draw(st.sampled_from((0.01, 0.25, 0.3, 0.5))),
         "aagr_method": draw(st.sampled_from(("arithmetic", "compound"))),
+        "window_width": draw(st.integers(1, 3)),
         "terms": terms,
     }
     return replace(dataset, contexts=contexts), config
@@ -1251,16 +1254,76 @@ PATENT_COLUMNS = (
     "paper_id", "n_families", "earliest_filing_year", "latest_filing_year", "durability_years",
     "forward_cites_of_earliest", "first_citation_lag", "relative_timing", "timing_class",
 )
+COMPARISON_COLUMNS = ("indicator", "group", "yes", "no", "rate", "ci_low", "ci_high", "rate_ratio", "z", "p")
+LAG_TREND_COLUMNS = ("cohort", "mode", "window_start", "window_end", "mean_lag", "n_obs")
+LAG_SUMMARY_COLUMNS = ("cohort", "mode", "n", "min", "max", "median", "sd")
+INTERACTION_COLUMNS = {
+    "interactions": ("field_of_study", "wipo_field_id", "wipo_field_name", "weight"),
+    "interaction_marginals": ("axis", "key", "label", "weight"),
+    "field_distribution": ("field_of_study", "papers", "share"),
+}
 
 
 def csv_text(columns: tuple[str, ...], rows: list[tuple]) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
 
 
+def cohort_reports(dataset: Dataset, config: dict[str, object]) -> dict[str, str]:
+    """The files of cohort, table1, lag-trend and interactions from reference.py, each left out where it exits 1."""
+    cohort = (config["pub_from"], config["pub_to"], config["min_total_citations"], config["fraction"])
+    expected = {}
+    try:
+        ids = reference.cohort_ids(dataset, *cohort)
+    except DataError:  # no eligible paper: the four commands exit 1 and write nothing
+        return expected
+    expected["cohort.csv"] = csv_text(COHORT_COLUMNS, reference.cohort_rows(dataset, *cohort))
+    if ids[IR]:  # table1 exits 1 on an empty IR cohort
+        expected["comparison.csv"] = csv_text(COMPARISON_COLUMNS, reference.comparison_rows(dataset, *cohort))
+    trend, summary = reference.lag_rows(dataset, config["window_width"], *cohort)
+    expected["lag_trend.csv"] = csv_text(LAG_TREND_COLUMNS, trend)
+    expected["lag_summary.csv"] = csv_text(LAG_SUMMARY_COLUMNS, summary)
+    for tag, cohort_id in (("dr", DR), ("ir", IR)):
+        for stem, rows in reference.interaction_rows(dataset, ids[cohort_id]).items():
+            expected[f"{stem}_{tag}.csv"] = csv_text(INTERACTION_COLUMNS[stem], rows)
+    return expected
+
+
+# Each analysis command and one file it writes when it exits 0; when it exits 1 it writes none.
+REPORT_FILES = {
+    "profile": "profiles.csv",
+    "cohort": "cohort.csv",
+    "patents": "patent_indicators.csv",
+    "table1": "comparison.csv",
+    "lag-trend": "lag_trend.csv",
+    "interactions": "interactions_dr.csv",
+    "aagr": "aagr.csv",
+    "flag-contexts": "flagged_contexts.jsonl",
+}
+
+
+# The drawn cohorts hold a paper or two, so their lag trends seldom span more
+# than one window year; the Table 1 fixture's span many.
+TABLE1 = table1_dataset()
+TABLE1_CASE = (
+    TABLE1,
+    {
+        "window_end": TABLE1.window_end,
+        "pub_from": 1970,
+        "pub_to": 2005,
+        "min_total_citations": 200,
+        "fraction": 0.5,
+        "aagr_method": "compound",
+        "window_width": 5,
+        "terms": ("dispute",),
+    },
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(report_cases())
+@example(TABLE1_CASE)
 def test_reports_match_naive_rows_on_drawn_datasets(case):
-    """profile, cohort, patents, aagr and flag-contexts in-process on a written dataset, against reference.py."""
+    """Every analysis command in-process on a written dataset, against the rows of reference.py."""
     dataset, config = case
     expected = {
         "profiles.csv": csv_text(PROFILE_COLUMNS, reference.profile_rows(dataset)),
@@ -1270,21 +1333,19 @@ def test_reports_match_naive_rows_on_drawn_datasets(case):
             json.dumps({**asdict(rec), "matched_terms": list(matched)}, sort_keys=True) + "\n"
             for rec, matched in reference.flagged_contexts(dataset.contexts or (), config["terms"])
         ),
+        **cohort_reports(dataset, config),
     }
-    cohort = (config["pub_from"], config["pub_to"], config["min_total_citations"], config["fraction"])
-    with contextlib.suppress(DataError):  # no eligible paper: cohort exits 1 and writes nothing
-        expected["cohort.csv"] = csv_text(COHORT_COLUMNS, reference.cohort_rows(dataset, *cohort))
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ingest.write_dataset(dataset, root / "ds")
         settings_text = "".join(f"{k} = {', '.join(v) if k == 'terms' else v}\n" for k, v in config.items())
         (root / "run.cfg").write_text(settings_text, encoding="utf-8")
         argv = ["--dataset", str(root / "ds"), "--out", str(root / "out"), "--config", str(root / "run.cfg")]
-        codes = []
-        for command in ("profile", "cohort", "patents", "aagr", "flag-contexts"):
+        codes = {}
+        for command in REPORT_FILES:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                codes.append(cli.main([command, *argv]))
-        assert codes == [0, 0 if "cohort.csv" in expected else 1, 0, 0, 0]
+                codes[command] = cli.main([command, *argv])
+        assert codes == {command: 0 if name in expected else 1 for command, name in REPORT_FILES.items()}
         written = {path.name: path.read_text(encoding="utf-8") for path in (root / "out").iterdir()}
     assert written == expected
 
@@ -1344,14 +1405,14 @@ def test_module_entry_point_exit_codes(tmp_path, demo_dir):
 
     def entry(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "slumber.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-m", "slumber.cli", *argv], capture_output=True, encoding="utf-8", env=env, timeout=120
         )
 
     done = entry("validate", "--dataset", str(demo_dir))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1].startswith("0 errors,")
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("fraction=0.9\n")
+    cfg.write_text("fraction=0.9\n", encoding="utf-8")
     done = entry("cohort", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg))
     assert done.returncode == 1
     assert done.stderr.splitlines()[-1] == "error: cohort fraction 0.9 outside (0, 0.5]"
@@ -1385,7 +1446,7 @@ def test_commands_build_no_cycles_that_grow_with_the_data(tmp_path, demo_dir, ca
     builds hold no cycles, which is what makes pausing the collector safe.
     """
     cfg = tmp_path / "synth.cfg"
-    cfg.write_text("n_papers=2000\n")
+    cfg.write_text("n_papers=2000\n", encoding="utf-8")
     code, _, err = run(capsys, "synth", "--seed", "5", "--config", str(cfg), "--out", str(tmp_path / "big"))
     assert code == 0, err
     was_enabled = gc.isenabled()

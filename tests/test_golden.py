@@ -7,24 +7,21 @@ file, its stdout). The bundled windows are short, so each command also runs
 on a long, sparse dataset that `synth` writes from a fixed seed: the mix of
 the benchmark's sparse-52k workload at 400 papers, published 1900-1960 and
 observed to 2015, whose yearly citations are mostly zero. That case pins the
-files `synth` writes as well. After an intended change of output, print the
-new tables with `PYTHONPATH=src python tests/test_golden.py` and review the
-diff.
+files `synth` writes as well.
+
+This module holds the cases and the recorded tables; tests/test_smoke.py
+runs every case in its two child processes, one per fixed hash seed, and
+asserts each against the tables under both seeds. After an intended change
+of output, print the new tables through the same children with
+`PYTHONPATH=src python tests/test_golden.py` and review the diff.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 from pathlib import Path
 
-import pytest
-
-from slumber import cli
-
-DATA = Path(__file__).resolve().parent.parent / "data"
 COMMANDS = (
     "profile",
     "cohort",
@@ -52,41 +49,42 @@ fraction=0.05
 """
 SPARSE_SEED = 11
 
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def run_command(command: str, args: list[str], config: str, work: Path) -> tuple[int, dict[str, str]]:
-    """Exit code and {file name: sha256} of one command run in a fresh directory."""
-    work.mkdir(parents=True)
-    cfg = work / "run.cfg"
-    cfg.write_text(config)
-    out = work / "out"
-    argv = [command, *args, "--out", str(out), "--config", str(cfg)]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    digests = {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())} if out.exists() else {}
-    if command == "validate":
-        digests["<stdout>"] = _sha(stdout.getvalue().encode())
-    return code, digests
+KEYS = [(d, c, cmd) for d in ("demo", "table1_fixture") for c in CONFIGS for cmd in COMMANDS]
+SPARSE_KEYS = ("synth", *COMMANDS)
 
 
-def outputs(dataset: str, config: str, command: str, work: Path) -> tuple[int, dict[str, str]]:
-    return run_command(command, ["--dataset", str(DATA / dataset)], CONFIGS[config], work)
+def write_configs(directory: Path) -> None:
+    """Write each config as <name>.cfg, the sparse one as sparse.cfg."""
+    for name, text in {**CONFIGS, "sparse": SPARSE_CONFIG}.items():
+        (directory / f"{name}.cfg").write_text(text, encoding="utf-8")
 
 
-def write_sparse_dataset(work: Path) -> tuple[int, dict[str, str]]:
-    """Run synth for the sparse case; the dataset is left in work / "out"."""
-    return run_command("synth", ["--seed", str(SPARSE_SEED)], SPARSE_CONFIG, work)
+def _sparse_argv(command: str) -> tuple[str, ...]:
+    source = ("--seed", str(SPARSE_SEED)) if command == "synth" else ("--dataset", "sparse-synth")
+    return (command, *source, "--out", f"sparse-{command}", "--config", "{tmp}/sparse.cfg")
 
 
-def sparse_outputs(dataset_dir: Path, command: str, work: Path) -> tuple[int, dict[str, str]]:
-    return run_command(command, ["--dataset", str(dataset_dir)], SPARSE_CONFIG, work)
+# Each case's command line, with {data} for data/ and {tmp} for the directory
+# of write_configs. A relative --out lands in the running child's own working
+# directory; the sparse commands read the dataset the sparse synth case wrote there.
+CASES: dict[str, tuple[str, ...]] = {
+    **{
+        "-".join(key): (
+            key[2], "--dataset", f"{{data}}/{key[0]}", "--out", "-".join(key), "--config", f"{{tmp}}/{key[1]}.cfg"
+        )
+        for key in KEYS
+    },
+    **{f"sparse-{command}": _sparse_argv(command) for command in SPARSE_KEYS},
+}
 
 
-CASES = [(d, c, cmd) for d in ("demo", "table1_fixture") for c in CONFIGS for cmd in COMMANDS]
+def recorded_form(name: str, result: dict) -> tuple[int, dict[str, str]]:
+    """A case's exit code and {file name: sha256} of its --out directory, plus validate's stdout."""
+    digests = dict(result["files"])
+    if CASES[name][0] == "validate":
+        digests["<stdout>"] = hashlib.sha256(result["out"].encode()).hexdigest()
+    return result["code"], digests
+
 
 # Recorded before the table reader and writer were unified.
 GOLDEN: dict[tuple[str, str, str], tuple[int, dict[str, str]]] = {
@@ -408,25 +406,11 @@ SPARSE_GOLDEN: dict[str, tuple[int, dict[str, str]]] = {
     ),
 }
 
-@pytest.mark.parametrize("dataset,config,command", CASES)
-def test_command_outputs_match_recorded_digests(dataset, config, command, tmp_path):
-    assert outputs(dataset, config, command, tmp_path / "run") == GOLDEN[(dataset, config, command)]
 
-
-@pytest.fixture(scope="module")
-def sparse_dataset(tmp_path_factory) -> Path:
-    work = tmp_path_factory.mktemp("sparse") / "synth"
-    write_sparse_dataset(work)
-    return work / "out"
-
-
-def test_sparse_synth_matches_recorded_digests(tmp_path):
-    assert write_sparse_dataset(tmp_path / "run") == SPARSE_GOLDEN["synth"]
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_sparse_command_outputs_match_recorded_digests(command, sparse_dataset, tmp_path):
-    assert sparse_outputs(sparse_dataset, command, tmp_path / "run") == SPARSE_GOLDEN[command]
+RECORDED = {
+    **{"-".join(key): entry for key, entry in GOLDEN.items()},
+    **{f"sparse-{command}": entry for command, entry in SPARSE_GOLDEN.items()},
+}
 
 
 def _print_entry(key: str, code: int, digests: dict[str, str]) -> None:
@@ -442,17 +426,17 @@ def _print_entry(key: str, code: int, digests: dict[str, str]) -> None:
 if __name__ == "__main__":
     import tempfile
 
+    from test_smoke import SEEDS, run_children
+
     with tempfile.TemporaryDirectory() as tmp:
-        print("GOLDEN: dict[tuple[str, str, str], tuple[int, dict[str, str]]] = {")
-        for i, case in enumerate(CASES):
-            code, digests = outputs(*case, Path(tmp) / str(i))
-            _print_entry(f"({', '.join(map(json.dumps, case))})", code, digests)
-        print("}")
-        print()
-        print("SPARSE_GOLDEN: dict[str, tuple[int, dict[str, str]]] = {")
-        sparse = Path(tmp) / "sparse"
-        _print_entry('"synth"', *write_sparse_dataset(sparse))
-        for command in COMMANDS:
-            code, digests = sparse_outputs(sparse / "out", command, Path(tmp) / f"sparse-{command}")
-            _print_entry(json.dumps(command), code, digests)
-        print("}")
+        write_configs(Path(tmp))
+        _, results = run_children(CASES, Path(tmp))[SEEDS[0]]
+    print("GOLDEN: dict[tuple[str, str, str], tuple[int, dict[str, str]]] = {")
+    for key in KEYS:
+        _print_entry(f"({', '.join(map(json.dumps, key))})", *recorded_form("-".join(key), results["-".join(key)]))
+    print("}")
+    print()
+    print("SPARSE_GOLDEN: dict[str, tuple[int, dict[str, str]]] = {")
+    for command in SPARSE_KEYS:
+        _print_entry(json.dumps(command), *recorded_form(f"sparse-{command}", results[f"sparse-{command}"]))
+    print("}")

@@ -76,7 +76,8 @@ def test_fields_pack_round_trip():
 def test_field_level_out_of_range(tmp_path):
     path = tmp_path / "papers.csv"
     path.write_text(
-        "paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,biology@7\n"
+        "paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,biology@7\n",
+        encoding="utf-8"
     )
     with pytest.raises(DataError, match="^papers.csv line 2: field of study level 7 outside 0..5$"):
         ingest.parse_papers(path)
@@ -88,7 +89,8 @@ def test_papers_share_equal_fields_of_study_cells(tmp_path):
         "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
         "p1,2000,,,,biology@0;genomics@2\n"
         "p2,2001,,,,physics@0\n"
-        "p3,2002,,,,biology@0;genomics@2\n"
+        "p3,2002,,,,biology@0;genomics@2\n",
+        encoding="utf-8"
     )
     papers = ingest.parse_papers(path)
     assert papers["p1"].fields_of_study == (FieldOfStudy("biology", 0), FieldOfStudy("genomics", 2))
@@ -102,7 +104,8 @@ def test_bad_fields_of_study_cell_names_its_line(tmp_path):
         "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
         "p1,2000,,,,biology@0\n"
         "p2,2001,,,,biology@0\n"
-        "p3,2002,,,,biology@9\n"
+        "p3,2002,,,,biology@9\n",
+        encoding="utf-8"
     )
     with pytest.raises(DataError, match="^papers.csv line 4: field of study level 9"):
         ingest.parse_papers(path)
@@ -116,7 +119,8 @@ def test_non_integer_field_level_is_named_in_own_words(tmp_path):
     path = tmp_path / "papers.csv"
     path.write_text(
         "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
-        "p1,2000,,,,biology@0;physics@zero\n"
+        "p1,2000,,,,biology@0;physics@zero\n",
+        encoding="utf-8"
     )
     with pytest.raises(DataError) as exc:
         ingest.parse_papers(path)
@@ -125,14 +129,14 @@ def test_non_integer_field_level_is_named_in_own_words(tmp_path):
 
 def test_missing_column(tmp_path):
     path = tmp_path / "papers.csv"
-    path.write_text("paper_id,pub_year\np1,2000\n")
+    path.write_text("paper_id,pub_year\np1,2000\n", encoding="utf-8")
     with pytest.raises(DataError, match="^papers.csv: missing required column: 'title'$"):
         ingest.parse_papers(path)
 
 
 def test_repeated_header_column(tmp_path):
     path = tmp_path / "links.csv"
-    path.write_text("paper_id,family_id,paper_id\np1,f1,p2\n")
+    path.write_text("paper_id,family_id,paper_id\np1,f1,p2\n", encoding="utf-8")
     with pytest.raises(DataError, match="^links.csv line 1: header names column 'paper_id' twice$"):
         ingest.parse_links(path)
 
@@ -148,7 +152,8 @@ def test_long_row_from_unquoted_comma_in_title(tmp_path):
     path.write_text(
         "paper_id,pub_year,title,doi,pmid,fields_of_study\n"
         "p1,2000,Plain title,,,\n"
-        "p2,2001,Sleeping beauties, revisited,,,\n"
+        "p2,2001,Sleeping beauties, revisited,,,\n",
+        encoding="utf-8"
     )
     with pytest.raises(DataError, match="^papers.csv line 3: row has more cells than the header$"):
         ingest.parse_papers(path)
@@ -219,7 +224,8 @@ def test_cell_memo_stops_keeping_at_its_cap():
 def test_duplicate_paper_id(tmp_path):
     path = tmp_path / "papers.csv"
     path.write_text(
-        "paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,\np1,2001,,,,\n"
+        "paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,\np1,2001,,,,\n",
+        encoding="utf-8"
     )
     with pytest.raises(DataError, match="^papers.csv line 3: duplicate id: 'p1'$"):
         ingest.parse_papers(path)
@@ -229,7 +235,7 @@ def test_citations_written_sparse(tmp_path):
     series = [reference.series_from_counts("p1", 2000, (0, 3, 0, 2))]
     path = tmp_path / "citations.csv"
     ingest.write_citations(series, path)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == ["paper_id,year,count", "p1,2001,3", "p1,2003,2"]
     papers = {"p1": PaperRecord(paper_id="p1", pub_year=2000)}
     rebuilt = ingest.read_citations(path, papers, 2003)
@@ -241,7 +247,7 @@ PAPERS_1990 = {"p1": PaperRecord(paper_id="p1", pub_year=1990)}
 
 def write_citation_text(tmp_path, text: str):
     path = tmp_path / "citations.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -487,13 +493,13 @@ def test_patents_round_trip(tmp_path):
 def test_patent_bad_rows(tmp_path):
     path = tmp_path / "patents.csv"
     header = "family_id,earliest_priority_year,filing_years,forward_citation_count,ipc_codes\n"
-    path.write_text(header + "f1,1999,,3,A61B\n")
+    path.write_text(header + "f1,1999,,3,A61B\n", encoding="utf-8")
     with pytest.raises(DataError, match="^patents.csv line 2: filing_years must be non-empty$"):
         ingest.parse_patents(path)
-    path.write_text(header + "f1,1999,1999,-3,A61B\n")
+    path.write_text(header + "f1,1999,1999,-3,A61B\n", encoding="utf-8")
     with pytest.raises(DataError, match="^patents.csv line 2: forward_citation_count must be non-negative$"):
         ingest.parse_patents(path)
-    path.write_text(header + "f1,1999,1999,3,A61B\nf1,2000,2000,1,\n")
+    path.write_text(header + "f1,1999,1999,3,A61B\nf1,2000,2000,1,\n", encoding="utf-8")
     with pytest.raises(DataError, match="^patents.csv line 3: duplicate id: 'f1'$"):
         ingest.parse_patents(path)
 
@@ -503,7 +509,7 @@ def test_links_round_trip_and_validation(tmp_path):
     path = tmp_path / "links.csv"
     ingest.write_links(links, path)
     assert set(ingest.parse_links(path)) == set(links)
-    path.write_text("paper_id,family_id\np1,\n")
+    path.write_text("paper_id,family_id\np1,\n", encoding="utf-8")
     with pytest.raises(DataError, match="^links.csv line 2: link row has an empty id$"):
         ingest.parse_links(path)
 
@@ -522,7 +528,7 @@ def test_concordance_field_id_range(tmp_path):
     path = tmp_path / "concordance.tsv"
     header = "ipc_prefix\twipo_field_id\twipo_field_name\tsector\n"
     for bad in ("36", "0"):
-        path.write_text(header + f"A61B\t{bad}\tX\tY\n")
+        path.write_text(header + f"A61B\t{bad}\tX\tY\n", encoding="utf-8")
         with pytest.raises(DataError, match=f"^concordance.tsv line 2: wipo_field_id {bad} outside 1..35$"):
             ingest.parse_concordance(path)
 
@@ -539,13 +545,13 @@ def test_contexts_round_trip(tmp_path):
 
 def test_contexts_malformed_lines(tmp_path):
     path = tmp_path / "contexts.jsonl"
-    path.write_text('{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003}\n')
+    path.write_text('{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003}\n', encoding="utf-8")
     with pytest.raises(DataError, match="^contexts.jsonl line 1: missing key 'sentence'$"):
         ingest.parse_contexts(path)
-    path.write_text("not json\n")
+    path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(DataError, match="^contexts.jsonl line 1: invalid JSON: Expecting value$"):
         ingest.parse_contexts(path)
-    path.write_text('["a", "list"]\n')
+    path.write_text('["a", "list"]\n', encoding="utf-8")
     with pytest.raises(DataError, match="^contexts.jsonl line 1: line is not a JSON object$"):
         ingest.parse_contexts(path)
 
@@ -563,7 +569,7 @@ GOOD_CONTEXT = '{"citing_id": "c1", "cited_paper_id": "p1", "year": 2003, "sente
 @pytest.mark.parametrize("year", ["1.7", "true", '"2003"', "1e400", "null"])
 def test_contexts_year_must_be_a_json_integer(tmp_path, year):
     path = tmp_path / "contexts.jsonl"
-    path.write_text(GOOD_CONTEXT + GOOD_CONTEXT.replace("2003", year))
+    path.write_text(GOOD_CONTEXT + GOOD_CONTEXT.replace("2003", year), encoding="utf-8")
     with pytest.raises(DataError, match="^contexts.jsonl line 2: year .* is not a JSON integer$"):
         ingest.parse_contexts(path)
 
@@ -582,19 +588,19 @@ def test_contexts_year_must_be_a_json_integer(tmp_path, year):
 )
 def test_contexts_ids_and_sentence_must_be_json_strings(tmp_path, line, key):
     path = tmp_path / "contexts.jsonl"
-    path.write_text(GOOD_CONTEXT + line + "\n")
+    path.write_text(GOOD_CONTEXT + line + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=f"^contexts.jsonl line 2: {key} .* is not a JSON string$"):
         ingest.parse_contexts(path)
 
 
 def test_long_rejected_values_are_cut_short(tmp_path):
     path = tmp_path / "papers.csv"
-    path.write_text("paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,biology@" + "1" * 4999 + "x\n")
+    path.write_text("paper_id,pub_year,title,doi,pmid,fields_of_study\np1,2000,,,,biology@" + "1" * 4999 + "x\n", encoding="utf-8")
     with pytest.raises(DataError) as exc:
         ingest.parse_papers(path)
     assert str(exc.value) == f"papers.csv line 2: field of study level '{'1' * 40}'… (5000 characters) is not an integer"
     path = tmp_path / "contexts.jsonl"
-    path.write_text(GOOD_CONTEXT + GOOD_CONTEXT.replace('"s"', "[" + ", ".join(["1"] * 2000) + "]"))
+    path.write_text(GOOD_CONTEXT + GOOD_CONTEXT.replace('"s"', "[" + ", ".join(["1"] * 2000) + "]"), encoding="utf-8")
     with pytest.raises(DataError) as exc:
         ingest.parse_contexts(path)
     assert str(exc.value) == f"contexts.jsonl line 2: sentence [{'1, ' * 13}… (6000 characters) is not a JSON string"

@@ -1,20 +1,27 @@
-"""Every command once, in a child process where an open() with no encoding is an error.
+"""Every whole-command case in two child processes, one per fixed hash seed.
 
-An open() with no encoding falls back to the locale's, which would break
-the byte-identical reports on some platforms. So one child, started with
-`-X warn_default_encoding -W error::EncodingWarning`, runs `synth`, the
-eight analysis commands and `validate` on data/demo, then each bad copy
-and config below, all through cli.main. The child imports only slumber and
-the standard library; the suite's own process could not run under these
-flags, since some tests write their inputs with the fallback.
+An open() with no encoding falls back to the locale's, and a report that
+depends on string-hash order would come out differently from run to run;
+either breaks the byte-identical reports. So two children, one started with
+PYTHONHASHSEED=0 and one with 4242, each under
+`-X dev -X warn_default_encoding -W error` (development checks on, and any
+warning, an EncodingWarning among them, an error, as pyproject makes it in
+the suite), run each case of CASES below and of test_golden.CASES through
+cli.main. Both start before either is waited on. The child imports only
+slumber and the standard library, so it also runs without pytest.
 
-A refusal exits 1 with one stderr line. An EncodingWarning would exit 1
-too, but with a traceback, so stderr is checked as well as the exit code.
-A new refusal case of the command line goes into CASES.
+The parent hashes the files in each case's --out directory and checks every
+golden case against test_golden's recorded tables, under both seeds. A
+refusal exits 1 with one stderr line. An uncaught error, such as an
+EncodingWarning, would exit the child non-zero with a traceback; a warning
+that Python prints but cannot raise goes to the child's own stderr, so that
+is checked to be empty. Every stderr line of a case is a warning or an
+error line. A new refusal case of the command line goes into CASES.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -26,8 +33,11 @@ from typing import Callable, NamedTuple
 import pytest
 
 import slumber
+import test_golden
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "data" / "demo"
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SEEDS = ("0", "4242")
+FLAGS = ("-X", "dev", "-X", "warn_default_encoding", "-W", "error")
 
 # Runs each command line of the JSON list argv[1] and prints one JSON object per line.
 CHILD = """
@@ -43,6 +53,50 @@ for argv in json.loads(sys.argv[1]):
             code = exc.code
     print(json.dumps({"code": code, "out": out.getvalue(), "err": err.getvalue()}))
 """
+
+
+def _digests(directory: Path) -> dict[str, str]:
+    """{file name: sha256} of the files in directory, by name; none when it does not exist."""
+    if not directory.is_dir():
+        return {}
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+def run_children(cases: dict[str, tuple[str, ...]], tmp: Path) -> dict[str, tuple[str, dict[str, dict]]]:
+    """{seed: (the child's own stderr, {case: result})}, from one child per hash seed.
+
+    In an argument, {data} stands for data/ and {tmp} for tmp; a relative
+    path is under the child's working directory, tmp/hash-<seed>. A result
+    holds the case's exit code, stdout and stderr, and the digests of its
+    --out directory as "files".
+    """
+    argvs = [[arg.format(data=DATA_DIR, tmp=tmp) for arg in argv] for argv in cases.values()]
+    env = {**os.environ, "PYTHONPATH": str(Path(slumber.__file__).resolve().parent.parent)}
+    children = {}
+    try:
+        for seed in SEEDS:
+            cwd = tmp / f"hash-{seed}"
+            cwd.mkdir()
+            children[seed] = cwd, subprocess.Popen(
+                [sys.executable, *FLAGS, "-c", CHILD, json.dumps(argvs)],
+                cwd=cwd,
+                env={**env, "PYTHONHASHSEED": seed},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                encoding="utf-8",
+            )
+        runs = {}
+        for seed, (cwd, child) in children.items():
+            stdout, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr  # a traceback, such as an EncodingWarning's
+            results = dict(zip(cases, map(json.loads, stdout.splitlines()), strict=True))
+            for argv, result in zip(argvs, results.values()):
+                result["files"] = _digests(cwd / argv[argv.index("--out") + 1]) if "--out" in argv else {}
+            runs[seed] = stderr, results
+        return runs
+    finally:
+        for _, child in children.values():
+            child.kill()  # does nothing to a child already waited on
 
 
 def appended(file: str, tail: bytes) -> Callable[[str, bytes], bytes]:
@@ -77,7 +131,7 @@ CONFIGS = {
 
 
 class Case(NamedTuple):
-    """A command line, with {demo} for data/demo and {tmp} for the directory of COPIES and CONFIGS.
+    """A command line, with {data} for data/ and {tmp} for the directory of COPIES and CONFIGS.
 
     stderr is the pattern of a refusal's one stderr line; same_out names the
     case whose stdout this one's must equal.
@@ -94,14 +148,10 @@ def validate(dataset: str, config: str | None = None, **expected) -> Case:
     return Case(argv, **expected)
 
 
-ANALYSIS_COMMANDS = (
-    "profile", "cohort", "patents", "table1", "lag-trend", "interactions", "aagr", "flag-contexts"
-)
-
+# The analysis commands on data/demo are test_golden's ("demo", "default", command) cases.
 CASES = {
-    "synth": Case(("synth", "--out", "{tmp}/synth", "--seed", "42")),
-    **{c: Case((c, "--dataset", "{demo}", "--out", "{tmp}/reports")) for c in ANALYSIS_COMMANDS},
-    "plain": validate("{demo}"),
+    "synth": Case(("synth", "--out", "synth", "--seed", "42")),
+    "plain": validate("{data}/demo"),
     # The same files saved with a UTF-8 byte-order mark, or with CRLF line ends, validate alike.
     "bom": validate("{tmp}/bom", same_out="plain"),
     "crlf": validate("{tmp}/crlf", same_out="plain"),
@@ -114,13 +164,13 @@ CASES = {
     # Lines end at a line feed: a file of classic-Mac CR line ends is refused at its first line.
     "cr": validate("{tmp}/cr", code=1, stderr=r"error: papers\.csv line 1: "),
     # Every command checks every config key, also one it does not read.
-    "zero-cfg": validate("{demo}", "zero.cfg", code=1, stderr=r"error: n_papers must be at least 1$"),
+    "zero-cfg": validate("{data}/demo", "zero.cfg", code=1, stderr=r"error: n_papers must be at least 1$"),
     # A config file is read as a dataset file is: a NUL and a lone carriage return are refused
     # with the file and line.
-    "nul-cfg": validate("{demo}", "nul.cfg", code=1, stderr=r"error: [^ ]+\.cfg line [0-9]+: "),
-    "cr-cfg": validate("{demo}", "cr.cfg", code=1, stderr=r"error: [^ ]+\.cfg line [0-9]+: "),
+    "nul-cfg": validate("{data}/demo", "nul.cfg", code=1, stderr=r"error: [^ ]+\.cfg line [0-9]+: "),
+    "cr-cfg": validate("{data}/demo", "cr.cfg", code=1, stderr=r"error: [^ ]+\.cfg line [0-9]+: "),
     # A dispute term listed twice when case is ignored is refused by SynthSpec.
-    "twice-cfg": validate("{demo}", "twice.cfg", code=1, stderr=r"error: terms "),
+    "twice-cfg": validate("{data}/demo", "twice.cfg", code=1, stderr=r"error: terms "),
     # A missing required flag is checked before any file is read, so the missing
     # dataset directory is never opened (exit 1, not 2).
     "flag": Case(("table1", "--dataset", "{tmp}/none"), 1, r"error: this command requires --out$"),
@@ -132,32 +182,34 @@ CASES = {
 
 
 @pytest.fixture(scope="module")
-def results(tmp_path_factory) -> dict[str, dict]:
-    """Each case's exit code, stdout and stderr, from one child run of them all."""
+def runs(tmp_path_factory) -> dict[str, tuple[str, dict[str, dict]]]:
+    """run_children over CASES and test_golden.CASES, their inputs written first."""
     tmp = tmp_path_factory.mktemp("smoke")
     for copy, change in COPIES.items():
         (tmp / copy).mkdir()
-        for path in DEMO_DIR.iterdir():
+        for path in (DATA_DIR / "demo").iterdir():
             (tmp / copy / path.name).write_bytes(change(path.name, path.read_bytes()))
     for name, data in CONFIGS.items():
         (tmp / name).write_bytes(data)
-    argvs = [[arg.format(demo=DEMO_DIR, tmp=tmp) for arg in case.argv] for case in CASES.values()]
-    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
-    child = subprocess.run(
-        [sys.executable, *flags, "-c", CHILD, json.dumps(argvs)],
-        cwd=tmp,
-        env={**os.environ, "PYTHONPATH": str(Path(slumber.__file__).resolve().parent.parent)},
-        capture_output=True,
-        encoding="utf-8",
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr  # a traceback, such as an EncodingWarning's
-    return dict(zip(CASES, map(json.loads, child.stdout.splitlines()), strict=True))
+    test_golden.write_configs(tmp)
+    assert not CASES.keys() & test_golden.CASES.keys()
+    return run_children({**{name: case.argv for name, case in CASES.items()}, **test_golden.CASES}, tmp)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_each_child_writes_only_warning_and_error_lines(runs, seed):
+    own_stderr, results = runs[seed]
+    assert own_stderr == ""
+    for name, result in results.items():
+        for line in result["err"].splitlines():
+            assert line.startswith(("WARNING slumber: ", "error: ")), (name, line)
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_command_in_a_child_with_encoding_warnings_as_errors(results, name):
-    case, result = CASES[name], results[name]
+@pytest.mark.parametrize("seed", SEEDS)
+def test_command_in_a_child_with_warnings_as_errors(runs, seed, name):
+    case, results = CASES[name], runs[seed][1]
+    result = results[name]
     assert result["code"] == case.code, result["err"]
     if case.stderr is not None:
         err = result["err"]
@@ -165,3 +217,10 @@ def test_command_in_a_child_with_encoding_warnings_as_errors(results, name):
         assert re.match(case.stderr, err), err
     if case.same_out is not None:
         assert result["out"] == results[case.same_out]["out"]
+
+
+@pytest.mark.parametrize("name", test_golden.CASES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_command_outputs_match_recorded_digests(runs, seed, name):
+    result = runs[seed][1][name]
+    assert test_golden.recorded_form(name, result) == test_golden.RECORDED[name], result["err"]
