@@ -1,10 +1,11 @@
 """Command-line orchestration over a dataset directory.
 
 The analysis commands read `--dataset DIR` and write reports under
-`--out DIR`; `validate` reads a dataset and writes nothing, and `synth`
-writes a dataset under `--out DIR`. Before any file is read, the settings
-file `--config FILE` (config.load_config) included, main checks the flags
-the command table names. Exit codes: 0 success, 1 bad data or configuration
+`--out DIR`, made at the first report, so a refused command leaves none;
+`validate` reads a dataset and writes nothing, and `synth` writes a dataset
+under `--out DIR`. Before any file is read, the settings file
+`--config FILE` (config.load_config) included, main checks the flags the
+command table names. Exit codes: 0 success, 1 bad data or configuration
 (a missing flag too), 2 I/O failure, or a command line that does not parse.
 
 Each analysis command builds its own report rows in a fixed column order and
@@ -85,7 +86,6 @@ class Run:
                 print(f"error {_issue_text(issue)}")
             raise DataError(f"dataset failed validation with {len(report.errors())} errors")
         self.out = args.out
-        self.out.mkdir(parents=True, exist_ok=True)
 
     @cached_property
     def cohorts(self) -> CohortResult:
@@ -105,6 +105,8 @@ class Run:
         return [by_id[p] for p in dr_ids], [by_id[p] for p in ir_ids]
 
     def write(self, name: str, writer, *payload) -> None:
+        """Write one report under `--out`, made here so that a refused command writes nothing."""
+        self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
         writer(path, *payload)
         print(f"wrote {path}")

@@ -7,10 +7,11 @@ Blank lines are skipped; every other row must have exactly as many cells as
 the header, since an unquoted delimiter inside a cell would otherwise shift
 or drop values.
 
-Both readers, and config.load_config, read a file once through _text, which
-checks its bytes whole first: bytes that are not UTF-8, a NUL or a carriage
-return outside a CRLF line end are refused at the line of the first one. So
-CRLF files read as '\n' ones do, and every error counts lines as `wc -l` does.
+Both readers, and config.load_config, read a file once through _text, the
+line an error names included, and _text checks the bytes whole first: bytes
+that are not UTF-8, a NUL or a carriage return outside a CRLF line end are
+refused at the line of the first one. So CRLF files read as '\n' ones do, and
+every error counts lines as `wc -l` does.
 
 JSON-lines files hold one object per line; blank lines are skipped on
 reading, and writing sorts the keys and keeps non-ASCII characters as they are.
@@ -117,7 +118,7 @@ def read_rows(
     """
     with _text(path) as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        with _at_line(path, lambda: _first_line(path, delimiter, reader.line_num)):
+        with _at_line(path, lambda: _first_line(fh, delimiter, reader.line_num)):
             names = next(reader, [])
             for col in columns:
                 if col not in names:
@@ -128,23 +129,24 @@ def read_rows(
             yield _cells(reader, len(names), pick)
 
 
-def _first_line(path: Path, delimiter: str, end: int) -> int:
-    """The first line of the record that the csv reader was reading on line `end`.
+def _first_line(fh: io.TextIOWrapper, delimiter: str, end: int) -> int:
+    """The first line of the record that a csv reader of `fh` was reading on line `end`.
 
     A quoted cell may hold line ends, and the reader counts the last line it
-    has read. Only an error asks for the first one, so the file is read
-    again up to that record rather than each row's start kept.
+    has read. Only an error asks for the first one, so the text already read
+    from the file is parsed again from its start up to that record, rather
+    than each row's start kept.
     """
+    fh.seek(0)
     start = 1
-    with _text(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            for _ in reader:
-                if reader.line_num >= end:
-                    break
-                start = reader.line_num + 1
-        except csv.Error:
-            pass  # the record that failed to read, at `start`
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        for _ in reader:
+            if reader.line_num >= end:
+                break
+            start = reader.line_num + 1
+    except csv.Error:
+        pass  # the record that failed to read, at `start`
     return start
 
 

@@ -16,6 +16,7 @@ import tempfile
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -289,29 +290,6 @@ def test_synth_then_validate(tmp_path, capsys):
     assert "0 errors, 0 warnings" in stdout
 
 
-@pytest.mark.parametrize(
-    "settings, line",
-    [
-        ("share_noise = nan\n", "error: shape shares must be non-negative numbers"),
-        ("share_delayed = nan\n", "error: shape shares must be non-negative numbers"),
-        ("timing_later = nan\n", "error: timing targets must be non-negative numbers"),
-        ("share_noise = inf\n", "error: shape shares must sum to 1, got inf"),
-        ("link_density = nan\n", "error: link density nan outside [0, 1]"),
-        ("pub_from = 1700\npub_to = 1750\n", "error: pub_from 1700 is before 1800"),
-        ("fraction = 0.9\n", "error: cohort fraction 0.9 outside (0, 0.5]"),
-    ],
-)
-def test_synth_refuses_a_spec_it_cannot_build(tmp_path, capsys, settings, line):
-    cfg = tmp_path / "synth.cfg"
-    cfg.write_text(settings, encoding="utf-8")
-    out = tmp_path / "ds"
-    code, _, err = run(capsys, "synth", "--out", str(out), "--config", str(cfg))
-    assert code == 1
-    assert err.splitlines()[-1] == line
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 def test_skipped_paper_is_logged_once(tmp_path, demo_dir, capsys):
     dataset = ingest.load_dataset(demo_dir, 2015)
     silent = dataset.series["p00001"]
@@ -363,8 +341,15 @@ def test_crlf_line_ends_read_as_line_feeds(tmp_path, demo_dir, capsys):
     assert reports(ds_copy) == expected
 
 
-def test_load_dataset_opens_each_file_once(demo_dir, monkeypatch):
-    """Each dataset file is read from disk once, its check and its rows from the same bytes."""
+def test_load_dataset_opens_each_file_once(tmp_path, demo_dir, monkeypatch):
+    """Each dataset file is read from disk once, its check and its rows from the same bytes.
+
+    So is the one refused at the first line of a row that spans three lines.
+    """
+    refused = tmp_path / "ds"
+    shutil.copytree(demo_dir, refused)
+    papers = refused / "papers.csv"
+    papers.write_bytes(_multiline_row_after(2)(papers.read_bytes()))
     opened = Counter()
     real_open = io.open
 
@@ -376,6 +361,10 @@ def test_load_dataset_opens_each_file_once(demo_dir, monkeypatch):
     monkeypatch.setattr("builtins.open", counting_open)
     ingest.load_dataset(demo_dir, 2015)
     assert opened == {path.name: 1 for path in demo_dir.iterdir()}
+    opened.clear()
+    with pytest.raises(DataError, match=r"^papers\.csv line 4: pub_year 1799 is before 1800$"):
+        ingest.load_dataset(refused, 2015)
+    assert opened == {"papers.csv": 1}
 
 
 def test_validate_reports_errors_and_exits_1(tmp_path, demo_dir, capsys):
@@ -557,253 +546,229 @@ def _bad_count_then_bad_byte(b: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def _replaced_once(old: bytes, new: bytes) -> Callable[[bytes], bytes]:
+    """The change of `old`, which the file holds once, to `new`."""
+
+    def change(b: bytes) -> bytes:
+        assert b.count(old) == 1
+        return b.replace(old, new)
+
+    return change
+
+
+def _multiline_row_after(rows: int) -> Callable[[bytes], bytes]:
+    """papers.csv with a row of pub_year 1799, whose quoted title holds a line feed, after `rows` rows."""
+
+    def change(b: bytes) -> bytes:
+        lines = b.splitlines(keepends=True)
+        lines.insert(1 + rows, b'p9,1799,"a\nb",,,\n')
+        return b"".join(lines)
+
+    return change
+
+
+def _first_row_cell(name: str, column: str, cell: str) -> Callable[[bytes], bytes]:
+    """The file `name` with `cell` in `column` of its first row, written back by the csv module."""
+    delimiter = "\t" if name.endswith(".tsv") else ","
+
+    def change(b: bytes) -> bytes:
+        rows = list(csv.reader(io.StringIO(b.decode("utf-8"), newline=""), delimiter=delimiter))
+        rows[1][rows[0].index(column)] = cell
+        text = io.StringIO(newline="")
+        csv.writer(text, delimiter=delimiter, lineterminator="\n").writerows(rows)
+        return text.getvalue().encode("utf-8")
+
+    return change
+
+
+class Prefix(str):
+    """The start of a refusal's line, whose rest is Python's own wording, which may differ between versions."""
+
+
+def assert_refused(capsys, commands: tuple[str, ...], argv: tuple[str, ...], out: Path, line: str) -> None:
+    """Each command exits 1, prints nothing to stdout and `line` as its one stderr line, and makes no `out`."""
+    for command in commands:
+        code, stdout, err = run(capsys, command, *argv, "--out", str(out))
+        shown = err.splitlines()[0] if isinstance(line, Prefix) and err.startswith(line) else line
+        assert (code, stdout, err) == (1, "", shown + "\n"), command
+        assert len(shown.encode("utf-8")) < 200
+        assert not out.exists(), command
+
+
+# Every integer column of the dataset files: (file, column, the cell's text
+# around the integer, the name the error gives it). A fields_of_study level
+# follows its field's name.
+INTEGER_COLUMNS = [
+    ("citations.csv", "year", "{}", "year"),
+    ("citations.csv", "count", "{}", "count"),
+    ("papers.csv", "pub_year", "{}", "pub_year"),
+    ("papers.csv", "fields_of_study", "biology@{}", "field of study level"),
+    ("patents.csv", "earliest_priority_year", "{}", "earliest_priority_year"),
+    ("patents.csv", "filing_years", "{}", "filing_years"),
+    ("patents.csv", "forward_citation_count", "{}", "forward_citation_count"),
+    ("concordance.tsv", "wipo_field_id", "{}", "wipo_field_id"),
+]
+
+
+INTEGER_FORMS = {
+    "underscore": "1_990",
+    "leading-space": " 1990",
+    "trailing-space": "1990 ",
+    "plus-sign": "+5",
+    "arabic-indic-digits": "١٩٩٠",
+    "exponent": "1e3",
+    "hex": "0x7C6",
+    "empty": "",
+}
+
+
+def refused(files: str | tuple[str, ...], change, line: str, id: str, commands: tuple[str, ...] = ("validate",)):
+    """A row of the dataset table: `change` made to the bytes of each of `files` in a copy of data/demo."""
+    return pytest.param(commands, (files,) if isinstance(files, str) else files, change, line, id=id)
+
+
 # The "<lambda>" ids are the ones pytest made when the messages did not
-# name their file yet; they are kept so each case keeps its name.
-@pytest.mark.parametrize(
-    "name, corrupt, where",
-    [
-        pytest.param(
-            "papers.csv",
-            lambda b: b.replace(b"Synthetic", b"Synth\xfftic", 1),
-            "papers.csv line 2: not valid UTF-8",
-            id="papers.csv-<lambda>-line 2: not valid UTF-8",
-        ),
-        pytest.param(
-            "citations.csv",
-            lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n",
-            "citations.csv line 1026: unreadable row",
-            id="citations.csv-<lambda>-unreadable row",
-        ),
-        pytest.param(
-            "contexts.jsonl",
-            lambda b: b.replace(b"measurements", b"m\xe9asurements", 1),
-            "contexts.jsonl line 1: not valid UTF-8",
-            id="contexts.jsonl-<lambda>-line 1: not valid UTF-8",
-        ),
-        pytest.param(
-            "contexts.jsonl",
-            lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1),
-            "contexts.jsonl line 1: year inf",
-            id="contexts.jsonl-<lambda>-line 1: year inf",
-        ),
-        pytest.param(
-            "contexts.jsonl",
-            lambda b: b.replace(b'"year": 1989', b'"year": 1' + b"0" * 5000, 1),
-            "contexts.jsonl line 1: invalid JSON: number too long",
-            id="contexts.jsonl-<lambda>-line 1: invalid JSON: number too long",
-        ),
-        pytest.param(
-            "contexts.jsonl",
-            lambda b: b"[" * 200_000 + b"]" * 200_000 + b"\n" + b,
-            "contexts.jsonl line 1: invalid JSON: maximum recursion depth exceeded",
-            id="contexts.jsonl-<lambda>-line 1: invalid JSON: maximum recursion depth exceeded",
-        ),
-        # A `where` that starts with "error: " is the whole final stderr line.
-        # data/demo's papers.csv has 61 lines and patents.csv 97, so a repeated
-        # first row is line 62 or 98.
-        pytest.param(
-            "papers.csv",
-            lambda b: b + b.splitlines(keepends=True)[1],
-            "error: papers.csv line 62: duplicate id: 'p00000'",
-            id="papers.csv-duplicate-id",
-        ),
-        # A 5,000-digit cell is echoed as its first 40 characters and its length.
-        pytest.param(
-            "papers.csv",
-            lambda b: b.replace(b",1977,", b"," + b"1" * 5000 + b",", 1),
+# name their file yet; they are kept so each case keeps its name. data/demo's
+# papers.csv has 61 lines, citations.csv 1,025, patents.csv 97 and
+# contexts.jsonl 16, so a row appended to one is line 62, 1026, 98 or 17.
+DATASET_REFUSALS = [
+    refused("papers.csv", lambda b: b.replace(b"Synthetic", b"Synth\xfftic", 1),
+            "error: papers.csv line 2: not valid UTF-8: invalid start byte",
+            id="papers.csv-<lambda>-line 2: not valid UTF-8"),
+    refused("citations.csv", lambda b: b + b"p00001," + b"9" * 200_000 + b",1\n",
+            Prefix("error: citations.csv line 1026: unreadable row: "), id="citations.csv-<lambda>-unreadable row"),
+    refused("contexts.jsonl", lambda b: b.replace(b"measurements", b"m\xe9asurements", 1),
+            "error: contexts.jsonl line 1: not valid UTF-8: invalid continuation byte",
+            id="contexts.jsonl-<lambda>-line 1: not valid UTF-8"),
+    refused("contexts.jsonl", lambda b: b.replace(b'"year": 1989', b'"year": 1e400', 1),
+            "error: contexts.jsonl line 1: year inf is not a JSON integer",
+            id="contexts.jsonl-<lambda>-line 1: year inf"),
+    refused("contexts.jsonl", lambda b: b.replace(b'"year": 1989', b'"year": 1' + b"0" * 5000, 1),
+            "error: contexts.jsonl line 1: invalid JSON: number too long",
+            id="contexts.jsonl-<lambda>-line 1: invalid JSON: number too long"),
+    refused("contexts.jsonl", lambda b: b"[" * 200_000 + b"]" * 200_000 + b"\n" + b,
+            Prefix("error: contexts.jsonl line 1: invalid JSON: maximum recursion depth exceeded"),
+            id="contexts.jsonl-<lambda>-line 1: invalid JSON: maximum recursion depth exceeded"),
+    refused("papers.csv", lambda b: b + b.splitlines(keepends=True)[1],
+            "error: papers.csv line 62: duplicate id: 'p00000'", id="papers.csv-duplicate-id"),
+    # A 5,000-digit cell is echoed as its first 40 characters and its length.
+    refused("papers.csv", lambda b: b.replace(b",1977,", b"," + b"1" * 5000 + b",", 1),
             "error: papers.csv line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
-            id="papers.csv-<lambda>-error: line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer",
-        ),
-        pytest.param(
-            "citations.csv",
-            lambda b: b.replace(b",count", b",cnt", 1),
+            id="papers.csv-<lambda>-error: line 2: pub_year '" + "1" * 40 + "'… (5000 characters) is not an integer"),
+    refused("citations.csv", lambda b: b.replace(b",count", b",cnt", 1),
             "error: citations.csv: missing required column: 'count'",
-            id="citations.csv-<lambda>-error: missing required column: 'count'",
-        ),
-        # The row appended after data/demo's 1,025 lines is line 1026.
-        pytest.param(
-            "citations.csv",
-            lambda b: b + b"p00000,2100,1\n",
+            id="citations.csv-<lambda>-error: missing required column: 'count'"),
+    refused("citations.csv", lambda b: b + b"p00000,2100,1\n",
             "error: citations.csv line 1026: citation year 2100 for paper 'p00000' outside the observation window",
-            id="citations.csv-year-outside-window",
-        ),
-        pytest.param(
-            "patents.csv",
-            lambda b: b + b.splitlines(keepends=True)[1],
-            "error: patents.csv line 98: duplicate id: 'f00000'",
-            id="patents.csv-duplicate-id",
-        ),
-        # A packed cell that is not empty holds no empty entry: a leading,
-        # inner or trailing ';' is refused, not dropped.
-        pytest.param(
-            "patents.csv",
-            lambda b: b.replace(b"1995;2001;2003,70,", b"1995;2001;2003;;,70,;", 1),
+            id="citations.csv-year-outside-window"),
+    refused("patents.csv", lambda b: b + b.splitlines(keepends=True)[1],
+            "error: patents.csv line 98: duplicate id: 'f00000'", id="patents.csv-duplicate-id"),
+    # A packed cell that is not empty holds no empty entry: a leading,
+    # inner or trailing ';' is refused, not dropped.
+    refused("patents.csv", lambda b: b.replace(b"1995;2001;2003,70,", b"1995;2001;2003;;,70,;", 1),
             "error: patents.csv line 2: filing_years '1995;2001;2003;;' has an empty entry",
-            id="patents.csv-filing-years-trailing-empty-entry",
-        ),
-        pytest.param(
-            "patents.csv",
-            lambda b: b.replace(b",1995;2001;2003,", b",;1995;2001;2003,", 1),
+            id="patents.csv-filing-years-trailing-empty-entry"),
+    refused("patents.csv", lambda b: b.replace(b",1995;2001;2003,", b",;1995;2001;2003,", 1),
             "error: patents.csv line 2: filing_years ';1995;2001;2003' has an empty entry",
-            id="patents.csv-filing-years-leading-empty-entry",
-        ),
-        pytest.param(
-            "patents.csv",
-            lambda b: b.replace(b",C12Q1/68;G01N21/64;", b",C12Q1/68;;G01N21/64;", 1),
+            id="patents.csv-filing-years-leading-empty-entry"),
+    refused("patents.csv", lambda b: b.replace(b",C12Q1/68;G01N21/64;", b",C12Q1/68;;G01N21/64;", 1),
             "error: patents.csv line 2: ipc_codes 'C12Q1/68;;G01N21/64;H01L29/06' has an empty entry",
-            id="patents.csv-ipc-codes-inner-empty-entry",
-        ),
-        pytest.param(
-            "patents.csv",
+            id="patents.csv-ipc-codes-inner-empty-entry"),
+    refused("patents.csv",
             lambda b: b.replace(b",C12Q1/68;G01N21/64;H01L29/06\n", b",;C12Q1/68;G01N21/64;H01L29/06;\n", 1),
             "error: patents.csv line 2: ipc_codes ';C12Q1/68;G01N21/64;H01L29/06;' has an empty entry",
-            id="patents.csv-ipc-codes-leading-and-trailing-empty-entries",
-        ),
-        pytest.param(
-            "papers.csv",
-            lambda b: b.replace(
-                b"environmental science@0;sociology@0;molecular biology@1", b"biology@0;;physics@0", 1
-            ),
+            id="patents.csv-ipc-codes-leading-and-trailing-empty-entries"),
+    refused("papers.csv",
+            lambda b: b.replace(b"environmental science@0;sociology@0;molecular biology@1", b"biology@0;;physics@0", 1),
             "error: papers.csv line 2: fields_of_study 'biology@0;;physics@0' has an empty entry",
-            id="papers.csv-fields-of-study-inner-empty-entry",
-        ),
-        # A 5,000-character id is echoed as its first 40 characters and its length.
-        pytest.param(
-            "citations.csv",
-            lambda b: b + b"q" * 5000 + b",1990,1\n",
-            "error: citations.csv line 1026: citation row references unknown paper '" + "q" * 40 + "'… (5000 characters)",
-            id="citations.csv-long-unknown-paper",
-        ),
-        pytest.param(
-            "papers.csv",
-            lambda b: b + (b"q" * 5000 + b",1990,,,,\n") * 2,
+            id="papers.csv-fields-of-study-inner-empty-entry"),
+    # A 5,000-character id is echoed as its first 40 characters and its length.
+    refused("citations.csv", lambda b: b + b"q" * 5000 + b",1990,1\n",
+            "error: citations.csv line 1026: citation row references unknown paper "
+            + "'" + "q" * 40 + "'… (5000 characters)",
+            id="citations.csv-long-unknown-paper"),
+    refused("papers.csv", lambda b: b + (b"q" * 5000 + b",1990,,,,\n") * 2,
             "error: papers.csv line 63: duplicate id: '" + "q" * 40 + "'… (5000 characters)",
-            id="papers.csv-long-duplicate-id",
-        ),
-        # Python 3.10's csv module refuses a NUL byte and later versions read it;
-        # every version refuses it here.
-        pytest.param(
-            "papers.csv",
-            lambda b: b.replace(b"Synthetic", b"Synth\x00etic", 1),
+            id="papers.csv-long-duplicate-id"),
+    # Python 3.10's csv module refuses a NUL byte and later versions read it;
+    # every version refuses it here.
+    refused("papers.csv", lambda b: b.replace(b"Synthetic", b"Synth\x00etic", 1),
             "error: papers.csv line 2: unreadable row: line contains NUL",
-            id="papers.csv-<lambda>-error: line 2: unreadable row: line contains NUL",
-        ),
-        # Far past the first line: 1,025 lines, then blank ones.
-        pytest.param(
-            "citations.csv",
-            lambda b: b + b"\n" * 70_000 + b"p00000,\x001990,1\n",
+            id="papers.csv-<lambda>-error: line 2: unreadable row: line contains NUL"),
+    # Far past the first line: 1,025 lines, then blank ones.
+    refused("citations.csv", lambda b: b + b"\n" * 70_000 + b"p00000,\x001990,1\n",
             "error: citations.csv line 71026: unreadable row: line contains NUL",
-            id="citations.csv-<lambda>-error: line 71026: unreadable row: line contains NUL",
-        ),
-        pytest.param(
-            "contexts.jsonl",
-            lambda b: b.replace(b"measurements", b"m\x00easurements", 1),
-            "error: contexts.jsonl line 1: unreadable row: line contains NUL",
-            id="contexts.jsonl-nul",
-        ),
-        # Every line ends at a line feed, as `wc -l` counts: a carriage return
-        # outside a CRLF line end is refused at its own line, even in a column
-        # that no record reads, and before a bad row on a later line.
-        pytest.param(
-            "papers.csv",
-            _note_with_carriage_return,
+            id="citations.csv-<lambda>-error: line 71026: unreadable row: line contains NUL"),
+    refused("contexts.jsonl", lambda b: b.replace(b"measurements", b"m\x00easurements", 1),
+            "error: contexts.jsonl line 1: unreadable row: line contains NUL", id="contexts.jsonl-nul"),
+    # Every line ends at a line feed, as `wc -l` counts: a carriage return
+    # outside a CRLF line end is refused at its own line, even in a column
+    # that no record reads, and before a bad row on a later line.
+    refused("papers.csv", _note_with_carriage_return,
             "error: papers.csv line 2: unreadable row: carriage return outside a CRLF line end",
-            id="papers.csv-carriage-return-in-an-unread-column",
-        ),
-        pytest.param(
-            "papers.csv",
-            lambda b: b.replace(b"\n", b"\r"),
+            id="papers.csv-carriage-return-in-an-unread-column"),
+    refused("papers.csv", lambda b: b.replace(b"\n", b"\r"),
             "error: papers.csv line 1: unreadable row: carriage return outside a CRLF line end",
-            id="papers.csv-carriage-return-line-ends",
-        ),
-        # Every byte is checked before any row is read.
-        pytest.param(
-            "citations.csv",
-            _bad_count_then_bad_byte,
+            id="papers.csv-carriage-return-line-ends"),
+    # A quoted id holding a carriage return loads nowhere, since the csv module
+    # would write it unquoted: papers.csv, the first file read, is refused at
+    # the id's own line.
+    refused(("papers.csv", "citations.csv", "links.csv"), lambda b: b.replace(b"\np00000,", b'\n"p\r00000",'),
+            "error: papers.csv line 2: unreadable row: carriage return outside a CRLF line end",
+            id="carriage-return-in-an-id", commands=("validate", "profile")),
+    # Every byte is checked before any row is read.
+    refused("citations.csv", _bad_count_then_bad_byte,
             "error: citations.csv line 1001: not valid UTF-8: invalid start byte",
-            id="citations.csv-bad-byte-after-bad-row",
-        ),
-    ],
-)
-def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, name, corrupt, where):
-    ds_copy = tmp_path / "ds"
-    shutil.copytree(demo_dir, ds_copy)
-    path = ds_copy / name
-    path.write_bytes(corrupt(path.read_bytes()))
-    code, _, err = run(capsys, "validate", "--dataset", str(ds_copy))
-    assert code == 1
-    last = err.splitlines()[-1]
-    assert len(last.encode("utf-8")) < 200
-    if where.startswith("error: "):
-        assert last == where
-    else:
-        assert err.startswith("error: ") and where in err
+            id="citations.csv-bad-byte-after-bad-row"),
+    # A bad byte, a bad cell and a bad JSON line appended to a file.
+    refused("citations.csv", lambda b: b + b"p00000,1999,\xff\n",
+            "error: citations.csv line 1026: not valid UTF-8: invalid start byte",
+            id="citations.csv-appended-bad-byte"),
+    refused("citations.csv", lambda b: b + b"p00000,1999,x\n",
+            "error: citations.csv line 1026: count 'x' is not an integer", id="citations.csv-appended-bad-count"),
+    refused("contexts.jsonl", lambda b: b + b"{\n",
+            "error: contexts.jsonl line 17: invalid JSON: Expecting property name enclosed in double quotes",
+            id="contexts.jsonl-appended-open-brace"),
+    # A quoted cell may hold a line end; the error names the row's first line, as `wc -l` counts.
+    *(refused("papers.csv", _multiline_row_after(rows),
+              f"error: papers.csv line {2 + rows}: pub_year 1799 is before 1800",
+              id=f"row-error-names-the-line-the-row-starts-on-{rows}") for rows in (0, 2)),
+    # Required text that is empty.
+    refused("papers.csv", _replaced_once(b"\np00000,", b"\n,"),
+            "error: papers.csv line 2: paper_id must be non-empty", id="paper-id"),
+    refused("papers.csv", _replaced_once(b",environmental science@0;", b",@0;"),
+            "error: papers.csv line 2: field of study name must be non-empty", id="field-name"),
+    refused("patents.csv", _replaced_once(b"\nf00000,", b"\n,"),
+            "error: patents.csv line 2: family_id must be non-empty", id="family-id"),
+    refused("concordance.tsv", _replaced_once(b"\nA61B\t", b"\n\t"),
+            "error: concordance.tsv line 2: ipc_prefix '' is blank", id="ipc-prefix"),
+    refused("contexts.jsonl",
+            _replaced_once(b'"These measurements contradict the rate constants from p00006."', b'""'),
+            "error: contexts.jsonl line 1: sentence must be non-empty", id="sentence"),
+    # Only '-?[0-9]+' is an integer cell; anything else on line 2 stops the load
+    # there. An empty filing_years cell lists no filing year.
+    *(refused(name, _first_row_cell(name, column, cell.format(form)),
+              f"error: {name} line 2: {label} {form!r} is not an integer" if form or column != "filing_years"
+              else "error: patents.csv line 2: filing_years must be non-empty",
+              id=f"{name}-{column}-{form_id}")
+      for name, column, cell, label in INTEGER_COLUMNS for form_id, form in INTEGER_FORMS.items()),
+]
 
 
-def test_carriage_return_in_an_id_is_refused_at_load(tmp_path, demo_dir, capsys):
-    """A quoted id holding a carriage return loads nowhere: the csv module would write it unquoted.
+@pytest.mark.parametrize("commands, files, change, line", DATASET_REFUSALS)
+def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, commands, files, change, line):
+    """Each row's commands refuse its change to a copy of data/demo while loading it.
 
-    The file's bytes are checked before any row, so the lone carriage return
-    is refused at its own line, line 2 of papers.csv, the first file read.
+    Each exits 1 with no stdout, the row's line as its one stderr line, and
+    nothing under --out. A Prefix line is matched at its start only. A new
+    refusal of a dataset file is a row of this table.
     """
     ds_copy = tmp_path / "ds"
     shutil.copytree(demo_dir, ds_copy)
-    for name in ("papers.csv", "citations.csv", "links.csv"):
+    for name in files:
         path = ds_copy / name
-        path.write_bytes(path.read_bytes().replace(b"\np00000,", b'\n"p\r00000",'))
-    line = "error: papers.csv line 2: unreadable row: carriage return outside a CRLF line end"
-    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
-    assert (code, stdout, err.splitlines()) == (1, "", [line])
-    out = tmp_path / "out"
-    code, stdout, err = run(capsys, "profile", "--dataset", str(ds_copy), "--out", str(out))
-    assert (code, stdout, err.splitlines()) == (1, "", [line])
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("before", [0, 2])
-def test_a_row_error_names_the_line_the_row_starts_on(tmp_path, demo_dir, capsys, before):
-    """A quoted cell may hold a line end; the error names the row's first line, as `wc -l` counts."""
-    ds_copy = tmp_path / "ds"
-    shutil.copytree(demo_dir, ds_copy)
-    path = ds_copy / "papers.csv"
-    lines = path.read_bytes().splitlines(keepends=True)
-    lines.insert(1 + before, b'p9,1799,"a\nb",,,\n')
-    path.write_bytes(b"".join(lines))
-    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
-    line = f"error: papers.csv line {2 + before}: pub_year 1799 is before 1800"
-    assert (code, stdout, err.splitlines()) == (1, "", [line])
-
-
-@pytest.mark.parametrize(
-    "name, old, new, line",
-    [
-        ("papers.csv", b"\np00000,", b"\n,", "error: papers.csv line 2: paper_id must be non-empty"),
-        (
-            "papers.csv",
-            b",environmental science@0;",
-            b",@0;",
-            "error: papers.csv line 2: field of study name must be non-empty",
-        ),
-        ("patents.csv", b"\nf00000,", b"\n,", "error: patents.csv line 2: family_id must be non-empty"),
-        ("concordance.tsv", b"\nA61B\t", b"\n\t", "error: concordance.tsv line 2: ipc_prefix '' is blank"),
-        (
-            "contexts.jsonl",
-            b'"sentence": "These measurements contradict the rate constants from p00006."',
-            b'"sentence": ""',
-            "error: contexts.jsonl line 1: sentence must be non-empty",
-        ),
-    ],
-    ids=["paper-id", "field-name", "family-id", "ipc-prefix", "sentence"],
-)
-def test_empty_required_text_exits_1(tmp_path, demo_dir, capsys, name, old, new, line):
-    ds_copy = tmp_path / "ds"
-    shutil.copytree(demo_dir, ds_copy)
-    path = ds_copy / name
-    data = path.read_bytes()
-    assert data.count(old) == 1
-    path.write_bytes(data.replace(old, new))
-    code, stdout, err = run(capsys, "validate", "--dataset", str(ds_copy))
-    assert (code, stdout, err.splitlines()) == (1, "", [line])
+        path.write_bytes(change(path.read_bytes()))
+    assert_refused(capsys, commands, ("--dataset", str(ds_copy)), tmp_path / "out", line)
 
 
 @pytest.mark.parametrize("blank", [" ", "\u3000 "])
@@ -839,107 +804,93 @@ def test_single_year_window_warns(tmp_path, demo_dir, capsys):
     ]
 
 
-# Every integer column of the dataset files: (file, column, the cell's text
-# around the integer, the name the error gives it). A fields_of_study level
-# follows its field's name.
-INTEGER_COLUMNS = [
-    ("citations.csv", "year", "{}", "year"),
-    ("citations.csv", "count", "{}", "count"),
-    ("papers.csv", "pub_year", "{}", "pub_year"),
-    ("papers.csv", "fields_of_study", "biology@{}", "field of study level"),
-    ("patents.csv", "earliest_priority_year", "{}", "earliest_priority_year"),
-    ("patents.csv", "filing_years", "{}", "filing_years"),
-    ("patents.csv", "forward_citation_count", "{}", "forward_citation_count"),
-    ("concordance.tsv", "wipo_field_id", "{}", "wipo_field_id"),
+# The commands that check every config key, also one they do not read.
+EVERY_COMMAND = ("profile", "aagr", "validate", "cohort", "lag-trend", "synth")
+LONG = b"x" * 5000
+LONG_SHOWN = "'" + "x" * 40 + "'… (5000 characters)"
+
+
+def bad_config(commands: tuple[str, ...], config: bytes, line: str, id: str, dataset: str = "{tmp}/missing"):
+    """A row of the config table: `config` is the bytes of run.cfg, and {demo} in `dataset` is data/demo."""
+    return pytest.param(commands, config, line, dataset, id=id)
+
+
+CONFIG_REFUSALS = [
+    bad_config(EVERY_COMMAND, b"fraction = 7\n", "error: cohort fraction 7.0 outside (0, 0.5]", id="fraction-7"),
+    bad_config(EVERY_COMMAND, b"fraction = 0\n", "error: cohort fraction 0.0 outside (0, 0.5]", id="fraction-0"),
+    bad_config(EVERY_COMMAND, b"fraction = nan\n", "error: cohort fraction nan outside (0, 0.5]", id="fraction-nan"),
+    bad_config(EVERY_COMMAND, b"window_width = 0\n", "error: window width 0 must be >= 1", id="window-width-0"),
+    bad_config(EVERY_COMMAND, b"min_total_citations = 0\n", "error: minimum citation total must be at least 1",
+               id="min-total-citations-0"),
+    bad_config(EVERY_COMMAND, b"n_papers = 0\n", "error: n_papers must be at least 1", id="n-papers-0"),
+    bad_config(EVERY_COMMAND, b"share_delayed = 2\n", "error: shape shares must sum to 1, got 2.75",
+               id="share-delayed-2"),
+    # A word list holds no empty entry, leading, inner or trailing.
+    bad_config(EVERY_COMMAND, b"terms = dispute,,contradict,\n",
+               "error: config key 'terms' has an empty entry: 'dispute,,contradict,'", id="terms-empty-entries"),
+    bad_config(EVERY_COMMAND, b"terms = , dispute\n", "error: config key 'terms' has an empty entry: ', dispute'",
+               id="terms-leading-empty-entry"),
+    bad_config(EVERY_COMMAND, b"terms =\n", "error: terms must name at least one word", id="terms-empty"),
+    # flag_contexts matches a term whatever its case, so a repeat would be reported twice.
+    bad_config(EVERY_COMMAND, b"terms = dispute, Dispute\n", "error: terms lists 'Dispute' twice, ignoring case",
+               id="terms-twice"),
+    # Settings synth cannot build a dataset from.
+    bad_config(("synth",), b"share_noise = nan\n", "error: shape shares must be non-negative numbers",
+               id="share-noise-nan"),
+    bad_config(("synth",), b"share_delayed = nan\n", "error: shape shares must be non-negative numbers",
+               id="share-delayed-nan"),
+    bad_config(("synth",), b"timing_later = nan\n", "error: timing targets must be non-negative numbers",
+               id="timing-later-nan"),
+    bad_config(("synth",), b"share_noise = inf\n", "error: shape shares must sum to 1, got inf", id="share-noise-inf"),
+    bad_config(("synth",), b"link_density = nan\n", "error: link density nan outside [0, 1]", id="link-density-nan"),
+    bad_config(("synth",), b"pub_from = 1700\npub_to = 1750\n", "error: pub_from 1700 is before 1800",
+               id="pub-from-1700"),
+    bad_config(("synth", "cohort"), b"fraction = 0.9\n", "error: cohort fraction 0.9 outside (0, 0.5]",
+               id="fraction-0.9"),
+    # No paper of data/demo is eligible: refused after the load, and with nothing under --out still.
+    bad_config(("cohort", "table1", "lag-trend", "interactions"), b"pub_from = 1800\npub_to = 1801\n",
+               "error: no paper satisfies the eligibility filter", id="eligibility", dataset="{demo}"),
+    bad_config(("profile",), b"fractoin=0.1\n", "error: unknown config key 'fractoin'", id="unknown-key"),
+    bad_config(("profile",), b"fraction=0.5\n# a comment\nfraction=0.01\n",
+               "error: run.cfg line 3: config key 'fraction' given twice", id="repeated-key"),
+    # A 5,000-character text is echoed as its first 40 characters and its length.
+    bad_config(("profile",), LONG + b"=1\n", f"error: unknown config key {LONG_SHOWN}", id="long-unknown-key"),
+    bad_config(("profile",), LONG + b"=1\n" + LONG + b"=2\n",
+               f"error: run.cfg line 2: config key {LONG_SHOWN} given twice", id="long-repeat"),
+    bad_config(("profile",), LONG + b"\n", f"error: run.cfg line 1: expected key=value, got {LONG_SHOWN}",
+               id="long-no-equals"),
+    bad_config(("profile",), b"pub_from=" + LONG + b"\n",
+               f"error: config key 'pub_from' takes an integer, not {LONG_SHOWN}", id="long-int"),
+    bad_config(("profile",), b"fraction=" + LONG + b"\n",
+               f"error: config key 'fraction' has non-numeric value {LONG_SHOWN}", id="long-float"),
+    bad_config(("profile",), b"aagr_method=" + LONG + b"\n",
+               f"error: aagr_method must be arithmetic or compound, not {LONG_SHOWN}", id="long-aagr"),
+    # A config file goes through the dataset files' byte check, and its errors name the line alike.
+    bad_config(("profile",), b"fraction = 0.5\n# r\xe9sum\xe9\n",
+               "error: run.cfg line 2: not valid UTF-8: invalid continuation byte", id="not-utf8"),
+    bad_config(("validate",), b"terms = dis\0pute\n", "error: run.cfg line 1: unreadable row: line contains NUL",
+               id="nul"),
+    bad_config(("validate",), b"fraction=0.5\rwindow_width=3\r",
+               "error: run.cfg line 1: unreadable row: carriage return outside a CRLF line end", id="cr-only"),
+    bad_config(("validate",), b"\xef\xbb\xbffraction=0.5\r\n\r\nterms=a\rb\n",
+               "error: run.cfg line 3: unreadable row: carriage return outside a CRLF line end",
+               id="lone-cr-after-bom-and-crlf"),
 ]
 
 
-INTEGER_FORMS = {
-    "underscore": "1_990",
-    "leading-space": " 1990",
-    "trailing-space": "1990 ",
-    "plus-sign": "+5",
-    "arabic-indic-digits": "١٩٩٠",
-    "exponent": "1e3",
-    "hex": "0x7C6",
-    "empty": "",
-}
+@pytest.mark.parametrize("commands, config, line, dataset", CONFIG_REFUSALS)
+def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, demo_dir, capsys, commands, config, line, dataset):
+    """Each row's commands refuse its config file, each before reading the dataset, which is missing.
 
-
-@pytest.mark.parametrize("form", INTEGER_FORMS.values(), ids=INTEGER_FORMS.keys())
-@pytest.mark.parametrize(
-    "name, column, cell, label", INTEGER_COLUMNS, ids=[f"{n}-{c}" for n, c, _, _ in INTEGER_COLUMNS]
-)
-def test_integer_cells_are_ascii_digits_only(tmp_path, demo_dir, capsys, name, column, cell, label, form):
-    """Only '-?[0-9]+' is an integer cell; anything else on line 2 stops the load there."""
-    ds_copy = tmp_path / "ds"
-    shutil.copytree(demo_dir, ds_copy)
-    path = ds_copy / name
-    delimiter = "\t" if name.endswith(".tsv") else ","
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delimiter))
-    rows[1][rows[0].index(column)] = cell.format(form)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, delimiter=delimiter, lineterminator="\n").writerows(rows)
-    code, _, err = run(capsys, "validate", "--dataset", str(ds_copy))
-    assert code == 1
-    if column == "filing_years" and not form:
-        # The empty cell lists no filing year; empty entries are skipped.
-        assert err.splitlines()[-1] == "error: patents.csv line 2: filing_years must be non-empty"
-    else:
-        assert err.splitlines()[-1] == f"error: {name} line 2: {label} {form!r} is not an integer"
-
-
-@pytest.mark.parametrize(
-    "settings, line",
-    [
-        ("pub_from = 1800\npub_to = 1801\n", "error: no paper satisfies the eligibility filter"),
-        ("fraction = 0.9\n", "error: cohort fraction 0.9 outside (0, 0.5]"),
-    ],
-)
-def test_unusable_cohort_config_exits_1(tmp_path, demo_dir, capsys, settings, line):
+    Each exits 1 with no stdout, the row's line as its one stderr line, and
+    nothing under --out; a missing dataset directory read would exit 2. Only
+    the eligibility row needs the data, and its commands load data/demo
+    first. A new refusal of a config file is a row of this table.
+    """
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(settings, encoding="utf-8")
-    code, _, err = run(
-        capsys,
-        "cohort",
-        "--dataset", str(demo_dir),
-        "--out", str(tmp_path / "out"),
-        "--config", str(cfg),
-    )
-    assert code == 1
-    assert err.splitlines()[-1] == line
-
-
-@pytest.mark.parametrize("command", ["profile", "aagr", "validate", "cohort", "lag-trend", "synth"])
-@pytest.mark.parametrize(
-    "settings, line",
-    [
-        ("fraction = 7\n", "error: cohort fraction 7.0 outside (0, 0.5]"),
-        ("fraction = 0\n", "error: cohort fraction 0.0 outside (0, 0.5]"),
-        ("fraction = nan\n", "error: cohort fraction nan outside (0, 0.5]"),
-        ("window_width = 0\n", "error: window width 0 must be >= 1"),
-        ("min_total_citations = 0\n", "error: minimum citation total must be at least 1"),
-        ("n_papers = 0\n", "error: n_papers must be at least 1"),
-        ("share_delayed = 2\n", "error: shape shares must sum to 1, got 2.75"),
-        # A word list holds no empty entry, leading, inner or trailing.
-        ("terms = dispute,,contradict,\n", "error: config key 'terms' has an empty entry: 'dispute,,contradict,'"),
-        ("terms = , dispute\n", "error: config key 'terms' has an empty entry: ', dispute'"),
-        ("terms =\n", "error: terms must name at least one word"),
-        # flag_contexts matches a term whatever its case, so a repeat would be reported twice.
-        ("terms = dispute, Dispute\n", "error: terms lists 'Dispute' twice, ignoring case"),
-    ],
-)
-def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, capsys, command, settings, line):
-    """Every command checks every key first, also one it does not read: a missing dataset would exit 2."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(settings, encoding="utf-8")
-    out = tmp_path / "out"
-    missing = tmp_path / "missing"
-    code, _, err = run(capsys, command, "--dataset", str(missing), "--out", str(out), "--config", str(cfg))
-    assert code == 1
-    assert err.splitlines() == [line]
-    assert not out.exists()
+    cfg.write_bytes(config)
+    argv = ("--dataset", dataset.format(tmp=tmp_path, demo=demo_dir), "--config", str(cfg))
+    assert_refused(capsys, commands, argv, tmp_path / "out", line)
 
 
 def test_missing_dataset_dir_exits_2(tmp_path, capsys):
@@ -977,89 +928,6 @@ def test_missing_required_flag_exits_1_before_any_file_is_read(
     code, stdout, err = run(capsys, *argv.format(tmp=tmp_path, demo=demo_dir).split())
     assert (code, stdout, err.splitlines()) == (1, "", [f"error: this command requires {flag}"])
     assert list(tmp_path.iterdir()) == []
-
-
-def test_unknown_config_key_exits_1(tmp_path, demo_dir, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("fractoin=0.1\n", encoding="utf-8")
-    code, _, err = run(
-        capsys,
-        "profile",
-        "--dataset", str(demo_dir),
-        "--out", str(tmp_path / "out"),
-        "--config", str(cfg),
-    )
-    assert code == 1
-    assert "fractoin" in err
-
-
-def test_repeated_config_key_exits_1(tmp_path, demo_dir, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("fraction=0.5\n# a comment\nfraction=0.01\n", encoding="utf-8")
-    code, _, err = run(
-        capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
-    )
-    assert code == 1
-    assert err.splitlines() == ["error: run.cfg line 3: config key 'fraction' given twice"]
-
-
-LONG = "x" * 5000
-LONG_SHOWN = "'" + "x" * 40 + "'… (5000 characters)"
-
-
-@pytest.mark.parametrize(
-    "settings, line",
-    [
-        pytest.param(f"{LONG}=1\n", f"unknown config key {LONG_SHOWN}", id="unknown-key"),
-        pytest.param(f"{LONG}=1\n{LONG}=2\n", f"run.cfg line 2: config key {LONG_SHOWN} given twice", id="repeat"),
-        pytest.param(f"{LONG}\n", f"run.cfg line 1: expected key=value, got {LONG_SHOWN}", id="no-equals"),
-        pytest.param(f"pub_from={LONG}\n", f"config key 'pub_from' takes an integer, not {LONG_SHOWN}", id="int"),
-        pytest.param(f"fraction={LONG}\n", f"config key 'fraction' has non-numeric value {LONG_SHOWN}", id="float"),
-        pytest.param(
-            f"aagr_method={LONG}\n", f"aagr_method must be arithmetic or compound, not {LONG_SHOWN}", id="aagr"
-        ),
-    ],
-)
-def test_long_config_text_is_cut_short(tmp_path, demo_dir, capsys, settings, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(settings, encoding="utf-8")
-    code, _, err = run(
-        capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
-    )
-    assert code == 1
-    assert err.splitlines()[-1] == "error: " + line
-    assert all(len(text.encode("utf-8")) < 200 for text in err.splitlines())
-
-
-def test_config_file_not_utf8_exits_1(tmp_path, demo_dir, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(b"fraction = 0.5\n# r\xe9sum\xe9\n")
-    code, _, err = run(
-        capsys, "profile", "--dataset", str(demo_dir), "--out", str(tmp_path / "out"), "--config", str(cfg)
-    )
-    assert code == 1
-    assert err.splitlines() == ["error: run.cfg line 2: not valid UTF-8: invalid continuation byte"]
-
-
-LONE_CR = "unreadable row: carriage return outside a CRLF line end"
-
-
-@pytest.mark.parametrize(
-    "data, line",
-    [
-        (b"terms = dis\0pute\n", "run.cfg line 1: unreadable row: line contains NUL"),
-        (b"fraction=0.5\rwindow_width=3\r", f"run.cfg line 1: {LONE_CR}"),
-        (b"\xef\xbb\xbffraction=0.5\r\n\r\nterms=a\rb\n", f"run.cfg line 3: {LONE_CR}"),
-    ],
-    ids=["nul", "cr-only", "lone-cr-after-bom-and-crlf"],
-)
-def test_config_file_bytes_are_refused_as_a_dataset_file_is(tmp_path, demo_dir, capsys, data, line):
-    """A config file goes through the dataset files' byte check, and its errors name the line alike."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_bytes(data)
-    code, _, err = run(capsys, "validate", "--dataset", str(demo_dir), "--config", str(cfg))
-    assert code == 1
-    assert err.splitlines() == [f"error: {line}"]
 
 
 def test_config_parsing_units():
