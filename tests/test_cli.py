@@ -585,14 +585,22 @@ class Prefix(str):
     """The start of a refusal's line, whose rest is Python's own wording, which may differ between versions."""
 
 
-def assert_refused(capsys, commands: tuple[str, ...], argv: tuple[str, ...], out: Path, line: str) -> None:
-    """Each command exits 1, prints nothing to stdout and `line` as its one stderr line, and makes no `out`."""
-    for command in commands:
-        code, stdout, err = run(capsys, command, *argv, "--out", str(out))
-        shown = err.splitlines()[0] if isinstance(line, Prefix) and err.startswith(line) else line
-        assert (code, stdout, err) == (1, "", shown + "\n"), command
-        assert len(shown.encode("utf-8")) < 200
-        assert not out.exists(), command
+def assert_refused(capsys, command: str, argv: tuple[str, ...], out: Path, line: str) -> None:
+    """The command exits 1, prints nothing to stdout and `line` as its one stderr line, and makes no `out`."""
+    code, stdout, err = run(capsys, command, *argv, "--out", str(out))
+    shown = err.splitlines()[0] if isinstance(line, Prefix) and err.startswith(line) else line
+    assert (code, stdout, err) == (1, "", shown + "\n")
+    assert len(shown.encode("utf-8")) < 200
+    assert not out.exists()
+
+
+def per_command(rows: list) -> list:
+    """One case per command a row names, its id followed by the command's when the row names more than one."""
+    return [
+        pytest.param(command, *row.values[1:], id=row.id if len(row.values[0]) == 1 else f"{row.id}-{command}")
+        for row in rows
+        for command in row.values[0]
+    ]
 
 
 # Every integer column of the dataset files: (file, column, the cell's text
@@ -755,11 +763,11 @@ DATASET_REFUSALS = [
 ]
 
 
-@pytest.mark.parametrize("commands, files, change, line", DATASET_REFUSALS)
-def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, commands, files, change, line):
-    """Each row's commands refuse its change to a copy of data/demo while loading it.
+@pytest.mark.parametrize("command, files, change, line", per_command(DATASET_REFUSALS))
+def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, command, files, change, line):
+    """Each command of a row, a case of its own, refuses its change to a copy of data/demo while loading it.
 
-    Each exits 1 with no stdout, the row's line as its one stderr line, and
+    It exits 1 with no stdout, the row's line as its one stderr line, and
     nothing under --out. A Prefix line is matched at its start only. A new
     refusal of a dataset file is a row of this table.
     """
@@ -768,7 +776,7 @@ def test_undecodable_and_mistyped_input_exits_1(tmp_path, demo_dir, capsys, comm
     for name in files:
         path = ds_copy / name
         path.write_bytes(change(path.read_bytes()))
-    assert_refused(capsys, commands, ("--dataset", str(ds_copy)), tmp_path / "out", line)
+    assert_refused(capsys, command, ("--dataset", str(ds_copy)), tmp_path / "out", line)
 
 
 @pytest.mark.parametrize("blank", [" ", "\u3000 "])
@@ -834,6 +842,32 @@ CONFIG_REFUSALS = [
     # flag_contexts matches a term whatever its case, so a repeat would be reported twice.
     bad_config(EVERY_COMMAND, b"terms = dispute, Dispute\n", "error: terms lists 'Dispute' twice, ignoring case",
                id="terms-twice"),
+    # Every command reads the whole config file before the dataset, so each refuses a bad one alike.
+    bad_config(EVERY_COMMAND, b"fractoin=0.1\n", "error: unknown config key 'fractoin'", id="unknown-key"),
+    bad_config(EVERY_COMMAND, b"fraction=0.5\n# a comment\nfraction=0.01\n",
+               "error: run.cfg line 3: config key 'fraction' given twice", id="repeated-key"),
+    # A 5,000-character text is echoed as its first 40 characters and its length.
+    bad_config(EVERY_COMMAND, LONG + b"=1\n", f"error: unknown config key {LONG_SHOWN}", id="long-unknown-key"),
+    bad_config(EVERY_COMMAND, LONG + b"=1\n" + LONG + b"=2\n",
+               f"error: run.cfg line 2: config key {LONG_SHOWN} given twice", id="long-repeat"),
+    bad_config(EVERY_COMMAND, LONG + b"\n", f"error: run.cfg line 1: expected key=value, got {LONG_SHOWN}",
+               id="long-no-equals"),
+    bad_config(EVERY_COMMAND, b"pub_from=" + LONG + b"\n",
+               f"error: config key 'pub_from' takes an integer, not {LONG_SHOWN}", id="long-int"),
+    bad_config(EVERY_COMMAND, b"fraction=" + LONG + b"\n",
+               f"error: config key 'fraction' has non-numeric value {LONG_SHOWN}", id="long-float"),
+    bad_config(EVERY_COMMAND, b"aagr_method=" + LONG + b"\n",
+               f"error: aagr_method must be arithmetic or compound, not {LONG_SHOWN}", id="long-aagr"),
+    # A config file goes through the dataset files' byte check, and its errors name the line alike.
+    bad_config(EVERY_COMMAND, b"fraction = 0.5\n# r\xe9sum\xe9\n",
+               "error: run.cfg line 2: not valid UTF-8: invalid continuation byte", id="not-utf8"),
+    bad_config(EVERY_COMMAND, b"terms = dis\0pute\n", "error: run.cfg line 1: unreadable row: line contains NUL",
+               id="nul"),
+    bad_config(EVERY_COMMAND, b"fraction=0.5\rwindow_width=3\r",
+               "error: run.cfg line 1: unreadable row: carriage return outside a CRLF line end", id="cr-only"),
+    bad_config(EVERY_COMMAND, b"\xef\xbb\xbffraction=0.5\r\n\r\nterms=a\rb\n",
+               "error: run.cfg line 3: unreadable row: carriage return outside a CRLF line end",
+               id="lone-cr-after-bom-and-crlf"),
     # Settings synth cannot build a dataset from.
     bad_config(("synth",), b"share_noise = nan\n", "error: shape shares must be non-negative numbers",
                id="share-noise-nan"),
@@ -850,39 +884,14 @@ CONFIG_REFUSALS = [
     # No paper of data/demo is eligible: refused after the load, and with nothing under --out still.
     bad_config(("cohort", "table1", "lag-trend", "interactions"), b"pub_from = 1800\npub_to = 1801\n",
                "error: no paper satisfies the eligibility filter", id="eligibility", dataset="{demo}"),
-    bad_config(("profile",), b"fractoin=0.1\n", "error: unknown config key 'fractoin'", id="unknown-key"),
-    bad_config(("profile",), b"fraction=0.5\n# a comment\nfraction=0.01\n",
-               "error: run.cfg line 3: config key 'fraction' given twice", id="repeated-key"),
-    # A 5,000-character text is echoed as its first 40 characters and its length.
-    bad_config(("profile",), LONG + b"=1\n", f"error: unknown config key {LONG_SHOWN}", id="long-unknown-key"),
-    bad_config(("profile",), LONG + b"=1\n" + LONG + b"=2\n",
-               f"error: run.cfg line 2: config key {LONG_SHOWN} given twice", id="long-repeat"),
-    bad_config(("profile",), LONG + b"\n", f"error: run.cfg line 1: expected key=value, got {LONG_SHOWN}",
-               id="long-no-equals"),
-    bad_config(("profile",), b"pub_from=" + LONG + b"\n",
-               f"error: config key 'pub_from' takes an integer, not {LONG_SHOWN}", id="long-int"),
-    bad_config(("profile",), b"fraction=" + LONG + b"\n",
-               f"error: config key 'fraction' has non-numeric value {LONG_SHOWN}", id="long-float"),
-    bad_config(("profile",), b"aagr_method=" + LONG + b"\n",
-               f"error: aagr_method must be arithmetic or compound, not {LONG_SHOWN}", id="long-aagr"),
-    # A config file goes through the dataset files' byte check, and its errors name the line alike.
-    bad_config(("profile",), b"fraction = 0.5\n# r\xe9sum\xe9\n",
-               "error: run.cfg line 2: not valid UTF-8: invalid continuation byte", id="not-utf8"),
-    bad_config(("validate",), b"terms = dis\0pute\n", "error: run.cfg line 1: unreadable row: line contains NUL",
-               id="nul"),
-    bad_config(("validate",), b"fraction=0.5\rwindow_width=3\r",
-               "error: run.cfg line 1: unreadable row: carriage return outside a CRLF line end", id="cr-only"),
-    bad_config(("validate",), b"\xef\xbb\xbffraction=0.5\r\n\r\nterms=a\rb\n",
-               "error: run.cfg line 3: unreadable row: carriage return outside a CRLF line end",
-               id="lone-cr-after-bom-and-crlf"),
 ]
 
 
-@pytest.mark.parametrize("commands, config, line, dataset", CONFIG_REFUSALS)
-def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, demo_dir, capsys, commands, config, line, dataset):
-    """Each row's commands refuse its config file, each before reading the dataset, which is missing.
+@pytest.mark.parametrize("command, config, line, dataset", per_command(CONFIG_REFUSALS))
+def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, demo_dir, capsys, command, config, line, dataset):
+    """Each command of a row, a case of its own, refuses its config file before reading the missing dataset.
 
-    Each exits 1 with no stdout, the row's line as its one stderr line, and
+    It exits 1 with no stdout, the row's line as its one stderr line, and
     nothing under --out; a missing dataset directory read would exit 2. Only
     the eligibility row needs the data, and its commands load data/demo
     first. A new refusal of a config file is a row of this table.
@@ -890,7 +899,7 @@ def test_bad_config_exits_1_before_the_dataset_is_read(tmp_path, demo_dir, capsy
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(config)
     argv = ("--dataset", dataset.format(tmp=tmp_path, demo=demo_dir), "--config", str(cfg))
-    assert_refused(capsys, commands, argv, tmp_path / "out", line)
+    assert_refused(capsys, command, argv, tmp_path / "out", line)
 
 
 def test_missing_dataset_dir_exits_2(tmp_path, capsys):
